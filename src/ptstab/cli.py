@@ -51,7 +51,7 @@ from .sim import (
     prescribed_time_controller,
     robust_controller,
 )
-from .switching import design_switch_params
+from .switching import SwitchDesignError, design_switch_params
 from .timescale import Density, build
 
 _DENSITIES = {"constant", "power", "expflat"}
@@ -163,44 +163,65 @@ def cmd_verify(args) -> int:
 # --- simulate / sweep -------------------------------------------------------
 
 
-def _parse_signal(spec_str: str, seed: int, period: float) -> Signal:
+_SIGNAL_KINDS = ("zero", "constant", "sine", "noise")
+
+
+def _numbers(key: str, text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{key}: non-numeric value in {text!r}") from None
+
+
+def _spec_values(key: str, spec_str: str) -> tuple:
+    """(kind, values) of a `kind[:v1,v2,...]` spec."""
     parts = spec_str.strip().split(":")
-    kind = parts[0]
+    return parts[0], (_numbers(key, parts[1]) if len(parts) > 1 else [])
+
+
+def _parse_signal(key: str, spec_str: str) -> tuple:
+    kind, vals = _spec_values(key, spec_str)
+    if kind not in _SIGNAL_KINDS:
+        raise ConfigError(f"{key}: unknown signal spec {spec_str!r}")
+    if kind != "zero" and not vals:
+        raise ConfigError(f"{key}: {kind} needs an amplitude, got {spec_str!r}")
+    return kind, vals
+
+
+def _make_signal(parsed: tuple, seed: int, period: float) -> Signal:
+    kind, vals = parsed
     if kind == "zero":
         return Signal("zero")
-    vals = [float(v) for v in parts[1].split(",")] if len(parts) > 1 else []
     if kind == "constant":
         return Signal("constant", amp=vals[0])
     if kind == "sine":
         freq = vals[1] if len(vals) > 1 else 1.0
         phase = vals[2] if len(vals) > 2 else 0.0
         return Signal("sine", amp=vals[0], freq=freq, phase=phase)
-    if kind == "noise":
-        return Signal("noise", amp=vals[0], seed=seed, period=period)
-    raise ConfigError(f"unknown signal spec {spec_str!r}")
+    return Signal("noise", amp=vals[0], seed=seed, period=period)
 
 
 def _parse_bprofile(spec_str: str, b_lower: float) -> BProfile:
     if not spec_str:
         return BProfile(b_lower)
-    parts = spec_str.strip().split(":")
-    vals = [float(v) for v in parts[1].split(",")] if len(parts) > 1 else []
-    if parts[0] == "constant":
-        return BProfile(vals[0])
-    if parts[0] == "sine":
-        freq = vals[2] if len(vals) > 2 else 1.0
-        phase = vals[3] if len(vals) > 3 else 0.0
-        return BProfile(vals[0], vals[1], freq=freq, phase=phase)
-    raise ConfigError(f"unknown b profile {spec_str!r}")
+    kind, vals = _spec_values("disturbance.b", spec_str)
+    try:
+        if kind == "constant" and vals:
+            return BProfile(vals[0])
+        if kind == "sine" and len(vals) >= 2:
+            freq = vals[2] if len(vals) > 2 else 1.0
+            phase = vals[3] if len(vals) > 3 else 0.0
+            return BProfile(vals[0], vals[1], freq=freq, phase=phase)
+    except ValueError as exc:
+        raise ConfigError(f"disturbance.b: {exc}") from None
+    raise ConfigError(f"disturbance.b: expected constant:v or sine:lo,hi[,freq[,phase]], got {spec_str!r}")
 
 
-def _direction(text: str, n: int, default: np.ndarray) -> np.ndarray:
-    if not text:
-        return default
-    vec = np.array([float(v) for v in text.split(",")])
-    if vec.shape != (n,):
-        raise ConfigError(f"direction needs {n} components")
-    return vec
+def _vector(key: str, text: str, n: int) -> np.ndarray:
+    vec = _numbers(key, text)
+    if len(vec) != n:
+        raise ConfigError(f"{key} needs {n} components")
+    return np.array(vec)
 
 
 class _Problem:
@@ -209,13 +230,28 @@ class _Problem:
     def __init__(self, cfg: dict):
         self.cfg = cfg
         n = cfg["plant.n"]
-        self.spec = ChainSpec(
-            n=n,
-            T=cfg["plant.t"],
-            b_lower=cfg["plant.b_lower"],
-            b_upper=cfg["plant.b_upper"],
-            d_bound=cfg["plant.d_bound"],
-        )
+        try:
+            self.spec = ChainSpec(
+                n=n,
+                T=cfg["plant.t"],
+                b_lower=cfg["plant.b_lower"],
+                b_upper=cfg["plant.b_upper"],
+                d_bound=cfg["plant.d_bound"],
+            )
+        except ValueError as exc:
+            raise ConfigError(f"plant: {exc}") from None
+        # disturbance specs are parsed here, once; runs differ only in their noise seeds
+        self.period = cfg["disturbance.noise_period"] or self.spec.T / 1e4
+        self.signals = {k: _parse_signal(f"disturbance.{k}", cfg[f"disturbance.{k}"]) for k in ("d", "d1", "d2")}
+        e_n = np.zeros(n)
+        e_n[-1] = 1.0
+        self.directions = {}
+        for key, default in (("d1", np.ones(n)), ("d2", e_n)):
+            if self.signals[key][0] != "zero":
+                text = cfg[f"disturbance.{key}_direction"]
+                self.directions[key] = _vector(f"disturbance.{key}_direction", text, n) if text else default
+        self.b = _parse_bprofile(cfg["disturbance.b"], self.spec.b_lower)
+        self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
         kind = cfg["controller.kind"]
         self.kind = kind
         self.gains = None
@@ -260,30 +296,18 @@ class _Problem:
         )
 
     def disturbances(self, run_seed: int) -> DisturbanceSpec:
-        cfg = self.cfg
-        n = self.spec.n
-        period = cfg["disturbance.noise_period"] or self.spec.T / 1e4
-        d = _parse_signal(cfg["disturbance.d"], 4 * run_seed + 1, period)
-        d1_sig = _parse_signal(cfg["disturbance.d1"], 4 * run_seed + 2, period)
-        d2_sig = _parse_signal(cfg["disturbance.d2"], 4 * run_seed + 3, period)
-        e_n = np.zeros(n)
-        e_n[-1] = 1.0
-        d1 = None
-        if d1_sig.kind != "zero":
-            d1 = VectorSignal(_direction(cfg["disturbance.d1_direction"], n, np.ones(n)), d1_sig)
-        d2 = None
-        if d2_sig.kind != "zero":
-            d2 = VectorSignal(_direction(cfg["disturbance.d2_direction"], n, e_n), d2_sig)
-        b = _parse_bprofile(cfg["disturbance.b"], self.spec.b_lower)
-        return DisturbanceSpec(d=d, d1=d1, d2=d2, b=b)
+        d = _make_signal(self.signals["d"], 4 * run_seed + 1, self.period)
+        vec = {}
+        for offset, key in ((2, "d1"), (3, "d2")):
+            if key in self.directions:
+                sig = _make_signal(self.signals[key], 4 * run_seed + offset, self.period)
+                vec[key] = VectorSignal(self.directions[key], sig)
+        return DisturbanceSpec(d=d, d1=vec.get("d1"), d2=vec.get("d2"), b=self.b)
 
     def initial_state(self, run_seed: int) -> np.ndarray:
         cfg = self.cfg
-        if cfg["runs.x0"]:
-            x0 = np.array([float(v) for v in cfg["runs.x0"].split(",")])
-            if x0.shape != (self.spec.n,):
-                raise ConfigError(f"runs.x0 needs {self.spec.n} components")
-            return x0
+        if self.x0 is not None:
+            return self.x0.copy()
         rng = np.random.default_rng(run_seed)
         direction = rng.standard_normal(self.spec.n)
         direction /= np.linalg.norm(direction)
@@ -318,6 +342,9 @@ class _Problem:
         return traj, seed, metrics
 
 
+# inline gain synthesis or switch design that cannot produce a certificate (exit 2)
+_SETUP_FAILURES = (SynthesisError, GainSynthesisError, SwitchDesignError)
+
 _STATUS_LABEL = {"horizon": "ReachedHorizon", "settled": "SettledAt", "step_failure": "StepFailure"}
 
 _DIAG_COLS = ("V0", "Vkp", "Vkm", "kappa", "Z")
@@ -349,6 +376,9 @@ def cmd_simulate(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except _SETUP_FAILURES as exc:
+        print(f"synthesis failed: {exc}", file=sys.stderr)
+        return 2
     out_dir = cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
     results = _run_batch(problem.run_one, range(cfg["runs.count"]))
@@ -419,9 +449,12 @@ def cmd_sweep(args) -> int:
         try:
             cfg = validate_config(_apply_sweep(kv, args.param, value))
             problem = _Problem(cfg)
-        except ConfigError as exc:
+        except (OSError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
+        except _SETUP_FAILURES as exc:
+            print(f"synthesis failed: {exc}", file=sys.stderr)
+            return 2
         results = _run_batch(problem.run_one, range(cfg["runs.count"]))
         worst = -math.inf
         for k, (traj, seed, metrics) in enumerate(results):

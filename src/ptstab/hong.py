@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,30 +109,37 @@ def _abs_pow(B: np.ndarray, e: float) -> np.ndarray:
     return out
 
 
-def _spow(x: float, a: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return math.copysign(abs(x) ** a, x)
-
-
-def _cascade_scalar(ell, kappa: float, x, want_value: bool):
-    """Float-only cascade; returns (u, v_list, V or None)."""
-    j = len(x)
-    v = 0.0
-    vs = []
-    V = 0.0
-    for lvl in range(j):
+@lru_cache(maxsize=32)  # bounded: band scans pass continuous kappa values
+def _exponents(n: int, kappa: float) -> tuple:
+    """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the scalar cascade."""
+    kappa = float(kappa)
+    out = []
+    for lvl in range(n):
         rj = 1.0 + lvl * kappa
-        rj1 = 1.0 + (lvl + 1) * kappa
         b = (2.0 + kappa) / rj - 1.0
-        xl = float(x[lvl])
-        sv = _spow(v, b)
-        w = _spow(xl, b) - sv
+        out.append((b, b + 1.0, (1.0 + (lvl + 1) * kappa) / (rj * b)))
+    return tuple(out)
+
+
+def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
+    """Float-only cascade over one state; returns (u, V or None).
+
+    ``exps`` comes from _exponents; the intermediate v's are appended to
+    ``vs`` when it is given.  The signed powers <z>^a are written out
+    inline, with <0>^a := 0.
+    """
+    v = 0.0
+    V = 0.0
+    for el, (b, b1, gam), xl in zip(ell, exps, x):
+        xl = float(xl)
+        sv = math.copysign(abs(v) ** b, v) if v else 0.0
+        w = (math.copysign(abs(xl) ** b, xl) if xl else 0.0) - sv
         if want_value:
-            V += (abs(xl) ** (b + 1.0) - abs(v) ** (b + 1.0)) / (b + 1.0) - sv * (xl - v)
-        v = -ell[lvl] * _spow(w, rj1 / (rj * b))
-        vs.append(v)
-    return v, vs, (V if want_value else None)
+            V += (abs(xl) ** b1 - abs(v) ** b1) / b1 - sv * (xl - v)
+        v = -el * (math.copysign(abs(w) ** gam, w) if w else 0.0)
+        if vs is not None:
+            vs.append(v)
+    return v, (V if want_value else None)
 
 
 def _cascade_batch(ell, kappa: float, X: np.ndarray, grad: bool = True):
@@ -204,15 +212,16 @@ def hong_control(g: HongGainSet, kappa: float, x, ell=None):
     ``ell`` overrides the stored gains (used for the b_lower adaptation).
     """
     g.check_kappa(kappa)
-    gains = g.ell if ell is None else ell
-    u, vs, _ = _cascade_scalar(gains, kappa, x, want_value=False)
+    gains = np.asarray(g.ell if ell is None else ell, dtype=float).tolist()
+    vs = []
+    u, _ = _cascade(gains, _exponents(len(x), kappa), x, want_value=False, vs=vs)
     return u, vs
 
 
 def hong_value(g: HongGainSet, kappa: float, x) -> float:
     """Lyapunov value V_kappa(x) (scalar fast path, no gradient)."""
     g.check_kappa(kappa)
-    _, _, V = _cascade_scalar(g.ell, kappa, x, want_value=True)
+    _, V = _cascade(g.ell.tolist(), _exponents(len(x), kappa), x)
     return V
 
 

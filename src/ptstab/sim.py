@@ -18,11 +18,11 @@ from .core import ChainSpec, dilate, pnf_weights
 from .hong import HongGainSet
 from .pnf import LinearGain, pnf_feedback
 from .switching import (
+    MatchedRobustLaw,
     SwitchParams,
     fixed_time_feedback,
-    kappa_of_x,
-    matched_robust_feedback,
     prescribed_time_feedback,
+    switch_diagnostics,
     v0_value,
     z_value,
 )
@@ -156,67 +156,27 @@ def pnf_controller(gain: LinearGain, ts: TimeScale, eta: float, t_stop_frac: flo
     )
 
 
-def _switch_diag(g: HongGainSet, sp: SwitchParams):
-    from .hong import hong_value
-
-    def diag(x):
-        return {
-            "V0": v0_value(sp.P, x),
-            "Vkp": hong_value(g, sp.kappa0, x),
-            "Vkm": hong_value(g, -sp.kappa0, x),
-            "kappa": kappa_of_x(sp, x),
-            "Z": z_value(g, sp, x),
-        }
-
-    return diag
-
-
 def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
+    def surfaces(x):
+        v = v0_value(sp.P, x)
+        return (v - (1.0 - sp.m), v - (1.0 + sp.m))
+
     return Controller(
         name="fixed_time",
         u=lambda t, x: fixed_time_feedback(g, sp, x, b_lower=b_lower),
-        surfaces=lambda x: (
-            v0_value(sp.P, x) - (1.0 - sp.m),
-            v0_value(sp.P, x) - (1.0 + sp.m),
-        ),
-        diag=_switch_diag(g, sp),
+        surfaces=surfaces,
+        diag=lambda x: switch_diagnostics(g, sp, x),
     )
 
 
-def robust_controller(
-    g: HongGainSet,
-    sp: SwitchParams,
-    spec: ChainSpec,
-    reg_eps: float = 1e-3,
-    hysteresis: bool = False,
-):
-    """Matched-robust feedback; optional hysteresis latching of the sign term.
-
-    The hysteresis variant keeps internal state (the latched sign) and is not
-    a pure function of (t, x); it only switches when |omega0| re-crosses eps.
-    """
-    from .hong import hong_value
-
-    if not hysteresis:
-        u_fn = lambda t, x: matched_robust_feedback(g, sp, spec, reg_eps, x)
-    else:
-        from .hong import hong_control
-
-        latch = [1.0]
-
-        def u_fn(t, x):
-            vm = hong_value(g, -sp.kappa0, x)
-            kap = sp.kappa0 if vm > 1.0 else -sp.kappa0
-            w0, _ = hong_control(g, kap, x)
-            if abs(w0) > reg_eps:
-                latch[0] = math.copysign(1.0, w0)
-            return (w0 + spec.d_bound * latch[0]) / spec.b_lower
-
+def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float = 1e-3):
+    """Matched-robust feedback; surface and diagnostics share its V_{-kappa0}."""
+    law = MatchedRobustLaw(g, sp, spec, reg_eps)
     return Controller(
         name="matched_robust",
-        u=u_fn,
-        surfaces=lambda x: (hong_value(g, -sp.kappa0, x) - 1.0,),
-        diag=_switch_diag(g, sp),
+        u=lambda t, x: law(x),
+        surfaces=lambda x: (law.v_minus(x) - 1.0,),
+        diag=lambda x: switch_diagnostics(g, sp, x, vm=law.v_minus(x)),
     )
 
 
@@ -234,7 +194,7 @@ def prescribed_time_controller(
         name="prescribed_time",
         u=lambda t, x: prescribed_time_feedback(g, sp, T_target, x, b_lower=b_lower),
         surfaces=surfaces,
-        diag=_switch_diag(g, sp),
+        diag=lambda x: switch_diagnostics(g, sp, x),
     )
 
 
@@ -300,7 +260,11 @@ _DP_E = (
 def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     """Generic DP54 loop.  Returns (ts, xs, status, settle_time, fail_time).
 
-    on_step(t, x) may flag settling; h_cap(t, x) bounds the next step.
+    h_cap(t, x) bounds the next step.  on_step(t, x) is called for every
+    recorded row, the initial one included, right after the RHS evaluation at
+    that row's (t, x): by the first-same-as-last property the last stage of an
+    accepted step is evaluated exactly at the accepted state, so on_step can
+    read that evaluation's by-products as the row's values.
     """
     t = float(t0)
     x = np.asarray(x0, dtype=float).copy()
@@ -310,7 +274,9 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     eval_i = 0
 
     k1 = f(t, x)
-    if not np.all(np.isfinite(k1)):
+    if on_step is not None:
+        on_step(t, x)
+    if not np.isfinite(k1).all():
         return ts, xs, "step_failure", None, t
     span = t_end - t0
     if opts.h0 is not None:
@@ -353,7 +319,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
                     xa += h_try * a * ks[idx]
             ts_stage = t + (_DP_C[stage - 1] * h_try if stage < 6 else h_try)
             ks[stage] = f(ts_stage, xa)
-            if not np.all(np.isfinite(ks[stage])):
+            if not np.isfinite(ks[stage]).all():
                 bad = True
                 break
         if bad:
@@ -374,17 +340,17 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             if e != 0.0:
                 err += h_try * e * (ks[idx] if idx < 6 else k7)
         tol = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err_norm = math.sqrt(float(np.mean((err / tol) ** 2)))
+        err_norm = math.sqrt(float(((err / tol) ** 2).sum()) / len(x))
 
         if err_norm <= 1.0 or h_try <= opts.min_step * 10:
             t += h_try
             x = x_new
-            k1 = k7 if np.all(np.isfinite(k7)) else f(t, x)
+            k1 = k7 if np.isfinite(k7).all() else f(t, x)
             ts.append(t)
             xs.append(x.copy())
             if on_step is not None:
                 on_step(t, x)
-            nx = float(np.linalg.norm(x))
+            nx = math.sqrt(x.dot(x))
             if nx <= opts.settle_radius:
                 if streak == 0:
                     settle_first = t
@@ -395,7 +361,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             else:
                 streak = 0
                 settle_first = None
-            if not np.all(np.isfinite(x)):
+            if not np.isfinite(x).all():
                 status = "step_failure"
                 fail_time = t
                 break
@@ -420,7 +386,9 @@ def integrate(
     """Integrate dx = J x + (d + b*u) e_n + d2 with u = ctrl.u(t, x + d1).
 
     Stops at min(horizon, ctrl.t_stop), on persistent settling, or on step
-    failure.  Diagnostics from ctrl.diag are recorded at every accepted step.
+    failure.  Each accepted row records the u of the RHS evaluation at that
+    row's (t, x) and the diagnostics of ctrl.diag at x, both taken in the
+    loop rather than recomputed afterwards.
     """
     opts = opts or SimOptions()
     n = spec.n
@@ -430,10 +398,11 @@ def integrate(
     t_end = min(horizon, ctrl.t_stop) if ctrl.t_stop is not None else horizon
 
     d, d1, d2, b = dist.d, dist.d1, dist.d2, dist.b
+    last_u = [0.0]  # u of the latest RHS evaluation
 
     def f(t, x):
         xm = x + d1(t) if d1 is not None else x
-        u = ctrl.u(t, xm)
+        u = last_u[0] = ctrl.u(t, xm)
         dx = np.empty(n)
         dx[:-1] = x[1:]
         dx[-1] = d(t) + b(t) * u
@@ -451,26 +420,21 @@ def integrate(
                 cap = min(cap, opts.switch_cap)
         return cap
 
-    ts, xs, status, settle_time, fail_time = _adaptive_run(
-        f, 0.0, x0, t_end, opts, h_cap=h_cap
-    )
+    us = []
+    cols = {}
 
-    t_arr = np.array(ts)
-    x_arr = np.array(xs)
-    u_arr = np.array(
-        [ctrl.u(t, x + (d1(t) if d1 is not None else 0.0)) for t, x in zip(ts, xs)]
+    def on_step(t, x):
+        us.append(last_u[0])
+        if ctrl.diag is not None:
+            for k, v in ctrl.diag(x).items():
+                cols.setdefault(k, []).append(v)
+
+    ts, xs, status, settle_time, fail_time = _adaptive_run(
+        f, 0.0, x0, t_end, opts, h_cap=h_cap, on_step=on_step
     )
-    diag = {}
-    if ctrl.diag is not None:
-        keys = ctrl.diag(x_arr[0]).keys()
-        cols = {k: np.empty(len(ts)) for k in keys}
-        for i, x in enumerate(xs):
-            row = ctrl.diag(x)
-            for k in keys:
-                cols[k][i] = row[k]
-        diag = cols
     return Trajectory(
-        t=t_arr, x=x_arr, u=u_arr, diag=diag, status=status,
+        t=np.array(ts), x=np.array(xs), u=np.array(us),
+        diag={k: np.array(v, dtype=float) for k, v in cols.items()}, status=status,
         settle_time=settle_time, fail_time=fail_time,
     )
 
@@ -541,12 +505,19 @@ def iss_metrics(
     tail_frac: float = 0.25,
     alt_exponent: bool = False,
 ) -> dict:
-    """{limsup_Z, sup_norm, settle_time} with Z evaluated on the tail window."""
+    """{limsup_Z, sup_norm, settle_time} with Z evaluated on the tail window.
+
+    Z is read from traj.diag["Z"] when the controller recorded it (the
+    switching controllers do, with their own g and sp); alt_exponent
+    recomputes it.
+    """
     if not 0 < tail_frac <= 1:
         raise ValueError("tail_frac must lie in (0, 1]")
     n_tail = max(1, int(math.ceil(tail_frac * len(traj.t))))
-    tail = traj.x[-n_tail:]
-    limsup = max(z_value(g, sp, x, alt_exponent=alt_exponent) for x in tail)
+    if not alt_exponent and "Z" in traj.diag:
+        limsup = max(traj.diag["Z"][-n_tail:].tolist())
+    else:
+        limsup = max(z_value(g, sp, x, alt_exponent=alt_exponent) for x in traj.x[-n_tail:])
     return {
         "limsup_Z": float(limsup),
         "sup_norm": traj.sup_norm,

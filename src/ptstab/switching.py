@@ -21,7 +21,9 @@ from scipy.optimize import brentq
 from .core import ChainSpec, dilate, pnf_weights
 from .hong import (
     HongGainSet,
+    _cascade,
     _cascade_batch,
+    _exponents,
     alpha_of,
     certified_grid,
     hong_control,
@@ -30,12 +32,14 @@ from .hong import (
 )
 
 __all__ = [
+    "SwitchDesignError",
     "SwitchParams",
     "ExplicitConstants",
     "quadratic_form",
     "v0_value",
     "kappa_of_x",
     "fixed_time_feedback",
+    "MatchedRobustLaw",
     "matched_robust_feedback",
     "settling_bound",
     "prescribed_time_feedback",
@@ -45,7 +49,12 @@ __all__ = [
     "sample_vkappa_level",
     "band_decay_margin",
     "vdot_with_control",
+    "switch_diagnostics",
 ]
+
+
+class SwitchDesignError(RuntimeError):
+    """The band decay could not be certified for any tried kappa0."""
 
 
 @dataclass
@@ -93,7 +102,10 @@ def v0_value(P: np.ndarray, x) -> float:
 
 def kappa_of_x(sp: SwitchParams, x) -> float:
     """Continuous switching degree: saturated outside the band, affine inside."""
-    v0 = v0_value(sp.P, x)
+    return _kappa_of_v0(sp, v0_value(sp.P, x))
+
+
+def _kappa_of_v0(sp: SwitchParams, v0: float) -> float:
     if v0 > 1.0 + sp.m:
         return sp.kappa0
     if v0 < 1.0 - sp.m:
@@ -113,21 +125,59 @@ def fixed_time_feedback(g: HongGainSet, sp: SwitchParams, x, b_lower: float = 1.
     return u
 
 
-def matched_robust_feedback(
-    g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float, y
-) -> float:
+class MatchedRobustLaw:
     """Two-mode sliding feedback (1/b_lower)(omega0 + D*sgn_eps(omega0)).
 
     omega0 switches between the +kappa0 and -kappa0 cascades on the surface
     V_{-kappa0} = 1; the set-valued sign is regularized as z/max(|z|, eps).
+    The per-level exponents of both cascades are computed once.  A call runs
+    the -kappa0 pass, whose last v is omega0 on the sliding set
+    {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.
+
+    The -kappa0 pass yields V_{-kappa0} as a by-product.  v_minus(y) returns
+    it without another pass when y is the state of the last evaluation (a
+    one-entry memo keyed on the state's bytes), so the step-cap surface and
+    the diagnostics at an accepted step reuse the feedback's value there.
+    States are float64 arrays of length n.
     """
-    if not reg_eps > 0:
-        raise ValueError("reg_eps must be positive")
-    vm = hong_value(g, -sp.kappa0, y)
-    kap = sp.kappa0 if vm > 1.0 else -sp.kappa0
-    w0, _ = hong_control(g, kap, y)
-    sgn = w0 / max(abs(w0), reg_eps)
-    return (w0 + spec.d_bound * sgn) / spec.b_lower
+
+    def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
+        if not reg_eps > 0:
+            raise ValueError("reg_eps must be positive")
+        g.check_kappa(sp.kappa0)
+        self._ell = g.ell.tolist()
+        self._plus = _exponents(g.n, sp.kappa0)
+        self._minus = _exponents(g.n, -sp.kappa0)
+        self._d_bound = spec.d_bound
+        self._b_lower = spec.b_lower
+        self._eps = reg_eps
+        self._memo = (None, None)  # (state bytes, V_{-kappa0}), replaced in one assignment
+
+    def _minus_pass(self, y):
+        w0, vm = _cascade(self._ell, self._minus, y.tolist())
+        self._memo = (y.tobytes(), vm)
+        return w0, vm
+
+    def __call__(self, y) -> float:
+        w0, vm = self._minus_pass(y)
+        if vm > 1.0:
+            w0, _ = _cascade(self._ell, self._plus, y.tolist(), want_value=False)
+        sgn = w0 / max(abs(w0), self._eps)
+        return (w0 + self._d_bound * sgn) / self._b_lower
+
+    def v_minus(self, y) -> float:
+        """V_{-kappa0}(y), from the memo when y is the last evaluated state."""
+        key, vm = self._memo
+        if y.tobytes() == key:
+            return vm
+        return self._minus_pass(y)[1]
+
+
+def matched_robust_feedback(
+    g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float, y
+) -> float:
+    """One evaluation of the matched-robust law (see MatchedRobustLaw)."""
+    return MatchedRobustLaw(g, sp, spec, reg_eps)(np.asarray(y, dtype=float))
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:
@@ -173,9 +223,25 @@ def z_value(g: HongGainSet, sp: SwitchParams, x, alt_exponent: bool = False) -> 
     v0 = v0_value(sp.P, x)
     vp = hong_value(g, sp.kappa0, x)
     vm = hong_value(g, -sp.kappa0, x)
+    return _z_of(sp, v0, vp, vm, alt_exponent)
+
+
+def _z_of(sp: SwitchParams, v0: float, vp: float, vm: float, alt_exponent: bool = False) -> float:
     a = alpha_of(sp.kappa0)
     e_minus = 1.0 + alpha_of(-sp.kappa0) if alt_exponent else 1.0 - a
     return min(v0, vp ** (1.0 + a), vm**e_minus)
+
+
+def switch_diagnostics(g: HongGainSet, sp: SwitchParams, x, vm: float | None = None) -> dict:
+    """{V0, Vkp, Vkm, kappa, Z} at x, each level set evaluated once.
+
+    ``vm`` supplies V_{-kappa0}(x) when the caller already has it.
+    """
+    v0 = v0_value(sp.P, x)
+    vp = hong_value(g, sp.kappa0, x)
+    if vm is None:
+        vm = hong_value(g, -sp.kappa0, x)
+    return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": _kappa_of_v0(sp, v0), "Z": _z_of(sp, v0, vp, vm)}
 
 
 def sample_v0_level(P: np.ndarray, level: float, N: int, seed: int) -> np.ndarray:
@@ -336,7 +402,7 @@ def design_switch_params(
             break
         sp.kappa0 *= 0.5
     else:
-        raise RuntimeError("band decay could not be certified; gains look inconsistent")
+        raise SwitchDesignError("band decay could not be certified; gains look inconsistent")
 
     plus_pts = sample_v0_level(P, 1.0 + m, n_samples, seed + 3)
     Vp = _cascade_batch(g.ell, sp.kappa0, plus_pts, grad=False)["V"]

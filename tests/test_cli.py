@@ -245,3 +245,65 @@ def test_threads_env_cap(tmp_path, monkeypatch):
     assert _thread_count(8) == 2
     monkeypatch.delenv("PTSTAB_THREADS")
     assert _thread_count(8) == 1
+
+
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "disturbance.d = constant",
+        "disturbance.d = sine:abc",
+        "disturbance.d = square:1",
+        "disturbance.d1 = noise",
+        "disturbance.b = sine:1",
+        "disturbance.b = constant:-1",
+        "disturbance.d2 = constant:1\ndisturbance.d2_direction = 1,x",
+        "runs.x0 = 1,2,3",
+        "plant.b_lower = -1",
+    ],
+)
+def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
+    # rejected before any synthesis, with one stderr line and exit code 1
+    base = ["plant.n = 2", "controller.kind = pnf", f"output.dir = {tmp_path / 'o'}"]
+    cfg = _write_cfg(tmp_path / "d.cfg", base + [line])
+    assert main(["simulate", "--config", cfg]) == 1
+    _one_line_error(capsys, "config error: ")
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
+    _one_line_error(capsys, "config error: ")
+
+
+def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
+    import ptstab.cli as cli
+    from ptstab.hong import GainSynthesisError
+    from ptstab.switching import SwitchDesignError
+
+    out = f"output.dir = {tmp_path / 'o'}"
+    # pnf synthesis refuses n = 8 (SynthesisError)
+    cfg = _write_cfg(tmp_path / "p8.cfg", ["plant.n = 8", "controller.kind = pnf", out])
+    assert main(["simulate", "--config", cfg]) == 2
+    _one_line_error(capsys, "synthesis failed: ")
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 2
+    _one_line_error(capsys, "synthesis failed: ")
+
+    cfg = _write_cfg(tmp_path / "h.cfg", ["plant.n = 2", "controller.kind = fixed_time", out])
+
+    def fail_synthesis(*args, **kwargs):
+        raise GainSynthesisError("decay verification failed after repairs")
+
+    monkeypatch.setattr(cli, "synthesize_hong_gains", fail_synthesis)
+    assert main(["simulate", "--config", cfg]) == 2
+    _one_line_error(capsys, "synthesis failed: ")
+    monkeypatch.undo()
+
+    def fail_design(*args, **kwargs):
+        raise SwitchDesignError("band decay could not be certified")
+
+    monkeypatch.setattr(cli, "design_switch_params", fail_design)
+    assert main(["simulate", "--config", cfg]) == 2
+    _one_line_error(capsys, "synthesis failed: ")
+    assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0"]) == 2
+    _one_line_error(capsys, "synthesis failed: ")
