@@ -10,7 +10,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,10 +31,10 @@ from .hong import (
 )
 from .pnf import (
     SynthesisError,
+    certificate_checks,
     certify_perturbation,
     synthesize_linear_gain,
     verify_lmi,
-    _lmi_matrix,
 )
 from .sim import (
     BProfile,
@@ -55,25 +54,6 @@ from .switching import SwitchDesignError, design_switch_params
 from .timescale import Density, build
 
 _DENSITIES = {"constant", "power", "expflat"}
-
-
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("PTSTAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
-def _run_batch(fn, jobs):
-    workers = _thread_count(len(jobs))
-    if workers == 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
 
 
 def _fmt(v) -> str:
@@ -132,19 +112,10 @@ def cmd_verify(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rows = []
     if hasattr(g, "K"):
-        ok, endpoint, slope = verify_lmi(g)
-        rows.append(("lmi endpoint max-eig + rho", f"{endpoint:.3e}", endpoint <= 1e-9))
-        rows.append(("lmi slope min-eig", f"{slope:.3e}", slope >= -1e-9))
-        if g.C0 > 0:
-            worst = -math.inf
-            for a in (-g.C0, g.C0):
-                Dr = np.diag([float(g.n - i) for i in range(g.n)])
-                M = _lmi_matrix(g, g.b_lower) + a * (Dr @ g.S + g.S @ Dr) + g.rho0 * np.eye(g.n)
-                worst = max(worst, float(np.max(np.linalg.eigvalsh(0.5 * (M + M.T)))))
-            rows.append(("perturbed endpoints + rho0", f"{worst:.3e}", worst <= 1e-8))
+        rows = [(name, f"{value:.3e}", ok) for name, value, ok in certificate_checks(g)]
     else:
+        rows = []
         cert = g.certificate or {}
         base = int(cert.get("verify_samples_per_kappa", 1500))
         pts = int(cert.get("kappa_points", 11))
@@ -319,7 +290,6 @@ class _Problem:
         return SimOptions(
             rel_tol=cfg["sim.rel_tol"],
             abs_tol=cfg["sim.abs_tol"],
-            t_stop_frac=cfg["controller.t_stop_frac"],
             settle_radius=cfg["sim.settle_radius"],
             max_steps=cfg["sim.max_steps"],
         )
@@ -348,6 +318,16 @@ _SETUP_FAILURES = (SynthesisError, GainSynthesisError, SwitchDesignError)
 _STATUS_LABEL = {"horizon": "ReachedHorizon", "settled": "SettledAt", "step_failure": "StepFailure"}
 
 _DIAG_COLS = ("V0", "Vkp", "Vkm", "kappa", "Z")
+
+
+def _result_cells(traj, metrics) -> list:
+    """The status,settle_time,sup_norm,limsup_Z cells of one run."""
+    return [
+        _STATUS_LABEL[traj.status],
+        _fmt(metrics["settle_time"]),
+        _fmt(metrics["sup_norm"]),
+        _fmt(metrics["limsup_Z"]),
+    ]
 
 
 def _write_run_csv(path: str, traj, n: int):
@@ -381,22 +361,11 @@ def cmd_simulate(args) -> int:
         return 2
     out_dir = cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    results = _run_batch(problem.run_one, range(cfg["runs.count"]))
     summary = ["run,seed,status,settle_time,sup_norm,limsup_Z"]
-    for k, (traj, seed, metrics) in enumerate(results):
+    for k in range(cfg["runs.count"]):
+        traj, seed, metrics = problem.run_one(k)
         _write_run_csv(os.path.join(out_dir, f"run_{k}.csv"), traj, problem.spec.n)
-        summary.append(
-            ",".join(
-                [
-                    str(k),
-                    str(seed),
-                    _STATUS_LABEL[traj.status],
-                    _fmt(metrics["settle_time"]),
-                    _fmt(metrics["sup_norm"]),
-                    _fmt(metrics["limsup_Z"]),
-                ]
-            )
-        )
+        summary.append(",".join([str(k), str(seed)] + _result_cells(traj, metrics)))
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
         fh.write("\n".join(summary) + "\n")
     print(f"wrote {cfg['runs.count']} runs to {out_dir}")
@@ -417,9 +386,7 @@ def _apply_sweep(kv: dict, param: str, value: float) -> dict:
         template = kv.get(key, "zero").split(":")
         kind = template[0] if template[0] != "zero" else "constant"
         rest = template[1].split(",")[1:] if len(template) > 1 else []
-        kv[key] = ":".join([kind, ",".join([repr(value)] + rest)]) if value != 0 or kind != "constant" else "zero"
-        if value == 0:
-            kv[key] = "zero"
+        kv[key] = "zero" if value == 0 else ":".join([kind, ",".join([repr(value)] + rest)])
     return kv
 
 
@@ -455,23 +422,11 @@ def cmd_sweep(args) -> int:
         except _SETUP_FAILURES as exc:
             print(f"synthesis failed: {exc}", file=sys.stderr)
             return 2
-        results = _run_batch(problem.run_one, range(cfg["runs.count"]))
         worst = -math.inf
-        for k, (traj, seed, metrics) in enumerate(results):
-            rows.append(
-                ",".join(
-                    [
-                        args.param,
-                        format_float(value),
-                        str(k),
-                        str(seed),
-                        _STATUS_LABEL[traj.status],
-                        _fmt(metrics["settle_time"]),
-                        _fmt(metrics["sup_norm"]),
-                        _fmt(metrics["limsup_Z"]),
-                    ]
-                )
-            )
+        for k in range(cfg["runs.count"]):
+            traj, seed, metrics = problem.run_one(k)
+            cells = [args.param, format_float(value), str(k), str(seed)] + _result_cells(traj, metrics)
+            rows.append(",".join(cells))
             stat = metrics["limsup_Z"]
             if stat is None or math.isnan(stat):
                 stat = metrics["settle_time"] if metrics["settle_time"] is not None else math.nan

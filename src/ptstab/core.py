@@ -137,12 +137,15 @@ def signed_power(x, alpha: float):
     return np.sign(x) * np.abs(x) ** alpha
 
 
-def kappa_grid(n: int, points: int = 11) -> np.ndarray:
-    """Evenly spaced grid over the full admissible range [-1/(2n), 1/(2n)]."""
-    k = 1.0 / (2 * n)
+def kappa_grid(n: int, points: int = 11, hi: float | None = None) -> np.ndarray:
+    """Evenly spaced degree grid over [-1/(2n), hi]; hi defaults to 1/(2n).
+
+    A smaller hi gives the certified interval of a gain set (see
+    hong.kappa_pos_certified).  One point gives the grid {0}.
+    """
     if points == 1:
         return np.array([0.0])
-    return np.linspace(-k, k, points)
+    return np.linspace(-1.0 / (2 * n), 1.0 / (2 * n) if hi is None else hi, points)
 
 
 def sphere_residual(x, kappa: float) -> float:

@@ -217,7 +217,7 @@ def read_config(path: str) -> dict:
     return _read_kv(path)
 
 
-def validate_config(kv: dict, require_output: bool = True) -> dict:
+def validate_config(kv: dict) -> dict:
     """Coerce against the schema; unknown keys and bad values raise ConfigError."""
     unknown = [k for k in kv if k not in CONFIG_SCHEMA]
     if unknown:
@@ -237,7 +237,7 @@ def validate_config(kv: dict, require_output: bool = True) -> dict:
             except ValueError:
                 errors.append(f"{key}: expected {typ}, got {raw!r}")
         else:
-            if default is None and (key != "output.dir" or require_output):
+            if default is None:
                 errors.append(f"{key}: required key missing")
             else:
                 cfg[key] = default

@@ -32,13 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import sample_sphere
+from .core import kappa_grid, sample_sphere
 
 __all__ = [
     "alpha_of",
     "beta_exponents",
     "kappa_pos_certified",
-    "certified_grid",
     "HongGainSet",
     "HongSynthesisConfig",
     "hong_control",
@@ -54,6 +53,14 @@ __all__ = [
 # verification samples this close to a signed-power kink are discarded;
 # the gradient formulas hold only a.e.
 KINK_TOL = 1e-8
+
+# synthesis constants: points of the certified degree grid, the factor that
+# inflates/deflates the recorded recursion bounds, the normalized level decay
+# each gain must clear, and the repair rounds before synthesis gives up
+KAPPA_POINTS = 11
+SAFETY = 4.0
+LEVEL_TARGET = 0.02
+MAX_ROUNDS = 20
 
 
 class GainSynthesisError(RuntimeError):
@@ -81,13 +88,6 @@ def kappa_pos_certified(n: int) -> float:
     the controller stays legal on the full closed interval.
     """
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
-
-
-def certified_grid(n: int, kappa_pos: float, points: int = 11) -> np.ndarray:
-    """Evenly spaced degree grid over the certified interval."""
-    if points == 1:
-        return np.array([0.0])
-    return np.linspace(-1.0 / (2 * n), kappa_pos, points)
 
 
 def _check_kappa(n: int, kappa: float):
@@ -258,8 +258,12 @@ def _stress_samples(X: np.ndarray, kappa: float, rng) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _level_stats(ell, kappa: float, X: np.ndarray):
-    """Per-sample (-dV_j/dt, V_j) for the level run by X's width."""
+def _decay_rows(ell, kappa: float, X: np.ndarray):
+    """(X, dV/dt, V^{1+alpha(kappa)}) for the level run by X's width, X less its kink rows.
+
+    The per-kappa scan that verify_decay, decay_residual and the synthesis
+    level check reduce.
+    """
     j = X.shape[1]
     res = _cascade_batch(ell[:j], kappa, X, grad=True)
     keep = _kink_mask(X, res["v_all"])
@@ -269,12 +273,17 @@ def _level_stats(ell, kappa: float, X: np.ndarray):
     for i in range(j - 1):
         dV += gradV[:, i] * X[:, i + 1]
     dV += gradV[:, j - 1] * v_last
-    return dV, V
+    return X, dV, V ** (1.0 + alpha_of(kappa))
 
 
-def _min_ratio(ell, kappa: float, X: np.ndarray) -> float:
-    dV, V = _level_stats(ell, kappa, X)
-    return float(np.min(-dV / V ** (1.0 + alpha_of(kappa))))
+def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int, seed: int):
+    """(kappa, *_decay_rows) per kappa of g's certified grid, on sphere plus stress samples."""
+    grid = kappa_grid(g.n, kappa_points, g.kappa_pos)
+    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
+    rng = np.random.default_rng(seed + 31)
+    for kap, P in zip(grid, pts):
+        X = np.concatenate([P, _stress_samples(P, kap, rng)], axis=0)
+        yield (kap, *_decay_rows(g.ell, kap, X))
 
 
 def closed_loop_derivative(g: HongGainSet, kappa: float, x, ell=None):
@@ -291,7 +300,7 @@ def closed_loop_derivative(g: HongGainSet, kappa: float, x, ell=None):
 
 def verify_decay(
     g: HongGainSet,
-    kappa_points: int = 11,
+    kappa_points: int = KAPPA_POINTS,
     samples_per_kappa: int = 1500,
     seed: int = 7,
 ):
@@ -300,63 +309,44 @@ def verify_decay(
     Sampling runs over the certified kappa grid times the matching unit
     spheres; by homogeneity (both sides scale with degree 2+2*kappa) a
     sphere certificate is global.  Returns (C, worst) with worst =
-    (kappa, x, ratio).
+    (kappa, x, ratio), x being the sample that attains C.
     """
-    grid = certified_grid(g.n, g.kappa_pos, kappa_points)
     best = math.inf
     worst = None
-    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
-    rng = np.random.default_rng(seed + 31)
-    for gi, kap in enumerate(grid):
-        X = np.concatenate([pts[gi], _stress_samples(pts[gi], kap, rng)], axis=0)
-        dV, V = _level_stats(g.ell, kap, X)
-        ratios = -dV / V ** (1.0 + alpha_of(kap))
+    for kap, X, dV, Vp in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
+        ratios = -dV / Vp
         i = int(np.argmin(ratios))
         if ratios[i] < best:
             best = float(ratios[i])
-            worst = (float(kap), None, best)
+            worst = (float(kap), X[i].copy(), best)
     return best, worst
 
 
 def decay_residual(
     g: HongGainSet,
-    kappa_points: int = 11,
+    kappa_points: int = KAPPA_POINTS,
     samples_per_kappa: int = 1500,
     seed: int = 77,
 ) -> float:
     """max over fresh samples of dV/dt + C * V^{1+alpha} (pass: <= 0)."""
-    grid = certified_grid(g.n, g.kappa_pos, kappa_points)
     worst = -math.inf
-    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
-    rng = np.random.default_rng(seed + 31)
-    for gi, kap in enumerate(grid):
-        X = np.concatenate([pts[gi], _stress_samples(pts[gi], kap, rng)], axis=0)
-        dV, V = _level_stats(g.ell, kap, X)
-        res = dV + g.C * V ** (1.0 + alpha_of(kap))
-        worst = max(worst, float(np.max(res)))
+    for _, _, dV, Vp in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
+        worst = max(worst, float(np.max(dV + g.C * Vp)))
     return worst
 
 
 @dataclass
 class HongSynthesisConfig:
-    kappa_points: int = 11
     samples_per_level: int = 4000
     verify_samples_per_kappa: int = 1500
     seed: int = 0
-    safety: float = 4.0
-    level_target: float = 0.02
-    max_rounds: int = 20
-
-    def __post_init__(self):
-        if self.safety < 2.0:
-            raise ValueError("safety factor must be >= 2")
 
 
 def _recursion_record(ell, grid, cfg: HongSynthesisConfig, n: int) -> list:
     """Sampled extrema K_j, L_j, M_j and the conservative gain bound per level.
 
     These are the constants of the inductive gain choice; they are recorded
-    for diagnostics, inflated/deflated by the safety factor.  Correctness of
+    for diagnostics, inflated/deflated by SAFETY.  Correctness of
     the shipped gains rests on the decay verification, not on these bounds.
     """
     records = []
@@ -391,7 +381,7 @@ def _recursion_record(ell, grid, cfg: HongSynthesisConfig, n: int) -> list:
             ) * _abs_pow(vprev_, b)
             Z = _abs_pow(w, 2.0 * (1.0 + kap) / (rj * b))
             Mj = min(Mj, float(np.min(Z / np.abs(gap) ** (2.0 * (1.0 + kap) / (rj * bt)))))
-            Ki, Li, Mi = cfg.safety * Kj, cfg.safety * Lj, Mj / cfg.safety
+            Ki, Li, Mi = SAFETY * Kj, SAFETY * Lj, Mj / SAFETY
             xi = (ell[0] / ((Ki + Li) * 2.0 ** (j - 1))) ** (1.0 / bt)
             expo = 2.0 * (1.0 + kap) / (rj * bt) - 1.0 / bt
             bound = max(bound, (Ki + Li) / (Mi * xi**expo))
@@ -408,13 +398,13 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     power of two for which the normalized level decay min(-dV_j/V_j^{1+a})
     clears the target on the sampled sphere-times-kappa compacta; the final
     set is certified by verify_decay and repaired by doubling the first
-    failing level (at most max_rounds times).
+    failing level (at most MAX_ROUNDS times).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     cfg = config or HongSynthesisConfig()
     kappa_pos = kappa_pos_certified(n)
-    grid = certified_grid(n, kappa_pos, cfg.kappa_points)
+    grid = kappa_grid(n, KAPPA_POINTS, kappa_pos)
     ell = [1.0]
     level_pts = {}
     for j in range(2, n + 1):
@@ -422,16 +412,14 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
 
     def level_ok(j, gains):
         worst = math.inf
-        for gi, kap in enumerate(grid):
-            worst = min(worst, _min_ratio(gains, kap, level_pts[j][gi]))
-        return worst >= cfg.level_target, worst
+        for kap, X in zip(grid, level_pts[j]):
+            _, dV, Vp = _decay_rows(gains, kap, X)
+            worst = min(worst, float(np.min(-dV / Vp)))
+        return worst >= LEVEL_TARGET
 
     for j in range(2, n + 1):
         lj = 1.0
-        while True:
-            ok, _ = level_ok(j, ell + [lj])
-            if ok:
-                break
+        while not level_ok(j, ell + [lj]):
             lj *= 2.0
             if lj > 2.0**40:
                 raise GainSynthesisError(f"gain doubling cap reached at level {j}")
@@ -446,36 +434,35 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     rounds = 0
     while True:
         C_raw, worst = verify_decay(
-            g, cfg.kappa_points, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds
+            g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds
         )
         if C_raw > 0:
             C_dense, _ = verify_decay(
-                g, cfg.kappa_points, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
+                g, KAPPA_POINTS, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
             )
             if C_dense > 0 and abs(C_dense - C_raw) / C_raw <= 0.05:
                 break
         rounds += 1
-        if rounds > cfg.max_rounds:
+        if rounds > MAX_ROUNDS:
             raise GainSynthesisError("decay verification failed after repairs", worst)
         for j in range(2, n + 1):
-            ok, _ = level_ok(j, list(g.ell[:j]))
-            if not ok:
+            if not level_ok(j, list(g.ell[:j])):
                 g.ell[j - 1] *= 2.0
                 break
         else:
             g.ell[-1] *= 2.0
     g.C = 0.85 * min(C_raw, C_dense)
     g.certificate = {
-        "kappa_points": cfg.kappa_points,
+        "kappa_points": KAPPA_POINTS,
         "samples_per_level": cfg.samples_per_level,
         "verify_samples_per_kappa": cfg.verify_samples_per_kappa,
         "seed": cfg.seed,
-        "safety": cfg.safety,
+        "safety": SAFETY,
         "c_raw": C_raw,
         "repair_rounds": rounds,
         "levels": _recursion_record(list(g.ell), grid, cfg, n),
     }
     g.certificate["worst_residual"] = decay_residual(
-        g, cfg.kappa_points, cfg.verify_samples_per_kappa, cfg.seed + 997
+        g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 997
     )
     return g

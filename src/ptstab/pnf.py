@@ -28,6 +28,7 @@ __all__ = [
     "lyapunov_solve",
     "synthesize_linear_gain",
     "verify_lmi",
+    "certificate_checks",
     "certify_perturbation",
     "pnf_feedback",
     "envelope_constants",
@@ -37,6 +38,8 @@ __all__ = [
 
 # eigenvalue slack on all semidefiniteness checks
 EIG_TOL = 1e-9
+# certify_perturbation stops bisecting once C0 is known to this relative width
+C0_REL_TOL = 1e-3
 
 
 class SynthesisError(RuntimeError):
@@ -174,29 +177,58 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
     return g
 
 
+def _max_eig(M: np.ndarray) -> float:
+    return float(np.max(np.linalg.eigvalsh(0.5 * (M + M.T))))
+
+
+def _lmi_checks(g: LinearGain) -> list:
+    """(name, value, passed) of the S > 0, endpoint and slope checks."""
+    s_min = float(np.min(np.linalg.eigvalsh(g.S)))
+    endpoint = _max_eig(_lmi_matrix(g, g.b_lower) + g.rho * np.eye(g.n))
+    slope = float(np.min(np.linalg.eigvalsh(_slope_matrix(g))))
+    return [
+        ("S min-eig", s_min, s_min > 0),
+        ("lmi endpoint max-eig + rho", endpoint, endpoint <= EIG_TOL),
+        ("lmi slope min-eig", slope, slope >= -EIG_TOL),
+    ]
+
+
 def verify_lmi(g: LinearGain):
-    """Exact one-sided-in-b check: endpoint eigenvalues plus slope PSD.
+    """Exact one-sided-in-b check: S > 0, endpoint eigenvalues and slope PSD.
 
     Returns (passed, endpoint_margin, slope_min_eig) where endpoint_margin is
-    max-eig of the LMI matrix at b_lower plus rho (pass requires <= 1e-9) and
-    slope_min_eig is the smallest eigenvalue of the b-slope matrix (pass
-    requires >= -1e-9).  Affinity in b makes the two checks equivalent to
-    validity on all of [b_lower, inf).
+    max-eig of the LMI matrix at b_lower plus rho (pass requires <= EIG_TOL)
+    and slope_min_eig is the smallest eigenvalue of the b-slope matrix (pass
+    requires >= -EIG_TOL); passing also requires min-eig(S) > 0.  Affinity
+    in b makes the endpoint and slope checks equivalent to validity on all
+    of [b_lower, inf).
     """
-    M = _lmi_matrix(g, g.b_lower) + g.rho * np.eye(g.n)
-    endpoint = float(np.max(np.linalg.eigvalsh(0.5 * (M + M.T))))
-    slope = float(np.min(np.linalg.eigvalsh(_slope_matrix(g))))
-    passed = endpoint <= EIG_TOL and slope >= -EIG_TOL
-    return passed, endpoint, slope
+    checks = _lmi_checks(g)
+    return all(ok for _, _, ok in checks), checks[1][1], checks[2][1]
 
 
-def _perturbed_ok(g: LinearGain, a: float, rho0: float) -> bool:
+def _perturbed_margin(g: LinearGain, c: float, rho0: float) -> float:
+    """Largest max-eig over a = +/-c of the LMI matrix at b_lower plus a*(D_r S + S D_r) + rho0 I."""
     Dr = np.diag([float(g.n - i) for i in range(g.n)])
-    M = _lmi_matrix(g, g.b_lower) + a * (Dr @ g.S + g.S @ Dr) + rho0 * np.eye(g.n)
-    return float(np.max(np.linalg.eigvalsh(0.5 * (M + M.T)))) <= EIG_TOL
+    M = _lmi_matrix(g, g.b_lower)
+    return max(_max_eig(M + a * (Dr @ g.S + g.S @ Dr) + rho0 * np.eye(g.n)) for a in (-c, c))
 
 
-def certify_perturbation(g: LinearGain, rel_tol: float = 1e-3):
+def certificate_checks(g: LinearGain) -> list:
+    """(name, value, passed) of every eigenvalue check of a certificate.
+
+    The checks of verify_lmi, then, once C0 > 0, the perturbed endpoints
+    a = +/-C0 at margin rho0 (pass requires <= EIG_TOL), the check that
+    certify_perturbation bisects on.
+    """
+    checks = _lmi_checks(g)
+    if g.C0 > 0:
+        worst = _perturbed_margin(g, g.C0, g.rho0)
+        checks.append(("perturbed endpoints + rho0", worst, worst <= EIG_TOL))
+    return checks
+
+
+def certify_perturbation(g: LinearGain):
     """Largest C0 with the LMI holding for |a| <= C0 at margin rho0 = rho/2.
 
     The perturbation a*(D_r S + S D_r) is affine in a, so checking the two
@@ -209,7 +241,7 @@ def certify_perturbation(g: LinearGain, rel_tol: float = 1e-3):
     rho0 = g.rho / 2.0
 
     def ok_at(c):
-        return _perturbed_ok(g, c, rho0) and _perturbed_ok(g, -c, rho0)
+        return _perturbed_margin(g, c, rho0) <= EIG_TOL
 
     lo = 0.0
     hi = 1e-3
@@ -223,7 +255,7 @@ def certify_perturbation(g: LinearGain, rel_tol: float = 1e-3):
         while hi > 1e-15 and not ok_at(hi):
             hi /= 2.0
         lo, hi = (hi, hi * 2.0) if hi > 1e-15 else (0.0, 1e-15)
-    while hi - lo > rel_tol * max(hi, 1e-12):
+    while hi - lo > C0_REL_TOL * max(hi, 1e-12):
         mid = 0.5 * (lo + hi)
         if ok_at(mid):
             lo = mid

@@ -52,6 +52,14 @@ __all__ = [
 ]
 
 NOISE_TABLE = 131072
+# a run settles after this many consecutive accepted steps inside settle_radius
+SETTLE_COUNT = 100
+# step cap while a controller's switching surface is within 0.05
+SWITCH_CAP = 0.01
+# smallest step the integrator attempts before declaring a step failure
+MIN_STEP = 1e-15
+# share of the trajectory's rows that iss_metrics takes the limsup of Z over
+TAIL_FRAC = 0.25
 
 
 class Signal:
@@ -206,13 +214,8 @@ def custom_controller(fn, name: str = "custom"):
 class SimOptions:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    t_stop_frac: float = 1.0 - 1e-6
     settle_radius: float = 1e-9
-    settle_count: int = 100
     max_steps: int = 2_000_000
-    h0: float | None = None
-    switch_cap: float = 0.01
-    min_step: float = 1e-15
     t_eval: tuple = ()
 
 
@@ -278,14 +281,10 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
         on_step(t, x)
     if not np.isfinite(k1).all():
         return ts, xs, "step_failure", None, t
-    span = t_end - t0
-    if opts.h0 is not None:
-        h = opts.h0
-    else:
-        scale = np.linalg.norm(x) + 1.0
-        rate = np.linalg.norm(k1) + 1e-12
-        h = min(span * 1e-3, 0.01 * scale / rate)
-        h = max(h, opts.min_step * 10)
+    scale = np.linalg.norm(x) + 1.0
+    rate = np.linalg.norm(k1) + 1e-12
+    h = min((t_end - t0) * 1e-3, 0.01 * scale / rate)
+    h = max(h, MIN_STEP * 10)
 
     settle_first = None
     streak = 0
@@ -304,7 +303,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
         if eval_i < len(evals):
             hmax = min(hmax, evals[eval_i] - t)
         h_try = min(h, hmax)
-        if h_try < opts.min_step:
+        if h_try < MIN_STEP:
             status = "step_failure"
             fail_time = t
             break
@@ -324,7 +323,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
                 break
         if bad:
             h = h_try * 0.2
-            if h < opts.min_step:
+            if h < MIN_STEP:
                 status = "step_failure"
                 fail_time = t
                 break
@@ -342,7 +341,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
         tol = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         err_norm = math.sqrt(float(((err / tol) ** 2).sum()) / len(x))
 
-        if err_norm <= 1.0 or h_try <= opts.min_step * 10:
+        if err_norm <= 1.0 or h_try <= MIN_STEP * 10:
             t += h_try
             x = x_new
             k1 = k7 if np.isfinite(k7).all() else f(t, x)
@@ -355,7 +354,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
                 if streak == 0:
                     settle_first = t
                 streak += 1
-                if streak >= opts.settle_count:
+                if streak >= SETTLE_COUNT:
                     status = "settled"
                     break
             else:
@@ -417,7 +416,7 @@ def integrate(
         if ctrl.surfaces is not None:
             vals = ctrl.surfaces(x + d1(t) if d1 is not None else x)
             if min(abs(v) for v in vals) < 0.05:
-                cap = min(cap, opts.switch_cap)
+                cap = min(cap, SWITCH_CAP)
         return cap
 
     us = []
@@ -502,18 +501,15 @@ def iss_metrics(
     traj: Trajectory,
     g: HongGainSet,
     sp: SwitchParams,
-    tail_frac: float = 0.25,
     alt_exponent: bool = False,
 ) -> dict:
-    """{limsup_Z, sup_norm, settle_time} with Z evaluated on the tail window.
+    """{limsup_Z, sup_norm, settle_time} with Z evaluated on the last TAIL_FRAC of the rows.
 
     Z is read from traj.diag["Z"] when the controller recorded it (the
     switching controllers do, with their own g and sp); alt_exponent
     recomputes it.
     """
-    if not 0 < tail_frac <= 1:
-        raise ValueError("tail_frac must lie in (0, 1]")
-    n_tail = max(1, int(math.ceil(tail_frac * len(traj.t))))
+    n_tail = max(1, int(math.ceil(TAIL_FRAC * len(traj.t))))
     if not alt_exponent and "Z" in traj.diag:
         limsup = max(traj.diag["Z"][-n_tail:].tolist())
     else:

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import ChainSpec, dilate, pnf_weights
+from .core import ChainSpec, dilate, kappa_grid, pnf_weights
 from .hong import (
     HongGainSet,
     _cascade,
     _cascade_batch,
     _exponents,
     alpha_of,
-    certified_grid,
     hong_control,
     hong_lyapunov,
     hong_value,
@@ -51,6 +50,15 @@ __all__ = [
     "vdot_with_control",
     "switch_diagnostics",
 ]
+
+
+# explicit_constants: degree grid points, and band samples per degree of the
+# scalar cascade sweep (its extrema saturate early)
+EXPLICIT_KAPPA_POINTS = 9
+SWEEP_SAMPLES = 800
+# design_switch_params: samples per level set, and band samples of the decay margin
+DESIGN_SAMPLES = 4000
+BAND_SAMPLES = 3000
 
 
 class SwitchDesignError(RuntimeError):
@@ -297,8 +305,6 @@ def band_decay_margin(
 def explicit_constants(
     g: HongGainSet,
     m: float,
-    kappa_points: int = 9,
-    n_samples: int = 2000,
     seed: int = 33,
 ) -> ExplicitConstants:
     """Coordinate bound X_n, sweep constants C1/C2, and the kappa0(m) formula.
@@ -314,7 +320,7 @@ def explicit_constants(
     if not 0.0 < m < 1.0:
         raise ValueError("m must lie in (0, 1)")
     n = g.n
-    grid = certified_grid(n, g.kappa_pos, kappa_points)
+    grid = kappa_grid(n, EXPLICIT_KAPPA_POINTS, g.kappa_pos)
 
     X_n = 0.0
     for kap in grid:
@@ -343,14 +349,13 @@ def explicit_constants(
 
     C1 = 0.0
     C2 = 0.0
-    sweep_n = min(n_samples, 800)  # scalar cascade sweep; extrema saturate early
     for kap in grid:
         if abs(kap) < 1e-12:
             continue
-        pts = sample_vkappa_level(g, kap, 1.0, sweep_n, seed)
+        pts = sample_vkappa_level(g, kap, 1.0, SWEEP_SAMPLES, seed)
         # spread over the whole band by rescaling levels
         rng = np.random.default_rng(seed + 1)
-        levels = rng.uniform(1.0 - m, 1.0 + m, size=sweep_n)
+        levels = rng.uniform(1.0 - m, 1.0 + m, size=SWEEP_SAMPLES)
         r = np.array([1.0 + i * kap for i in range(n)])
         lam = levels ** (1.0 / (2.0 + kap))
         pts = pts * lam[:, None] ** r[None, :]
@@ -378,7 +383,6 @@ def design_switch_params(
     m: float = 0.5,
     kappa0: float | None = None,
     b_upper: float = 1.0,
-    n_samples: int = 4000,
     seed: int = 17,
 ) -> SwitchParams:
     """Pick (m, kappa0), certify the band decay, and bound the settling time.
@@ -397,21 +401,21 @@ def design_switch_params(
         m=m, kappa0=kappa0, P=P, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=b_upper
     )
     for _ in range(40):
-        worst, allowed = band_decay_margin(g, sp, n_samples=min(n_samples, 3000), seed=seed + 2)
+        worst, allowed = band_decay_margin(g, sp, n_samples=BAND_SAMPLES, seed=seed + 2)
         if worst <= allowed:
             break
         sp.kappa0 *= 0.5
     else:
         raise SwitchDesignError("band decay could not be certified; gains look inconsistent")
 
-    plus_pts = sample_v0_level(P, 1.0 + m, n_samples, seed + 3)
+    plus_pts = sample_v0_level(P, 1.0 + m, DESIGN_SAMPLES, seed + 3)
     Vp = _cascade_batch(g.ell, sp.kappa0, plus_pts, grad=False)["V"]
     sp.r_plus = 0.9 * float(np.min(Vp))
-    minus_pts = sample_v0_level(P, 1.0 - m, n_samples, seed + 4)
+    minus_pts = sample_v0_level(P, 1.0 - m, DESIGN_SAMPLES, seed + 4)
     Vm = _cascade_batch(g.ell, -sp.kappa0, minus_pts, grad=False)["V"]
     sp.r_minus = 1.1 * float(np.max(Vm))
 
-    sphere_minus = sample_vkappa_level(g, -sp.kappa0, 1.0, n_samples, seed + 5)
+    sphere_minus = sample_vkappa_level(g, -sp.kappa0, 1.0, DESIGN_SAMPLES, seed + 5)
     Vplus_on = _cascade_batch(g.ell, sp.kappa0, sphere_minus, grad=False)["V"]
     sp.E = 0.9 * float(np.min(Vplus_on))
 

@@ -6,7 +6,7 @@ import pytest
 from ptstab.cli import main
 from ptstab.gainfile import ConfigError, read_config, read_gains, validate_config, write_gains
 from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
-from ptstab.pnf import certify_perturbation, synthesize_linear_gain
+from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 
 
 def _write_cfg(path, lines):
@@ -65,6 +65,29 @@ def test_verify_fresh_and_corrupted(tmp_path):
     bad = tmp_path / "junk.gains"
     bad.write_text("not a gain file\n")
     assert main(["verify", "--gains", str(bad)]) == 1
+
+
+def _failing_rows(report):
+    return [ln.split("  ")[0] for ln in report.splitlines() if ln.endswith("FAIL")]
+
+
+def test_verify_rejects_indefinite_s_and_inflated_c0(tmp_path, capsys):
+    bad_s = str(tmp_path / "s.gains")
+    write_gains(bad_s, LinearGain(n=1, K=np.array([-1.0]), S=np.array([[-0.5]]), rho=1.0, b_lower=1.0))
+    assert main(["verify", "--gains", bad_s]) == 2
+    assert _failing_rows(capsys.readouterr().out) == ["S min-eig"]
+
+    out = str(tmp_path / "p2.gains")
+    assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "1", "--out", out]) == 0
+    assert main(["verify", "--gains", out]) == 0
+    lines = open(out).read().splitlines()
+    for i, ln in enumerate(lines):
+        if ln.startswith("C0 ="):
+            lines[i] = f"C0 = {2.0 * float(ln.split('=', 1)[1])!r}"
+    open(out, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--gains", out]) == 2
+    assert _failing_rows(capsys.readouterr().out) == ["perturbed endpoints + rho0"]
 
 
 def test_verify_hong_grid_scale(tmp_path, capsys):
@@ -201,32 +224,6 @@ def test_eta_sweep_settle_proxy_monotone(tmp_path):
     assert all(np.diff(settle) < 0)
 
 
-def test_threaded_batch_matches_serial(tmp_path, monkeypatch):
-    gains = str(tmp_path / "h.gains")
-    main(["synthesize", "--kind", "hong", "--n", "2", "--b-lower", "1", "--out", gains])
-    base = [
-        "plant.n = 2",
-        "plant.t = 1.0",
-        "controller.kind = fixed_time",
-        f"controller.gains = {gains}",
-        "runs.count = 3",
-        "runs.seed = 2",
-        "sim.rel_tol = 1e-6",
-        "sim.horizon = 20.0",
-    ]
-    outs = []
-    for tag, threads in (("ser", "1"), ("par", "3")):
-        out = str(tmp_path / tag)
-        cfg = _write_cfg(tmp_path / f"{tag}.cfg", base + [f"output.dir = {out}"])
-        monkeypatch.setenv("PTSTAB_THREADS", threads)
-        assert main(["simulate", "--config", cfg]) == 0
-        outs.append(out)
-    for name in ("summary.csv", "run_0.csv", "run_2.csv"):
-        assert open(os.path.join(outs[0], name), "rb").read() == open(
-            os.path.join(outs[1], name), "rb"
-        ).read()
-
-
 def test_sweep_usage_errors(tmp_path):
     cfg = _write_cfg(
         tmp_path / "c.cfg",
@@ -234,17 +231,6 @@ def test_sweep_usage_errors(tmp_path):
     )
     assert main(["sweep", "--config", cfg, "--param", "bogus", "--values", "1"]) == 1
     assert main(["sweep", "--config", cfg, "--param", "eta", "--values", ""]) == 1
-
-
-def test_threads_env_cap(tmp_path, monkeypatch):
-    from ptstab.cli import _thread_count
-
-    monkeypatch.setenv("PTSTAB_THREADS", "0")
-    assert _thread_count(8) >= 1
-    monkeypatch.setenv("PTSTAB_THREADS", "2")
-    assert _thread_count(8) == 2
-    monkeypatch.delenv("PTSTAB_THREADS")
-    assert _thread_count(8) == 1
 
 
 def _one_line_error(capsys, prefix):

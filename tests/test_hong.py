@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from ptstab.core import hong_weights, dilate, kappa_grid, sample_sphere
+from ptstab.core import hong_weights, dilate, kappa_grid, sample_sphere, sphere_residual
 from ptstab.hong import (
     HongGainSet,
     HongSynthesisConfig,
@@ -202,6 +202,17 @@ def test_synthesize_n3_two_seeds():
         g = synthesize_hong_gains(3, cfg)
         assert g.C > 0
         assert decay_residual(g, samples_per_kappa=500, seed=seed + 50) <= 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_decay_worst_point(n):
+    cfg = HongSynthesisConfig(seed=1, samples_per_level=2000, verify_samples_per_kappa=600)
+    g = synthesize_hong_gains(n, cfg)
+    C, (kap, x, ratio) = verify_decay(g, samples_per_kappa=500, seed=9)
+    assert ratio == C
+    assert sphere_residual(x, kap) < 1e-12
+    dV, V = closed_loop_derivative(g, kap, x)
+    assert -dV / V ** (1.0 + alpha_of(kap)) == pytest.approx(C, rel=1e-12)
 
 
 def test_kappa0_subcase_matches_eigensolver():

@@ -5,6 +5,7 @@ import pytest
 
 from ptstab.core import jordan_block, pnf_weights, dilation_matrix
 from ptstab.pnf import (
+    EIG_TOL,
     LinearGain,
     certify_perturbation,
     companion_lift,
@@ -58,6 +59,14 @@ def test_verify_fails_on_sign_flip():
     ok, endpoint, slope = verify_lmi(g)
     assert not ok
     assert slope < 0  # N = -1 breaks monotonicity in b
+
+
+def test_verify_rejects_indefinite_s():
+    # endpoint and slope both pass here; only the sign of S gives it away
+    g = LinearGain(n=1, K=np.array([-1.0]), S=np.array([[-0.5]]), rho=1.0, b_lower=1.0)
+    ok, endpoint, slope = verify_lmi(g)
+    assert endpoint <= EIG_TOL and slope >= -EIG_TOL
+    assert not ok
 
 
 def test_monotone_robustness_in_b():
