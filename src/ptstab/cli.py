@@ -23,6 +23,7 @@ from .gainfile import (
     write_gains,
 )
 from .hong import (
+    KAPPA_POINTS,
     GainSynthesisError,
     HongSynthesisConfig,
     decay_residual,
@@ -115,14 +116,14 @@ def cmd_verify(args) -> int:
     if hasattr(g, "K"):
         rows = [(name, f"{value:.3e}", ok) for name, value, ok in certificate_checks(g)]
     else:
-        rows = []
+        # a certified C <= 0 claims no decay, and the residual check passes it
+        rows = [("decay constant C (file)", f"{g.C:.5g}", g.C > 0)]
         cert = g.certificate or {}
         base = int(cert.get("verify_samples_per_kappa", 1500))
-        pts = int(cert.get("kappa_points", 11))
         scale = max(1, args.grid_scale)
-        C_new, _ = verify_decay(g, pts, base * scale, seed=int(cert.get("seed", 0)) + 5000)
+        C_new, _ = verify_decay(g, KAPPA_POINTS, base * scale, seed=int(cert.get("seed", 0)) + 5000)
         rows.append(("decay constant C (rescan)", f"{C_new:.5g}", C_new > 0))
-        resid = decay_residual(g, pts, base * scale, seed=int(cert.get("seed", 0)) + 6000)
+        resid = decay_residual(g, KAPPA_POINTS, base * scale, seed=int(cert.get("seed", 0)) + 6000)
         rows.append(("max dV + C V^(1+a)", f"{resid:.3e}", resid <= 0.0))
         c_raw = cert.get("c_raw")
         if c_raw:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,11 +17,14 @@ __all__ = [
     "WeightVector",
     "pnf_weights",
     "hong_weights",
+    "check_kappa",
     "jordan_block",
     "dilate",
     "dilation_matrix",
+    "dilate_rows",
     "signed_power",
     "kappa_grid",
+    "onto_sphere",
     "sample_sphere",
     "sphere_residual",
 ]
@@ -65,37 +69,44 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Homogeneity weights r together with the convention that produced them.
-
-    ``convention`` is "pnf" (r_i = n-i+1) or "hong" (r_j = 1+(j-1)*kappa with
-    kappa in [-1/(2n), 1/(2n)]).
-    """
+    """Homogeneity weights r = (r_1, ..., r_n) of a dilation D^r_lam = diag(lam^{r_i})."""
 
     r: tuple
-    convention: str
-    kappa: float = 0.0
 
     @property
     def n(self) -> int:
         return len(self.r)
 
 
+@lru_cache(maxsize=64)  # immutable result, shared by the per-step PNF feedback
 def pnf_weights(n: int) -> WeightVector:
     """Weights (n, n-1, ..., 1) used by the time-varying linear feedback."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return WeightVector(r=tuple(float(n - i) for i in range(n)), convention="pnf")
+    return WeightVector(r=tuple(float(n - i) for i in range(n)))
+
+
+def check_kappa(n: int, kappa: float):
+    """Raise ValueError unless |kappa| <= 1/(2n), the degree range of the n-level cascade."""
+    if abs(kappa) > 1.0 / (2 * n) + 1e-12:
+        raise ValueError(f"kappa={kappa} outside [-1/(2n), 1/(2n)] for n={n}")
+
+
+def _hong_r(count: int, kappa: float) -> tuple:
+    """r_j = 1 + (j-1)*kappa for j = 1..count, unchecked.
+
+    The cascade exponents of n levels read r_{n+1}, whose kappa range is
+    that of n levels, not of n+1.
+    """
+    return tuple(1.0 + j * kappa for j in range(count))
 
 
 def hong_weights(n: int, kappa: float) -> WeightVector:
     """Weights r_j = 1 + (j-1)*kappa for the homogeneous cascade controller."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs(kappa) > 1.0 / (2 * n) + 1e-12:
-        raise ValueError(f"kappa={kappa} outside [-1/(2n), 1/(2n)] for n={n}")
-    return WeightVector(
-        r=tuple(1.0 + j * kappa for j in range(n)), convention="hong", kappa=kappa
-    )
+    check_kappa(n, kappa)
+    return WeightVector(r=_hong_r(n, kappa))
 
 
 def jordan_block(n: int) -> np.ndarray:
@@ -116,9 +127,12 @@ def dilate(w: WeightVector, lam: float, x) -> np.ndarray:
 
 def dilation_matrix(w: WeightVector, lam: float) -> np.ndarray:
     """Dense diag(lam^{r_i}); D^r_1 is the identity."""
-    if not lam > 0:
-        raise ValueError(f"dilation parameter must be positive, got {lam}")
-    return np.diag([lam**ri for ri in w.r])
+    return np.diag(dilate(w, lam, np.ones(w.n)))
+
+
+def dilate_rows(w: WeightVector, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row k of X dilated by diag(lam[k]^{r_i}); numpy powers, unlike dilate."""
+    return X * lam[:, None] ** np.array(w.r)[None, :]
 
 
 def signed_power(x, alpha: float):
@@ -148,22 +162,33 @@ def kappa_grid(n: int, points: int = 11, hi: float | None = None) -> np.ndarray:
     return np.linspace(-1.0 / (2 * n), 1.0 / (2 * n) if hi is None else hi, points)
 
 
+def _sphere_sum(r: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_i |x_i|^{2/r_i} per row; the weighted unit sphere is its level set 1."""
+    return np.sum(np.abs(X) ** (2.0 / r), axis=-1)
+
+
 def sphere_residual(x, kappa: float) -> float:
     """|sum_i |x_i|^{2/r_i} - 1| for the kappa-weighted unit sphere in R^j."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    j = x.shape[-1]
-    r = np.array([1.0 + i * kappa for i in range(j)])
-    val = np.sum(np.abs(x) ** (2.0 / r), axis=-1)
+    val = _sphere_sum(np.array(_hong_r(x.shape[-1], kappa)), x)
     return float(np.max(np.abs(val - 1.0)))
+
+
+def onto_sphere(w: WeightVector, Z: np.ndarray) -> np.ndarray:
+    """Rows of Z (none zero) dilated exactly onto the weighted unit sphere of w.
+
+    The defining map scales as lam^2 under the dilation, so the placing
+    parameter is lam = nu(z)^{-1/2}.
+    """
+    return dilate_rows(w, _sphere_sum(np.array(w.r), Z) ** -0.5, Z)
 
 
 def sample_sphere(j: int, kappa_grid, N: int, seed: int) -> np.ndarray:
     """Sample N points per kappa on the weighted unit sphere in R^j.
 
     For each kappa a standard-normal direction z is drawn and dilated onto
-    the sphere {sum |x_i|^{2/r_i(kappa)} = 1}.  The defining map scales as
-    lam^2 under the dilation, so the placing parameter is lam = nu(z)^{-1/2}
-    and membership is exact by construction.
+    the sphere {sum |x_i|^{2/r_i(kappa)} = 1} (see onto_sphere), so
+    membership is exact by construction.
 
     Returns an array of shape (len(kappa_grid), N, j).
     """
@@ -172,17 +197,12 @@ def sample_sphere(j: int, kappa_grid, N: int, seed: int) -> np.ndarray:
     if N < 1:
         raise ValueError("need at least one sample point")
     grid = np.atleast_1d(np.asarray(kappa_grid, dtype=float))
-    for kap in grid:
-        if abs(kap) > 1.0 / (2 * j) + 1e-12:
-            raise ValueError(f"kappa={kap} outside [-1/(2j), 1/(2j)] for j={j}")
+    weights = [hong_weights(j, kap) for kap in grid]
     rng = np.random.default_rng(seed)
     out = np.empty((len(grid), N, j))
-    for g, kap in enumerate(grid):
-        r = np.array([1.0 + i * kap for i in range(j)])
+    for g, w in enumerate(weights):
         z = rng.standard_normal((N, j))
         # degenerate draws (exact zeros) would break the normalization
         z[np.all(z == 0.0, axis=1)] = 1.0
-        nu = np.sum(np.abs(z) ** (2.0 / r), axis=1)
-        lam = nu**-0.5
-        out[g] = z * lam[:, None] ** r[None, :]
+        out[g] = onto_sphere(w, z)
     return out

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 FORMAT_TAG = "ptstab-gains-v1"
+# integer entries of a hong certificate; the first three are sample counts
+_CERT_COUNTS = ("kappa_points", "samples_per_level", "verify_samples_per_kappa")
+_CERT_INTS = _CERT_COUNTS + ("seed", "repair_rounds")
 
 
 class ConfigError(ValueError):
@@ -45,12 +48,19 @@ def _fmt_matrix(M) -> str:
     return " , ".join(";".join(format_float(x) for x in row) for row in M)
 
 
+def _finite(x: str) -> float:
+    val = float(x)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite value {x.strip()!r}")
+    return val
+
+
 def _parse_vector(s: str) -> np.ndarray:
-    return np.array([float(x) for x in s.split(";")])
+    return np.array([_finite(x) for x in s.split(";")])
 
 
 def _parse_matrix(s: str) -> np.ndarray:
-    return np.array([[float(x) for x in row.split(";")] for row in s.split(",")])
+    return np.array([[_finite(x) for x in row.split(";")] for row in s.split(",")])
 
 
 def write_gains(path: str, g, b_lower: float | None = None):
@@ -127,10 +137,10 @@ def read_gains(path: str):
                 n=int(kv["n"]),
                 K=_parse_vector(kv["K"]),
                 S=_parse_matrix(kv["S"]),
-                rho=float(kv["rho"]),
-                b_lower=float(kv["b_lower"]),
-                C0=float(kv["C0"]),
-                rho0=float(kv["rho0"]),
+                rho=_finite(kv["rho"]),
+                b_lower=_finite(kv["b_lower"]),
+                C0=_finite(kv["C0"]),
+                rho0=_finite(kv["rho0"]),
             )
             if g.K.shape != (g.n,) or g.S.shape != (g.n, g.n):
                 raise ConfigError(f"{path}: inconsistent dimensions")
@@ -145,24 +155,26 @@ def read_gains(path: str):
                 if sub.startswith("level"):
                     lev_name, field = sub.split(".", 1)
                     j = int(lev_name[len("level") :])
-                    levels.setdefault(j, {"level": j})[field] = float(val)
-                elif sub in ("kappa_points", "samples_per_level", "verify_samples_per_kappa", "seed", "repair_rounds"):
+                    levels.setdefault(j, {"level": j})[field] = _finite(val)
+                elif sub in _CERT_INTS:
                     cert[sub] = int(val)
+                    if sub in _CERT_COUNTS and cert[sub] < 1:
+                        raise ValueError(f"certificate.{sub} = {val} is below 1")
                 else:
-                    cert[sub] = float(val)
+                    cert[sub] = _finite(val)
             if levels:
                 cert["levels"] = [levels[j] for j in sorted(levels)]
             g = HongGainSet(
                 n=int(kv["n"]),
                 ell=_parse_vector(kv["ell"]),
-                C=float(kv["C"]),
-                kappa_bound=float(kv["kappa_bound"]),
-                kappa_pos=float(kv.get("kappa_pos", 0.0)),
+                C=_finite(kv["C"]),
+                kappa_bound=_finite(kv["kappa_bound"]),
+                kappa_pos=_finite(kv.get("kappa_pos", "0")),
                 certificate=cert,
             )
             if g.ell.shape != (g.n,):
                 raise ConfigError(f"{path}: inconsistent dimensions")
-            return g, float(kv["b_lower"])
+            return g, _finite(kv["b_lower"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc
     raise ConfigError(f"{path}: unknown gain kind {kind!r}")

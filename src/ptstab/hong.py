@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import kappa_grid, sample_sphere
+from .core import _hong_r, check_kappa, hong_weights, kappa_grid, onto_sphere, sample_sphere
 
 __all__ = [
     "alpha_of",
@@ -90,15 +90,10 @@ def kappa_pos_certified(n: int) -> float:
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
 
 
-def _check_kappa(n: int, kappa: float):
-    if abs(kappa) > 1.0 / (2 * n) + 1e-12:
-        raise ValueError(f"kappa={kappa} outside [-1/(2n), 1/(2n)] for n={n}")
-
-
 def beta_exponents(n: int, kappa: float) -> np.ndarray:
     """Exponents b_0..b_{n-1}: b_0 = 1+kappa and (b_j+1)(1+j*kappa) = 2+kappa."""
-    _check_kappa(n, kappa)
-    return np.array([(2.0 + kappa) / (1.0 + j * kappa) - 1.0 for j in range(n)])
+    check_kappa(n, kappa)
+    return np.array([b for b, _, _ in _exponents(n, kappa)])
 
 
 def _abs_pow(B: np.ndarray, e: float) -> np.ndarray:
@@ -111,13 +106,13 @@ def _abs_pow(B: np.ndarray, e: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)  # bounded: band scans pass continuous kappa values
 def _exponents(n: int, kappa: float) -> tuple:
-    """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the scalar cascade."""
+    """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the cascade, unchecked."""
     kappa = float(kappa)
+    r = _hong_r(n + 1, kappa)
     out = []
     for lvl in range(n):
-        rj = 1.0 + lvl * kappa
-        b = (2.0 + kappa) / rj - 1.0
-        out.append((b, b + 1.0, (1.0 + (lvl + 1) * kappa) / (rj * b)))
+        b = (2.0 + kappa) / r[lvl] - 1.0
+        out.append((b, b + 1.0, r[lvl + 1] / (r[lvl] * b)))
     return tuple(out)
 
 
@@ -156,16 +151,12 @@ def _cascade_batch(ell, kappa: float, X: np.ndarray, grad: bool = True):
     V = np.zeros(N)
     gradV = np.zeros((N, j)) if grad else None
     v_all = np.empty((N, j))
-    for lvl in range(j):
-        rj = 1.0 + lvl * kappa
-        rj1 = 1.0 + (lvl + 1) * kappa
-        b = (2.0 + kappa) / rj - 1.0
-        gam = rj1 / (rj * b)
+    for lvl, (b, b1, gam) in enumerate(_exponents(j, kappa)):
         xl = X[:, lvl]
         sx = np.sign(xl) * _abs_pow(xl, b)
         sv = np.sign(v) * _abs_pow(v, b)
         w = sx - sv
-        V += (np.abs(xl) ** (b + 1.0) - np.abs(v) ** (b + 1.0)) / (b + 1.0) - sv * (xl - v)
+        V += (np.abs(xl) ** b1 - np.abs(v) ** b1) / b1 - sv * (xl - v)
         if grad:
             if lvl > 0:
                 fac = -b * _abs_pow(v, b - 1.0) * (xl - v)
@@ -248,14 +239,21 @@ def _stress_samples(X: np.ndarray, kappa: float, rng) -> np.ndarray:
     N, j = X.shape
     if j < 3:
         return X[:0]
-    r = np.array([1.0 + q * kappa for q in range(j)])
+    w = hong_weights(j, kappa)
     out = []
     for i in range(1, j - 1):
         Y = X.copy()
         Y[:, i] *= 10.0 ** -rng.uniform(1.0, 12.0, size=N)
-        nu = np.sum(np.abs(Y) ** (2.0 / r), axis=1)
-        out.append(Y * (nu**-0.5)[:, None] ** r[None, :])
+        out.append(onto_sphere(w, Y))
     return np.concatenate(out, axis=0)
+
+
+def _flow_derivative(gradV: np.ndarray, X: np.ndarray, u) -> np.ndarray:
+    """Per row, dV/dt = sum_{i<n} dV/dx_i x_{i+1} + dV/dx_n u along dx = J x + u e_n."""
+    dV = np.zeros(len(X))
+    for i in range(X.shape[1] - 1):
+        dV += gradV[:, i] * X[:, i + 1]
+    return dV + gradV[:, -1] * u
 
 
 def _decay_rows(ell, kappa: float, X: np.ndarray):
@@ -267,12 +265,8 @@ def _decay_rows(ell, kappa: float, X: np.ndarray):
     j = X.shape[1]
     res = _cascade_batch(ell[:j], kappa, X, grad=True)
     keep = _kink_mask(X, res["v_all"])
-    X, V, gradV = X[keep], res["V"][keep], res["gradV"][keep]
-    v_last = res["v_all"][keep, -1]
-    dV = np.zeros(len(V))
-    for i in range(j - 1):
-        dV += gradV[:, i] * X[:, i + 1]
-    dV += gradV[:, j - 1] * v_last
+    X, V = X[keep], res["V"][keep]
+    dV = _flow_derivative(res["gradV"][keep], X, res["v_all"][keep, -1])
     return X, dV, V ** (1.0 + alpha_of(kappa))
 
 
@@ -286,16 +280,13 @@ def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int,
         yield (kap, *_decay_rows(g.ell, kap, X))
 
 
-def closed_loop_derivative(g: HongGainSet, kappa: float, x, ell=None):
-    """dV_kappa/dt along dx = J x + u e_n with u from the cascade."""
+def closed_loop_derivative(g: HongGainSet, kappa: float, x):
+    """(dV_kappa/dt, V_kappa) along dx = J x + u e_n with u from the cascade."""
     g.check_kappa(kappa)
-    gains = g.ell if ell is None else ell
     X = np.asarray(x, dtype=float)[None, :]
-    res = _cascade_batch(gains, kappa, X, grad=True)
-    gradV = res["gradV"][0]
-    dV = sum(gradV[i] * X[0, i + 1] for i in range(g.n - 1))
-    dV += gradV[g.n - 1] * res["v_all"][0, -1]
-    return float(dV), float(res["V"][0])
+    res = _cascade_batch(g.ell, kappa, X, grad=True)
+    dV = _flow_derivative(res["gradV"], X, res["v_all"][:, -1])
+    return float(dV[0]), float(res["V"][0])
 
 
 def verify_decay(
@@ -357,8 +348,8 @@ def _recursion_record(ell, grid, cfg: HongSynthesisConfig, n: int) -> list:
         bound = 0.0
         for gi, kap in enumerate(grid):
             X = pts[gi]
-            rj = 1.0 + (j - 1) * kap
-            b = (2.0 + kap) / rj - 1.0
+            rj = hong_weights(j, kap).r[-1]
+            b = _exponents(j, kap)[-1][0]
             bt = min(1.0, b)
             sub = _cascade_batch(ell[: j - 1], kap, X[:, : j - 1], grad=True)
             vprev = sub["v_all"][:, -1]

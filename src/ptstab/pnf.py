@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import jordan_block
+from .core import jordan_block, pnf_weights
 from .timescale import TimeScale
 
 __all__ = [
@@ -209,21 +209,23 @@ def verify_lmi(g: LinearGain):
 
 def _perturbed_margin(g: LinearGain, c: float, rho0: float) -> float:
     """Largest max-eig over a = +/-c of the LMI matrix at b_lower plus a*(D_r S + S D_r) + rho0 I."""
-    Dr = np.diag([float(g.n - i) for i in range(g.n)])
+    Dr = np.diag(pnf_weights(g.n).r)
     M = _lmi_matrix(g, g.b_lower)
     return max(_max_eig(M + a * (Dr @ g.S + g.S @ Dr) + rho0 * np.eye(g.n)) for a in (-c, c))
 
 
 def certificate_checks(g: LinearGain) -> list:
-    """(name, value, passed) of every eigenvalue check of a certificate.
+    """(name, value, passed) of every check of a certificate.
 
-    The checks of verify_lmi, then, once C0 > 0, the perturbed endpoints
-    a = +/-C0 at margin rho0 (pass requires <= EIG_TOL), the check that
-    certify_perturbation bisects on.
+    The checks of verify_lmi and rho > 0 (a margin rho <= 0 certifies no
+    decay), then, once C0 > 0, rho0 > 0 and the perturbed endpoints
+    a = +/-C0 at margin rho0 (pass requires <= EIG_TOL; certify_perturbation
+    bisects on the same margin with no slack).
     """
-    checks = _lmi_checks(g)
+    checks = _lmi_checks(g) + [("rho", g.rho, g.rho > 0)]
     if g.C0 > 0:
         worst = _perturbed_margin(g, g.C0, g.rho0)
+        checks.append(("rho0", g.rho0, g.rho0 > 0))
         checks.append(("perturbed endpoints + rho0", worst, worst <= EIG_TOL))
     return checks
 
@@ -232,8 +234,9 @@ def certify_perturbation(g: LinearGain):
     """Largest C0 with the LMI holding for |a| <= C0 at margin rho0 = rho/2.
 
     The perturbation a*(D_r S + S D_r) is affine in a, so checking the two
-    endpoints suffices.  Found by doubling then bisection.  Updates g in
-    place and returns (C0, rho0).
+    endpoints suffices.  Found by doubling then bisection on a perturbed
+    max-eig <= 0, without the EIG_TOL slack that verify allows.  Updates g
+    in place and returns (C0, rho0).
     """
     ok, _, _ = verify_lmi(g)
     if not ok:
@@ -241,7 +244,7 @@ def certify_perturbation(g: LinearGain):
     rho0 = g.rho / 2.0
 
     def ok_at(c):
-        return _perturbed_margin(g, c, rho0) <= EIG_TOL
+        return _perturbed_margin(g, c, rho0) <= 0.0
 
     lo = 0.0
     hi = 1e-3
@@ -270,7 +273,7 @@ def pnf_feedback(g: LinearGain, ts: TimeScale, eta: float, t: float, x) -> float
     """Time-varying linear control u = -K^T D^r_{eta*lambda(t)} x."""
     lam = ts.lam(t)
     x = np.asarray(x, dtype=float)
-    scales = (eta * lam) ** np.array([float(g.n - i) for i in range(g.n)])
+    scales = (eta * lam) ** np.array(pnf_weights(g.n).r)
     return -float(np.dot(g.K, scales * x))
 
 
@@ -326,8 +329,7 @@ def convergence_envelope(
     e0 = eta * lam0
     amp = c["c_init"] * max(e0, e0**g.n) * math.exp(-c["mu_rate"] * eta * s) * x0_norm
     amp += c["c_dist"] * d_sup
-    powers = np.array([float(g.n - i) for i in range(g.n)])
-    return amp / (eta * lam) ** powers
+    return amp / (eta * lam) ** np.array(pnf_weights(g.n).r)
 
 
 def noise_envelope(
@@ -358,5 +360,4 @@ def noise_envelope(
     el = eta * lam
     amp = c["c_init"] * max(e0, e0**g.n) * math.exp(-c["mu_rate"] * eta * s) * x0_norm
     amp += c["c_dist"] * b_sup * float(np.sum(np.abs(g.K))) * max(el, el**g.n) * d1_sup
-    powers = np.array([float(g.n - i) for i in range(g.n)])
-    return amp / el**powers
+    return amp / el ** np.array(pnf_weights(g.n).r)

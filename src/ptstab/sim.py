@@ -233,11 +233,6 @@ class Trajectory:
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.x, axis=1)))
 
-    def first_time_below(self, radius: float) -> float | None:
-        norms = np.linalg.norm(self.x, axis=1)
-        idx = np.nonzero(norms <= radius)[0]
-        return float(self.t[idx[0]]) if len(idx) else None
-
 
 # Dormand-Prince 5(4) tableau
 _DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
@@ -447,52 +442,56 @@ def integrate_warped(
     x0,
     opts: SimOptions | None = None,
     s_max: float = 30.0,
-    s_eval: tuple = (),
 ) -> Trajectory:
     """Integrate the warped dynamics y' = (a D_r + J) y + (b u + d) e_n.
 
-    u = -K' D_eta y; time is the warped clock s, y(0) = D_{lambda(0)} x0.
-    The returned Trajectory is mapped back to x(t) with t = t_of_s(s); the
-    warped samples are kept in diag["s"] and diag["y<i>"].  Only matched
-    disturbances are meaningful here (d1/d2 are rejected).
+    u = -K' D_eta y; time is the warped clock s, y(0) = D_{lambda(0)} x0,
+    and opts.t_eval holds warped times.  Each row records the t = t_of_s(s)
+    and the u of the RHS evaluation at that row, as integrate does; the
+    Trajectory is mapped back to x(t), and the warped samples are kept in
+    diag["s"] and diag["y<i>"].  Only matched disturbances are meaningful
+    here (d1/d2 are rejected).
     """
     if dist.d1 is not None or dist.d2 is not None:
         raise ValueError("warped integration supports matched disturbances only")
     opts = opts or SimOptions(rel_tol=1e-10, abs_tol=1e-13)
-    if s_eval:
-        opts = SimOptions(**{**opts.__dict__, "t_eval": tuple(s_eval)})
     n = spec.n
     w = pnf_weights(n)
-    lam0 = ts.lam(0.0)
-    y0 = dilate(w, lam0, np.asarray(x0, dtype=float))
-    Dr = np.array([float(n - i) for i in range(n)])
-    eta_pow = eta ** np.array([float(n - i) for i in range(n)])
+    y0 = dilate(w, ts.lam(0.0), np.asarray(x0, dtype=float))
+    r = np.array(w.r)
+    eta_pow = eta**r
     K = gain.K
     d, b = dist.d, dist.b
+    last = [0.0, 0.0]  # (t, u) of the latest RHS evaluation
 
     def f(s, y):
-        t = ts.t_of_s(s)
-        u = -float(np.dot(K, eta_pow * y))
+        t = last[0] = ts.t_of_s(s)
+        u = last[1] = -float(np.dot(K, eta_pow * y))
         dy = np.empty(n)
         dy[:-1] = y[1:]
         dy[-1] = b(t) * u + d(t)
-        dy += ts.a(t) * Dr * y
+        dy += ts.a(t) * r * y
         return dy
 
-    ss, ys, status, settle_s, fail_s = _adaptive_run(f, 0.0, y0, s_max, opts)
+    t_rows = []
+    u_rows = []
+
+    def on_step(s, y):
+        t_rows.append(last[0])
+        u_rows.append(last[1])
+
+    ss, ys, status, settle_s, fail_s = _adaptive_run(f, 0.0, y0, s_max, opts, on_step=on_step)
 
     s_arr = np.array(ss)
     y_arr = np.array(ys)
-    t_arr = np.array([ts.t_of_s(s) for s in ss])
+    t_arr = np.array(t_rows)
     lam_arr = np.array([ts.lam(t) for t in t_arr])
-    x_arr = y_arr / lam_arr[:, None] ** np.array([float(n - i) for i in range(n)])
-    u_arr = np.array([-float(np.dot(K, eta_pow * y)) for y in ys])
     diag = {"s": s_arr}
     for i in range(n):
         diag[f"y{i + 1}"] = y_arr[:, i]
     settle_time = float(ts.t_of_s(settle_s)) if settle_s is not None else None
     return Trajectory(
-        t=t_arr, x=x_arr, u=u_arr, diag=diag, status=status,
+        t=t_arr, x=y_arr / lam_arr[:, None] ** r, u=np.array(u_rows), diag=diag, status=status,
         settle_time=settle_time, fail_time=fail_s,
     )
 

@@ -16,14 +16,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import ChainSpec, dilate, kappa_grid, pnf_weights
+from .core import ChainSpec, dilate, dilate_rows, hong_weights, kappa_grid, pnf_weights
 from .hong import (
     HongGainSet,
     _cascade,
     _cascade_batch,
     _exponents,
+    _flow_derivative,
     alpha_of,
     hong_control,
     hong_lyapunov,
@@ -53,7 +53,7 @@ __all__ = [
 
 
 # explicit_constants: degree grid points, and band samples per degree of the
-# scalar cascade sweep (its extrema saturate early)
+# scalar control sweep (its extrema saturate early)
 EXPLICIT_KAPPA_POINTS = 9
 SWEEP_SAMPLES = 800
 # design_switch_params: samples per level set, and band samples of the decay margin
@@ -82,9 +82,7 @@ class SwitchParams:
 
 @dataclass
 class ExplicitConstants:
-    X_n: float
     C1_n: float
-    C2_n: float
     kappa0_of_m: float
 
 
@@ -218,9 +216,8 @@ def prescribed_time_feedback(
 def vdot_with_control(g: HongGainSet, kappa: float, x, u: float):
     """(dV_kappa/dt, V_kappa) along dx = Jx + u e_n for an arbitrary u."""
     V, grad = hong_lyapunov(g, kappa, x)
-    x = np.asarray(x, dtype=float)
-    dV = sum(grad[i] * x[i + 1] for i in range(g.n - 1)) + grad[g.n - 1] * u
-    return float(dV), V
+    dV = _flow_derivative(grad[None, :], np.asarray(x, dtype=float)[None, :], u)
+    return float(dV[0]), V
 
 
 def z_value(g: HongGainSet, sp: SwitchParams, x, alt_exponent: bool = False) -> float:
@@ -252,13 +249,17 @@ def switch_diagnostics(g: HongGainSet, sp: SwitchParams, x, vm: float | None = N
     return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": _kappa_of_v0(sp, v0), "Z": _z_of(sp, v0, vp, vm)}
 
 
-def sample_v0_level(P: np.ndarray, level: float, N: int, seed: int) -> np.ndarray:
-    """N points on {x'Px = level}; exact by quadratic scaling."""
-    n = P.shape[0]
+def sample_v0_level(P: np.ndarray, lo: float, hi: float, N: int, seed: int) -> np.ndarray:
+    """N points with x'Px uniform in [lo, hi]; lo == hi gives the level set {x'Px = lo}.
+
+    A direction z is drawn per point, then its level; each point is z scaled
+    exactly onto its level.
+    """
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((N, n))
+    z = rng.standard_normal((N, P.shape[0]))
     q = np.einsum("ij,jk,ik->i", z, P, z)
-    return z * np.sqrt(level / q)[:, None]
+    levels = rng.uniform(lo, hi, size=N)
+    return z * np.sqrt(levels / q)[:, None]
 
 
 def sample_vkappa_level(g: HongGainSet, kappa: float, level: float, N: int, seed: int) -> np.ndarray:
@@ -266,18 +267,7 @@ def sample_vkappa_level(g: HongGainSet, kappa: float, level: float, N: int, seed
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((N, g.n))
     V = _cascade_batch(g.ell, kappa, z, grad=False)["V"]
-    lam = (level / V) ** (1.0 / (2.0 + kappa))
-    r = np.array([1.0 + i * kappa for i in range(g.n)])
-    return z * lam[:, None] ** r[None, :]
-
-
-def _band_samples(P: np.ndarray, m: float, N: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    n = P.shape[0]
-    z = rng.standard_normal((N, n))
-    q = np.einsum("ij,jk,ik->i", z, P, z)
-    levels = rng.uniform(1.0 - m, 1.0 + m, size=N)
-    return z * np.sqrt(levels / q)[:, None]
+    return dilate_rows(hong_weights(g.n, kappa), (level / V) ** (1.0 / (2.0 + kappa)), z)
 
 
 def band_decay_margin(
@@ -290,7 +280,7 @@ def band_decay_margin(
 
     The first below the second forces dV0 <= -C V0 / 2 across the band.
     """
-    X = _band_samples(sp.P, sp.m, n_samples, seed)
+    X = sample_v0_level(sp.P, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
     en_col = sp.P[:, g.n - 1]
     worst = 0.0
     for x in X:
@@ -307,11 +297,10 @@ def explicit_constants(
     m: float,
     seed: int = 33,
 ) -> ExplicitConstants:
-    """Coordinate bound X_n, sweep constants C1/C2, and the kappa0(m) formula.
+    """Sweep constant C1 and the kappa0(m) formula.
 
-    X_n follows the level-by-level scalar inequality (positive root, 1.1
-    inflation).  C1/C2 are direct maximizations of the control and Lyapunov
-    deviations over band samples, inflated by 2.  kappa0_of_m evaluates
+    C1 is a direct maximization of the control deviation over band samples,
+    inflated by 2.  kappa0_of_m evaluates
 
         (C(1-m) / (4 sqrt(1+m) sqrt(V0(e_n)) C1_n))^{2n/(n+1)}
 
@@ -322,33 +311,7 @@ def explicit_constants(
     n = g.n
     grid = kappa_grid(n, EXPLICIT_KAPPA_POINTS, g.kappa_pos)
 
-    X_n = 0.0
-    for kap in grid:
-        betas = [(2.0 + kap) / (1.0 + j * kap) - 1.0 for j in range(n)]
-        b0 = betas[0]
-        xj = ((1.0 + b0) * (1.0 + m)) ** (1.0 / (1.0 + b0))
-        Xj = max(xj, g.ell[0] * xj ** (1.0 + kap)) * 1.1
-        for j in range(1, n):
-            b = betas[j]
-            rj = 1.0 + j * kap
-            gam = (1.0 + (j + 1) * kap) / (rj * b)
-            rhs_c = (2.0 + b) * Xj ** (1.0 + b) + (1.0 + b) * (1.0 + m)
-            rhs_l = (1.0 + b) * Xj**b
-
-            def phi(t):
-                return t ** (1.0 + b) - rhs_l * t - rhs_c
-
-            hi = max(Xj, 1.0)
-            while phi(hi) <= 0:
-                hi *= 2.0
-            root = brentq(phi, 0.0, hi, xtol=1e-12)
-            xjb = 1.1 * root
-            vjb = g.ell[j] * (xjb**b + Xj**b) ** gam
-            Xj = max(Xj, xjb, vjb)
-        X_n = max(X_n, Xj)
-
     C1 = 0.0
-    C2 = 0.0
     for kap in grid:
         if abs(kap) < 1e-12:
             continue
@@ -356,18 +319,14 @@ def explicit_constants(
         # spread over the whole band by rescaling levels
         rng = np.random.default_rng(seed + 1)
         levels = rng.uniform(1.0 - m, 1.0 + m, size=SWEEP_SAMPLES)
-        r = np.array([1.0 + i * kap for i in range(n)])
-        lam = levels ** (1.0 / (2.0 + kap))
-        pts = pts * lam[:, None] ** r[None, :]
-        rn = 1.0 + (n - 1) * kap
-        denom = abs(kap) ** min(1.0, rn)
+        w = hong_weights(n, kap)
+        pts = dilate_rows(w, levels ** (1.0 / (2.0 + kap)), pts)
+        denom = abs(kap) ** min(1.0, w.r[-1])
         for x in pts:
             uk, _ = hong_control(g, kap, x)
             u0, _ = hong_control(g, 0.0, x)
             C1 = max(C1, abs(uk - u0) / denom)
-            C2 = max(C2, abs(hong_value(g, kap, x) - hong_value(g, 0.0, x)) / denom)
     C1 *= 2.0
-    C2 *= 2.0
 
     P = quadratic_form(g)
     v0_en = float(P[n - 1, n - 1])
@@ -375,7 +334,7 @@ def explicit_constants(
         2.0 * n / (n + 1.0)
     )
     kap0 = min(kap0, 0.999 / (2 * n))
-    return ExplicitConstants(X_n=X_n, C1_n=C1, C2_n=C2, kappa0_of_m=kap0)
+    return ExplicitConstants(C1_n=C1, kappa0_of_m=kap0)
 
 
 def design_switch_params(
@@ -408,10 +367,10 @@ def design_switch_params(
     else:
         raise SwitchDesignError("band decay could not be certified; gains look inconsistent")
 
-    plus_pts = sample_v0_level(P, 1.0 + m, DESIGN_SAMPLES, seed + 3)
+    plus_pts = sample_v0_level(P, 1.0 + m, 1.0 + m, DESIGN_SAMPLES, seed + 3)
     Vp = _cascade_batch(g.ell, sp.kappa0, plus_pts, grad=False)["V"]
     sp.r_plus = 0.9 * float(np.min(Vp))
-    minus_pts = sample_v0_level(P, 1.0 - m, DESIGN_SAMPLES, seed + 4)
+    minus_pts = sample_v0_level(P, 1.0 - m, 1.0 - m, DESIGN_SAMPLES, seed + 4)
     Vm = _cascade_batch(g.ell, -sp.kappa0, minus_pts, grad=False)["V"]
     sp.r_minus = 1.1 * float(np.max(Vm))
 

@@ -293,3 +293,41 @@ def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
     _one_line_error(capsys, "synthesis failed: ")
     assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0"]) == 2
     _one_line_error(capsys, "synthesis failed: ")
+
+
+@pytest.fixture(scope="module")
+def fresh_gain_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("gains")
+    files = {"pnf": str(d / "p2.gains"), "hong": str(d / "h2.gains")}
+    for kind, path in files.items():
+        assert main(["synthesize", "--kind", kind, "--n", "2", "--b-lower", "1", "--out", path]) == 0
+    return {kind: open(path).read() for kind, path in files.items()}
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, code, failing",
+    [
+        # corrupt values: one error line, exit 1
+        ("pnf", "C0", "nan", 1, None),
+        ("hong", "C", "nan", 1, None),
+        ("hong", "ell", "nan;2", 1, None),
+        ("hong", "certificate.verify_samples_per_kappa", "0", 1, None),
+        ("hong", "certificate.kappa_points", "0", 1, None),
+        # vacuous certificates: one failing row, exit 2
+        ("pnf", "rho", "-5", 2, "rho"),
+        ("pnf", "rho0", "-5", 2, "rho0"),
+        ("hong", "C", "-1", 2, "decay constant C (file)"),
+    ],
+)
+def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_files, kind, key, value, code, failing):
+    lines = fresh_gain_files[kind].splitlines()
+    edited = [f"{key} = {value}" if ln.split("=", 1)[0].strip() == key else ln for ln in lines]
+    assert edited != lines
+    path = tmp_path / "edited.gains"
+    path.write_text("\n".join(edited) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--gains", str(path)]) == code
+    if failing is None:
+        _one_line_error(capsys, "error: ")
+    else:
+        assert _failing_rows(capsys.readouterr().out) == [failing]

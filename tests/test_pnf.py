@@ -7,6 +7,7 @@ from ptstab.core import jordan_block, pnf_weights, dilation_matrix
 from ptstab.pnf import (
     EIG_TOL,
     LinearGain,
+    certificate_checks,
     certify_perturbation,
     companion_lift,
     convergence_envelope,
@@ -118,6 +119,19 @@ def test_certify_perturbation_n2():
     # endpoints hold with the certified margin
     for a in (C0, -C0):
         assert _lmi_max_eig(g, g.b_lower, a) <= -rho0 + 1e-8
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("b_lower", [0.5, 1.0, 1.7, 3.0])
+def test_certified_c0_holds_without_slack(n, b_lower):
+    # the perturbed inequality at |a| <= C0 must hold outright, not only
+    # within the EIG_TOL slack that verify allows
+    g = synthesize_linear_gain(n, b_lower)
+    C0, rho0 = certify_perturbation(g)
+    assert C0 > 0 and rho0 > 0
+    rows = {name: (value, ok) for name, value, ok in certificate_checks(g)}
+    assert rows["perturbed endpoints + rho0"][0] <= 0.0
+    assert all(ok for _, ok in rows.values())
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ptstab.core import ChainSpec
+from ptstab.core import ChainSpec, pnf_weights
 from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
 from ptstab.pnf import certify_perturbation, synthesize_linear_gain
 from ptstab.sim import (
@@ -24,7 +24,7 @@ from ptstab.sim import (
     VectorSignal,
 )
 from ptstab.switching import design_switch_params
-from ptstab.timescale import build, constant_density
+from ptstab.timescale import build, constant_density, expflat_density, power_density
 
 
 def _dist():
@@ -135,6 +135,25 @@ def test_warped_power_density():
     assert np.linalg.norm(traj.x[-1]) < 1e-3 * np.linalg.norm(traj.x[0])
 
 
+@pytest.mark.parametrize("density", [constant_density(1.0), power_density(2), expflat_density()])
+def test_warped_rows_record_t_and_u(density):
+    # every row's t and u are those of the warped clock and feedback at its (s, y)
+    spec = ChainSpec(n=2, T=1.0)
+    gain = synthesize_linear_gain(2, 1.0)
+    certify_perturbation(gain)
+    ts = build(1.0, density)
+    eta = max(1.0, ts.a_sup() / gain.C0)
+    dist = DisturbanceSpec(d=sine_signal(0.5, 1.3))
+    traj = integrate_warped(spec, gain, ts, eta, dist, [0.5, -0.5], s_max=4.0)
+    assert traj.status in ("horizon", "settled")
+    eta_r = eta ** np.array(pnf_weights(2).r)
+    ys = np.column_stack([traj.diag["y1"], traj.diag["y2"]])
+    assert len(traj.t) == len(traj.u) == len(ys) > 10
+    for s, t, u, y in zip(traj.diag["s"], traj.t, traj.u, ys):
+        assert t == ts.t_of_s(s)
+        assert u == -float(np.dot(gain.K, eta_r * y))
+
+
 def test_warped_vs_direct_consistency():
     spec = ChainSpec(n=2, T=1.0)
     gain = synthesize_linear_gain(2, 1.0)
@@ -150,7 +169,7 @@ def test_warped_vs_direct_consistency():
     )
     warped = integrate_warped(
         spec, gain, ts, eta, _dist(), x0,
-        SimOptions(rel_tol=1e-10, abs_tol=1e-13), s_max=ts.s(0.99) + 1e-9, s_eval=s_pts,
+        SimOptions(rel_tol=1e-10, abs_tol=1e-13, t_eval=s_pts), s_max=ts.s(0.99) + 1e-9,
     )
     for tq, sq in zip(t_pts, s_pts):
         i = int(np.argmin(np.abs(direct.t - tq)))

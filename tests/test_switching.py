@@ -248,10 +248,20 @@ def test_rescaling_oracle_fixed_kappa():
         assert np.linalg.norm(traj_mu.x[i] - expected) < 1e-7 * max(1.0, np.linalg.norm(expected))
 
 
+def test_sample_v0_level_band_and_level_set():
+    _, sp = _setup()
+    lo, hi = 1.0 - sp.m, 1.0 + sp.m
+    q = [v0_value(sp.P, x) for x in sample_v0_level(sp.P, lo, hi, 2000, seed=5)]
+    assert lo * (1.0 - 1e-12) <= min(q) and max(q) <= hi * (1.0 + 1e-12)
+    assert min(q) < lo + 0.05 * sp.m and max(q) > hi - 0.05 * sp.m
+    level = [v0_value(sp.P, x) for x in sample_v0_level(sp.P, hi, hi, 500, seed=6)]
+    assert np.allclose(level, hi, rtol=1e-12, atol=0.0)
+
+
 def test_explicit_constants_sanity():
     g, _ = _setup()
     ec = explicit_constants(g, 0.5)
-    assert ec.X_n > 0 and ec.C1_n > 0 and ec.C2_n > 0
+    assert ec.C1_n > 0
     assert 0 < ec.kappa0_of_m <= 0.999 / 4
     # n=1: the deviation sweep is finite
     g1 = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=100, verify_samples_per_kappa=100))
