@@ -144,6 +144,9 @@ def read_gains(path: str):
             )
             if g.K.shape != (g.n,) or g.S.shape != (g.n, g.n):
                 raise ConfigError(f"{path}: inconsistent dimensions")
+            # C0 = 0 means no perturbation certificate; a negative C0 is a corrupt value
+            if g.C0 < 0:
+                raise ValueError(f"C0 = {kv['C0']} is negative")
             return g, g.b_lower
         if kind == "hong":
             cert = {}
@@ -174,6 +177,11 @@ def read_gains(path: str):
             )
             if g.ell.shape != (g.n,):
                 raise ConfigError(f"{path}: inconsistent dimensions")
+            # the cascade is defined for |kappa| <= 1/(2n); kappa_pos has its default by now
+            if not 0 < g.kappa_bound <= 1.0 / (2 * g.n):
+                raise ValueError(f"kappa_bound = {kv['kappa_bound']} outside (0, 1/(2n)] for n = {g.n}")
+            if not 0 <= g.kappa_pos <= g.kappa_bound:
+                raise ValueError(f"kappa_pos = {g.kappa_pos!r} outside [0, kappa_bound]")
             return g, _finite(kv["b_lower"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc

@@ -26,7 +26,7 @@ from .switching import (
     v0_value,
     z_value,
 )
-from .timescale import TimeScale
+from .timescale import HORIZON_GUARD, TimeScale
 
 __all__ = [
     "Signal",
@@ -253,28 +253,132 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
+# the same entries by name; c6 = c7 = 1, and the zeros b2 and e2 enter no sum
+_C2, _C3, _C4, _C5 = _DP_C[:4]
+(
+    (_A21,),
+    (_A31, _A32),
+    (_A41, _A42, _A43),
+    (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65),
+    (_B1, _B2, _B3, _B4, _B5, _B6),
+) = _DP_A
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
+
+def _all_finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _dp_attempt(f, t, h, x, k1):
+    """One DP54 attempt of size h from (t, x) with slope k1 = f(t, x).
+
+    Returns (x_new, x_new as an array, err, k7) with k7 = f(t + h, x_new),
+    the next step's k1 (first same as last), or None at the first non-finite
+    slope; x_new and err are float lists.  Each stage state is
+    x_i + (h*a_1)*k1_i + (h*a_2)*k2_i + ..., summed left to right over the
+    nonzero entries of its tableau row, and err is summed the same way from
+    0.0: the order of elementwise numpy updates, so the bits equal theirs.
+    """
+    a1 = h * _A21
+    k2 = f(t + _C2 * h, np.array([xi + a1 * p for xi, p in zip(x, k1)]))
+    if not _all_finite(k2):
+        return None
+    a1, a2 = h * _A31, h * _A32
+    k3 = f(t + _C3 * h, np.array([xi + a1 * p + a2 * q for xi, p, q in zip(x, k1, k2)]))
+    if not _all_finite(k3):
+        return None
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4 = f(
+        t + _C4 * h,
+        np.array([xi + a1 * p + a2 * q + a3 * r for xi, p, q, r in zip(x, k1, k2, k3)]),
+    )
+    if not _all_finite(k4):
+        return None
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = f(
+        t + _C5 * h,
+        np.array([
+            xi + a1 * p + a2 * q + a3 * r + a4 * s
+            for xi, p, q, r, s in zip(x, k1, k2, k3, k4)
+        ]),
+    )
+    if not _all_finite(k5):
+        return None
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = f(
+        t + h,
+        np.array([
+            xi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * v
+            for xi, p, q, r, s, v in zip(x, k1, k2, k3, k4, k5)
+        ]),
+    )
+    if not _all_finite(k6):
+        return None
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    x_new = [
+        xi + b1 * p + b3 * r + b4 * s + b5 * v + b6 * w
+        for xi, p, r, s, v, w in zip(x, k1, k3, k4, k5, k6)
+    ]
+    xa = np.array(x_new)
+    k7 = f(t + h, xa)
+    if not _all_finite(k7):
+        return None
+    e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
+    err = [
+        0.0 + e1 * p + e3 * r + e4 * s + e5 * v + e6 * w + e7 * z
+        for p, r, s, v, w, z in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return x_new, xa, err, k7
+
+
+def _err_norm(x, x_new, err, abs_tol, rel_tol) -> float:
+    """RMS of err / (abs_tol + rel_tol * max(|x|, |x_new|)) over the components.
+
+    Bit-equal to the numpy expression sqrt(((err / tol) ** 2).sum() / n) with
+    tol built by np.maximum: a NaN in x_i is also in x_new_i, and the
+    comparison below then picks it, as np.maximum does; a zero tol gives the
+    inf or NaN of numpy's division; and numpy's add.reduce sums fewer than 8
+    terms in index order, so only longer vectors go back to it.
+    """
+    sq = []
+    for xi, yi, e in zip(x, x_new, err):
+        ax, ay = abs(xi), abs(yi)
+        tol = abs_tol + rel_tol * (ax if ax >= ay else ay)
+        q = e / tol if tol else e * math.inf
+        sq.append(q * q)
+    if len(sq) < 8:
+        total = 0.0
+        for v in sq:
+            total += v
+    else:
+        total = float(np.add.reduce(sq))
+    return math.sqrt(total / len(sq))
 
 
 def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     """Generic DP54 loop.  Returns (ts, xs, status, settle_time, fail_time).
 
-    h_cap(t, x) bounds the next step.  on_step(t, x) is called for every
-    recorded row, the initial one included, right after the RHS evaluation at
-    that row's (t, x): by the first-same-as-last property the last stage of an
-    accepted step is evaluated exactly at the accepted state, so on_step can
-    read that evaluation's by-products as the row's values.
+    f(t, x) takes a float64 array and returns the slope as a sequence of
+    floats; an attempted step evaluates it 6 times (first same as last), plus
+    once at the start.  h_cap(t, x) bounds the next step.  on_step(t, x) is
+    called for every recorded row, the initial one included, right after the
+    RHS evaluation at that row's (t, x), so on_step can read that
+    evaluation's by-products as the row's values.  xs holds each row as a
+    list of floats.
     """
     t = float(t0)
     x = np.asarray(x0, dtype=float).copy()
+    xl = x.tolist()
     ts = [t]
-    xs = [x.copy()]
+    xs = [xl]
     evals = sorted(v for v in opts.t_eval if t0 < v <= t_end)
     eval_i = 0
 
     k1 = f(t, x)
     if on_step is not None:
         on_step(t, x)
-    if not np.isfinite(k1).all():
+    if not _all_finite(k1):
         return ts, xs, "step_failure", None, t
     scale = np.linalg.norm(x) + 1.0
     rate = np.linalg.norm(k1) + 1e-12
@@ -285,7 +389,6 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     streak = 0
     status = "horizon"
     fail_time = None
-    ks = [None] * 7
 
     for _ in range(opts.max_steps):
         if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
@@ -303,45 +406,22 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             fail_time = t
             break
 
-        ks[0] = k1
-        bad = False
-        for stage in range(1, 7):
-            xa = x.copy()
-            a_row = _DP_A[stage - 1]
-            for idx, a in enumerate(a_row):
-                if a != 0.0:
-                    xa += h_try * a * ks[idx]
-            ts_stage = t + (_DP_C[stage - 1] * h_try if stage < 6 else h_try)
-            ks[stage] = f(ts_stage, xa)
-            if not np.isfinite(ks[stage]).all():
-                bad = True
-                break
-        if bad:
+        step = _dp_attempt(f, t, h_try, xl, k1)
+        if step is None:
             h = h_try * 0.2
             if h < MIN_STEP:
                 status = "step_failure"
                 fail_time = t
                 break
             continue
-
-        x_new = x.copy()
-        for idx, b in enumerate(_DP_A[5]):
-            if b != 0.0:
-                x_new += h_try * b * ks[idx]
-        k7 = f(t + h_try, x_new)
-        err = np.zeros_like(x)
-        for idx, e in enumerate(_DP_E):
-            if e != 0.0:
-                err += h_try * e * (ks[idx] if idx < 6 else k7)
-        tol = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err_norm = math.sqrt(float(((err / tol) ** 2).sum()) / len(x))
+        xl_new, x_new, err, k7 = step
+        err_norm = _err_norm(xl, xl_new, err, opts.abs_tol, opts.rel_tol)
 
         if err_norm <= 1.0 or h_try <= MIN_STEP * 10:
             t += h_try
-            x = x_new
-            k1 = k7 if np.isfinite(k7).all() else f(t, x)
+            x, xl, k1 = x_new, xl_new, k7
             ts.append(t)
-            xs.append(x.copy())
+            xs.append(xl)
             if on_step is not None:
                 on_step(t, x)
             nx = math.sqrt(x.dot(x))
@@ -355,7 +435,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             else:
                 streak = 0
                 settle_first = None
-            if not np.isfinite(x).all():
+            if not _all_finite(xl):
                 status = "step_failure"
                 fail_time = t
                 break
@@ -397,11 +477,10 @@ def integrate(
     def f(t, x):
         xm = x + d1(t) if d1 is not None else x
         u = last_u[0] = ctrl.u(t, xm)
-        dx = np.empty(n)
-        dx[:-1] = x[1:]
-        dx[-1] = d(t) + b(t) * u
+        dx = x[1:].tolist()
+        dx.append(float(d(t) + b(t) * u))
         if d2 is not None:
-            dx += d2(t)
+            dx = [p + q for p, q in zip(dx, d2(t).tolist())]
         return dx
 
     def h_cap(t, x):
@@ -450,10 +529,17 @@ def integrate_warped(
     and the u of the RHS evaluation at that row, as integrate does; the
     Trajectory is mapped back to x(t), and the warped samples are kept in
     diag["s"] and diag["y<i>"].  Only matched disturbances are meaningful
-    here (d1/d2 are rejected).
+    here (d1/d2 are rejected).  s_max must map inside the time scale's
+    horizon guard, t_of_s(s_max) <= T*(1 - HORIZON_GUARD).
     """
     if dist.d1 is not None or dist.d2 is not None:
         raise ValueError("warped integration supports matched disturbances only")
+    t_guard = ts.T * (1.0 - HORIZON_GUARD)
+    if ts.t_of_s(s_max) > t_guard:
+        raise ValueError(
+            f"s_max={s_max} maps past the horizon guard T*(1-{HORIZON_GUARD:g}) with T={ts.T}; "
+            f"the largest admissible s_max is s(T*(1-{HORIZON_GUARD:g})) = {ts.s(t_guard)!r}"
+        )
     opts = opts or SimOptions(rel_tol=1e-10, abs_tol=1e-13)
     n = spec.n
     w = pnf_weights(n)
@@ -467,11 +553,11 @@ def integrate_warped(
     def f(s, y):
         t = last[0] = ts.t_of_s(s)
         u = last[1] = -float(np.dot(K, eta_pow * y))
-        dy = np.empty(n)
-        dy[:-1] = y[1:]
-        dy[-1] = b(t) * u + d(t)
-        dy += ts.a(t) * r * y
-        return dy
+        yl = y.tolist()
+        dy = yl[1:]
+        dy.append(b(t) * u + d(t))
+        a = ts.a(t)
+        return [p + a * ri * yi for p, ri, yi in zip(dy, w.r, yl)]
 
     t_rows = []
     u_rows = []

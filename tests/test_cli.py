@@ -313,6 +313,11 @@ def fresh_gain_files(tmp_path_factory):
         ("hong", "ell", "nan;2", 1, None),
         ("hong", "certificate.verify_samples_per_kappa", "0", 1, None),
         ("hong", "certificate.kappa_points", "0", 1, None),
+        ("pnf", "C0", "-1", 1, None),
+        ("hong", "kappa_bound", "0.45", 1, None),
+        ("hong", "kappa_bound", "0", 1, None),
+        ("hong", "kappa_pos", "-0.2", 1, None),
+        ("hong", "kappa_pos", "0.3", 1, None),
         # vacuous certificates: one failing row, exit 2
         ("pnf", "rho", "-5", 2, "rho"),
         ("pnf", "rho0", "-5", 2, "rho0"),
