@@ -108,6 +108,9 @@ def _report(rows) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grid_scale < 1:
+        print(f"error: --grid-scale must be >= 1, got {args.grid_scale}", file=sys.stderr)
+        return 1
     try:
         g, b_lower = read_gains(args.gains)
     except (OSError, ConfigError) as exc:
@@ -120,10 +123,9 @@ def cmd_verify(args) -> int:
         rows = [("decay constant C (file)", f"{g.C:.5g}", g.C > 0)]
         cert = g.certificate or {}
         base = int(cert.get("verify_samples_per_kappa", 1500))
-        scale = max(1, args.grid_scale)
-        C_new, _ = verify_decay(g, KAPPA_POINTS, base * scale, seed=int(cert.get("seed", 0)) + 5000)
+        C_new, _ = verify_decay(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 5000)
         rows.append(("decay constant C (rescan)", f"{C_new:.5g}", C_new > 0))
-        resid = decay_residual(g, KAPPA_POINTS, base * scale, seed=int(cert.get("seed", 0)) + 6000)
+        resid = decay_residual(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 6000)
         rows.append(("max dV + C V^(1+a)", f"{resid:.3e}", resid <= 0.0))
         c_raw = cert.get("c_raw")
         if c_raw:
@@ -332,17 +334,15 @@ def _result_cells(traj, metrics) -> list:
 
 
 def _write_run_csv(path: str, traj, n: int):
+    """One row per sample: t, x, u and the diagnostics (nan where not
+    recorded), each cell as format_float writes it."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",u,V0,Vkp,Vkm,kappa,Z"
-    lines = [header]
-    for i in range(len(traj.t)):
-        cells = [format_float(traj.t[i])]
-        cells += [format_float(v) for v in traj.x[i]]
-        cells.append(format_float(traj.u[i]))
-        for c in _DIAG_COLS:
-            cells.append(format_float(traj.diag[c][i]) if c in traj.diag else "nan")
-        lines.append(",".join(cells))
+    nan = np.full(len(traj.t), math.nan)
+    cols = [traj.t, traj.x, traj.u] + [traj.diag.get(c, nan) for c in _DIAG_COLS]
+    row = ",".join(["%.17g"] * (n + 7)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
 
 
 def cmd_simulate(args) -> int:

@@ -93,7 +93,6 @@ def write_gains(path: str, g, b_lower: float | None = None):
             "samples_per_level",
             "verify_samples_per_kappa",
             "seed",
-            "safety",
             "repair_rounds",
             "c_raw",
             "worst_residual",
@@ -102,10 +101,6 @@ def write_gains(path: str, g, b_lower: float | None = None):
                 val = cert[key]
                 txt = format_float(val) if isinstance(val, float) else str(val)
                 lines.append(f"certificate.{key} = {txt}")
-        for lev in cert.get("levels", []):
-            j = lev["level"]
-            for name in ("K", "L", "M", "ell_recursion_bound"):
-                lines.append(f"certificate.level{j}.{name} = {format_float(lev[name])}")
     else:
         raise TypeError(f"cannot serialize {type(g)}")
     with open(path, "w", newline="\n") as fh:
@@ -149,24 +144,19 @@ def read_gains(path: str):
                 raise ValueError(f"C0 = {kv['C0']} is negative")
             return g, g.b_lower
         if kind == "hong":
+            # other certificate entries, such as the safety and level* lines of
+            # older files, are kept as finite floats
             cert = {}
-            levels = {}
             for key, val in kv.items():
                 if not key.startswith("certificate."):
                     continue
                 sub = key[len("certificate.") :]
-                if sub.startswith("level"):
-                    lev_name, field = sub.split(".", 1)
-                    j = int(lev_name[len("level") :])
-                    levels.setdefault(j, {"level": j})[field] = _finite(val)
-                elif sub in _CERT_INTS:
+                if sub in _CERT_INTS:
                     cert[sub] = int(val)
                     if sub in _CERT_COUNTS and cert[sub] < 1:
                         raise ValueError(f"certificate.{sub} = {val} is below 1")
                 else:
                     cert[sub] = _finite(val)
-            if levels:
-                cert["levels"] = [levels[j] for j in sorted(levels)]
             g = HongGainSet(
                 n=int(kv["n"]),
                 ell=_parse_vector(kv["ell"]),

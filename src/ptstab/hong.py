@@ -22,6 +22,15 @@ Gains are picked level by level as the smallest powers of two passing the
 normalized level decay, then the whole set is re-verified, repaired by
 doubling the first failing level, and accepted only once the sampled
 constant is stable under a tenfold denser scan.
+
+Every batched evaluation (verify_decay, decay_residual, the synthesis level
+check, hong_lyapunov, and switching's level-set sampler and design) runs one
+kernel, _cascade_rows: one contiguous vector per level, each |.|^e taken once,
+dV/dt accumulated from the gradient columns and the kink distance
+min_l |x_l - v_{l-1}| tracked in the level loop.  _decay_scores runs it over
+CHUNK-row blocks and scores the kink rows +-inf instead of dropping them, so
+the reductions keep np.argmin's first-worst-row choice.  The scalar _cascade
+serves the per-step feedback.
 """
 
 from __future__ import annotations
@@ -32,18 +41,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _hong_r, check_kappa, hong_weights, kappa_grid, onto_sphere, sample_sphere
+from .core import _hong_r, hong_weights, kappa_grid, onto_sphere, sample_sphere
 
 __all__ = [
     "alpha_of",
-    "beta_exponents",
     "kappa_pos_certified",
     "HongGainSet",
     "HongSynthesisConfig",
     "hong_control",
     "hong_value",
     "hong_lyapunov",
-    "closed_loop_derivative",
     "verify_decay",
     "decay_residual",
     "synthesize_hong_gains",
@@ -54,11 +61,13 @@ __all__ = [
 # the gradient formulas hold only a.e.
 KINK_TOL = 1e-8
 
-# synthesis constants: points of the certified degree grid, the factor that
-# inflates/deflates the recorded recursion bounds, the normalized level decay
-# each gain must clear, and the repair rounds before synthesis gives up
+# rows per block of the decay scan (see _decay_scores)
+CHUNK = 8192
+
+# synthesis constants: points of the certified degree grid, the normalized
+# level decay each gain must clear, and the repair rounds before synthesis
+# gives up
 KAPPA_POINTS = 11
-SAFETY = 4.0
 LEVEL_TARGET = 0.02
 MAX_ROUNDS = 20
 
@@ -88,20 +97,6 @@ def kappa_pos_certified(n: int) -> float:
     the controller stays legal on the full closed interval.
     """
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
-
-
-def beta_exponents(n: int, kappa: float) -> np.ndarray:
-    """Exponents b_0..b_{n-1}: b_0 = 1+kappa and (b_j+1)(1+j*kappa) = 2+kappa."""
-    check_kappa(n, kappa)
-    return np.array([b for b, _, _ in _exponents(n, kappa)])
-
-
-def _abs_pow(B: np.ndarray, e: float) -> np.ndarray:
-    """|B|^e with the a.e. convention 0^e := 0 (also for e <= 0)."""
-    out = np.zeros_like(B)
-    nz = B != 0
-    out[nz] = np.abs(B[nz]) ** e
-    return out
 
 
 @lru_cache(maxsize=32)  # bounded: band scans pass continuous kappa values
@@ -137,39 +132,54 @@ def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
     return v, (V if want_value else None)
 
 
-def _cascade_batch(ell, kappa: float, X: np.ndarray, grad: bool = True):
-    """Vectorized cascade over rows of X (shape (N, j)).
+def _pow0(a: np.ndarray, e: float) -> np.ndarray:
+    """a^e of magnitudes a >= 0 with the a.e. convention 0^e := 0, also for e <= 0."""
+    if e > 0:
+        return np.power(a, e)  # 0^e is 0 already
+    return np.power(a, e, out=np.zeros(len(a)), where=a != 0)
 
-    Returns dict with v_all (N, j), V (N,), gradV (N, j) and dv_last (N, j),
-    the gradient of the final v.  Gradients use the a.e. formulas; callers
-    must avoid kink points.
+
+def _cascade_rows(ell, kappa: float, X: np.ndarray, grad: bool = True):
+    """The batched cascade over the rows of X (shape (N, j)), one level at a time.
+
+    Returns (V, vs, gradV, dv, gap): V per row; vs, the v_l per level (vs[-1]
+    is u); gradV and dv, the columns of grad V and of the gradient of the
+    last v (None unless grad); and gap = min_l |x_l - v_{l-1}|, the distance
+    to the signed-power kinks where the a.e. gradient formulas fail.  Every
+    array is one contiguous (N,) vector, and each |.|^e is taken once.
     """
-    X = np.asarray(X, dtype=float)
-    N, j = X.shape
-    v = np.zeros(N)
-    dv = np.zeros((N, j)) if grad else None
-    V = np.zeros(N)
-    gradV = np.zeros((N, j)) if grad else None
-    v_all = np.empty((N, j))
-    for lvl, (b, b1, gam) in enumerate(_exponents(j, kappa)):
-        xl = X[:, lvl]
-        sx = np.sign(xl) * _abs_pow(xl, b)
-        sv = np.sign(v) * _abs_pow(v, b)
-        w = sx - sv
-        V += (np.abs(xl) ** b1 - np.abs(v) ** b1) / b1 - sv * (xl - v)
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    vs, gradV, dv = [], [], []
+    for lvl, (b, b1, gam) in enumerate(_exponents(len(XT), kappa)):
+        xl = XT[lvl]
+        ax = np.abs(xl)
+        sx = np.sign(xl) * _pow0(ax, b)
+        if lvl == 0:
+            # v_0 = 0 drops out: w = <x>^b, x - v = x and the V term is |x|^b1/b1
+            # (the same bits as the general branch for finite x)
+            w, d, V, gap = sx, xl, ax**b1 / b1, ax
+        else:
+            av = np.abs(v)
+            sv = np.sign(v) * _pow0(av, b)
+            w = sx - sv
+            d = xl - v
+            V += (ax**b1 - av**b1) / b1 - sv * d
+            gap = np.minimum(gap, np.abs(d))
+        aw = np.abs(w)
         if grad:
-            if lvl > 0:
-                fac = -b * _abs_pow(v, b - 1.0) * (xl - v)
-                gradV[:, :lvl] += fac[:, None] * dv[:, :lvl]
-            gradV[:, lvl] += w
-            dw = np.zeros((N, j))
-            if lvl > 0:
-                dw[:, :lvl] = (-b * _abs_pow(v, b - 1.0))[:, None] * dv[:, :lvl]
-            dw[:, lvl] = b * _abs_pow(xl, b - 1.0)
-            dv = (-ell[lvl] * gam * _abs_pow(w, gam - 1.0))[:, None] * dw
-        v = -ell[lvl] * np.sign(w) * _abs_pow(w, gam)
-        v_all[:, lvl] = v
-    return {"v_all": v_all, "V": V, "gradV": gradV, "dv_last": dv}
+            if lvl:
+                # chain rule through <x_l>^b - <v>^b: the earlier columns reach it through v
+                dsv = -b * _pow0(av, b - 1.0)
+                fac = dsv * d
+                for i in range(lvl):
+                    gradV[i] += fac * dv[i]
+                dv = [dsv * col for col in dv]
+            gradV.append(w + 0.0)  # a fresh column; 0.0 + w reads -0.0 as +0.0
+            c = -ell[lvl] * gam * _pow0(aw, gam - 1.0)
+            dv = [c * col for col in dv + [b * _pow0(ax, b - 1.0)]]
+        v = -ell[lvl] * np.sign(w) * _pow0(aw, gam)
+        vs.append(v)
+    return V, vs, (gradV if grad else None), (dv if grad else None), gap
 
 
 @dataclass
@@ -178,7 +188,7 @@ class HongGainSet:
 
     ``C`` is the certified (deflated) decay constant, valid on the degree
     interval [-kappa_bound, kappa_pos]; ``certificate`` records grids, seeds,
-    the raw sampled constant and the conservative recursion bounds per level.
+    the raw sampled constant, the repair rounds and the worst residual.
     """
 
     n: int
@@ -219,14 +229,8 @@ def hong_value(g: HongGainSet, kappa: float, x) -> float:
 def hong_lyapunov(g: HongGainSet, kappa: float, x):
     """Lyapunov value and analytic gradient at a single point."""
     g.check_kappa(kappa)
-    res = _cascade_batch(g.ell, kappa, np.asarray(x, dtype=float)[None, :], grad=True)
-    return float(res["V"][0]), res["gradV"][0]
-
-
-def _kink_mask(X: np.ndarray, v_all: np.ndarray) -> np.ndarray:
-    """True for rows safely away from the signed-power kinks x_j = v_{j-1}."""
-    v_prev = np.concatenate([np.zeros((X.shape[0], 1)), v_all[:, :-1]], axis=1)
-    return np.min(np.abs(X - v_prev), axis=1) > KINK_TOL
+    V, _, gradV, _, _ = _cascade_rows(g.ell, kappa, np.asarray(x, dtype=float)[None, :])
+    return float(V[0]), np.array([col[0] for col in gradV])
 
 
 def _stress_samples(X: np.ndarray, kappa: float, rng) -> np.ndarray:
@@ -248,45 +252,46 @@ def _stress_samples(X: np.ndarray, kappa: float, rng) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _flow_derivative(gradV: np.ndarray, X: np.ndarray, u) -> np.ndarray:
-    """Per row, dV/dt = sum_{i<n} dV/dx_i x_{i+1} + dV/dx_n u along dx = J x + u e_n."""
-    dV = np.zeros(len(X))
-    for i in range(X.shape[1] - 1):
-        dV += gradV[:, i] * X[:, i + 1]
-    return dV + gradV[:, -1] * u
+def _decay_scores(ell, kappa: float, X: np.ndarray, C: float | None = None) -> np.ndarray:
+    """Per row of X: the decay ratio -dV/V^{1+alpha(kappa)}, or dV + C V^{1+alpha} given C.
 
-
-def _decay_rows(ell, kappa: float, X: np.ndarray):
-    """(X, dV/dt, V^{1+alpha(kappa)}) for the level run by X's width, X less its kink rows.
-
-    The per-kappa scan that verify_decay, decay_residual and the synthesis
-    level check reduce.
+    X's width is the level run, and dV/dt is taken along dx = J x + u e_n.
+    Rows within KINK_TOL of a kink score +inf (-inf given C), so the
+    reductions of verify_decay, decay_residual and the synthesis level check
+    skip them.  The cascade runs CHUNK rows at a time, which bounds its
+    working set for any sample count.
     """
     j = X.shape[1]
-    res = _cascade_batch(ell[:j], kappa, X, grad=True)
-    keep = _kink_mask(X, res["v_all"])
-    X, V = X[keep], res["V"][keep]
-    dV = _flow_derivative(res["gradV"][keep], X, res["v_all"][keep, -1])
-    return X, dV, V ** (1.0 + alpha_of(kappa))
+    p = 1.0 + alpha_of(kappa)
+    out = np.empty(len(X))
+    for s in range(0, len(X), CHUNK):
+        Xc = X[s : s + CHUNK]
+        V, vs, gradV, _, gap = _cascade_rows(ell[:j], kappa, Xc)
+        dV = np.zeros(len(Xc))
+        for i in range(j - 1):
+            dV += gradV[i] * Xc[:, i + 1]
+        dV = dV + gradV[-1] * vs[-1]
+        keep = gap > KINK_TOL
+        Vp = np.power(V, p, out=np.zeros(len(V)), where=keep)
+        o = out[s : s + CHUNK]
+        if C is None:
+            o.fill(math.inf)
+            np.divide(-dV, Vp, out=o, where=keep)
+        else:
+            o.fill(-math.inf)
+            np.multiply(C, Vp, out=o, where=keep)
+            np.add(dV, o, out=o, where=keep)
+    return out
 
 
-def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int, seed: int):
-    """(kappa, *_decay_rows) per kappa of g's certified grid, on sphere plus stress samples."""
+def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int, seed: int, C=None):
+    """(kappa, X, _decay_scores) per kappa of g's certified grid, X the sphere plus stress samples."""
     grid = kappa_grid(g.n, kappa_points, g.kappa_pos)
     pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
     rng = np.random.default_rng(seed + 31)
     for kap, P in zip(grid, pts):
         X = np.concatenate([P, _stress_samples(P, kap, rng)], axis=0)
-        yield (kap, *_decay_rows(g.ell, kap, X))
-
-
-def closed_loop_derivative(g: HongGainSet, kappa: float, x):
-    """(dV_kappa/dt, V_kappa) along dx = J x + u e_n with u from the cascade."""
-    g.check_kappa(kappa)
-    X = np.asarray(x, dtype=float)[None, :]
-    res = _cascade_batch(g.ell, kappa, X, grad=True)
-    dV = _flow_derivative(res["gradV"], X, res["v_all"][:, -1])
-    return float(dV[0]), float(res["V"][0])
+        yield kap, X, _decay_scores(g.ell, kap, X, C)
 
 
 def verify_decay(
@@ -304,8 +309,7 @@ def verify_decay(
     """
     best = math.inf
     worst = None
-    for kap, X, dV, Vp in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
-        ratios = -dV / Vp
+    for kap, X, ratios in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
         i = int(np.argmin(ratios))
         if ratios[i] < best:
             best = float(ratios[i])
@@ -321,8 +325,8 @@ def decay_residual(
 ) -> float:
     """max over fresh samples of dV/dt + C * V^{1+alpha} (pass: <= 0)."""
     worst = -math.inf
-    for _, _, dV, Vp in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
-        worst = max(worst, float(np.max(dV + g.C * Vp)))
+    for _, _, resid in _certificate_scan(g, kappa_points, samples_per_kappa, seed, g.C):
+        worst = max(worst, float(np.max(resid)))
     return worst
 
 
@@ -331,55 +335,6 @@ class HongSynthesisConfig:
     samples_per_level: int = 4000
     verify_samples_per_kappa: int = 1500
     seed: int = 0
-
-
-def _recursion_record(ell, grid, cfg: HongSynthesisConfig, n: int) -> list:
-    """Sampled extrema K_j, L_j, M_j and the conservative gain bound per level.
-
-    These are the constants of the inductive gain choice; they are recorded
-    for diagnostics, inflated/deflated by SAFETY.  Correctness of
-    the shipped gains rests on the decay verification, not on these bounds.
-    """
-    records = []
-    for j in range(2, n + 1):
-        pts = sample_sphere(j, grid, cfg.samples_per_level, cfg.seed + 811 * j)
-        Kj = Lj = 0.0
-        Mj = math.inf
-        bound = 0.0
-        for gi, kap in enumerate(grid):
-            X = pts[gi]
-            rj = hong_weights(j, kap).r[-1]
-            b = _exponents(j, kap)[-1][0]
-            bt = min(1.0, b)
-            sub = _cascade_batch(ell[: j - 1], kap, X[:, : j - 1], grad=True)
-            vprev = sub["v_all"][:, -1]
-            dvprev = sub["dv_last"]
-            keep = np.abs(X[:, j - 1] - vprev) > KINK_TOL
-            if not np.any(keep):
-                continue
-            X_, vprev_, dvprev_ = X[keep], vprev[keep], dvprev[keep]
-            gap = X_[:, j - 1] - vprev_
-            # eq. for K: last gradient entry of the (j-1)-level value
-            Kj = max(Kj, float(np.max(np.abs(sub["gradV"][keep, -1]))))
-            # chain term sum_i dv_{j-1}/dx_i * x_{i+1}, i = 1..j-1
-            chain = np.zeros(len(X_))
-            for i in range(j - 1):
-                chain += dvprev_[:, i] * X_[:, i + 1]
-            num = np.abs(-b * _abs_pow(vprev_, b - 1.0) * gap * chain)
-            Lj = max(Lj, float(np.max(num / np.abs(gap) ** bt)))
-            w = np.sign(X_[:, j - 1]) * _abs_pow(X_[:, j - 1], b) - np.sign(
-                vprev_
-            ) * _abs_pow(vprev_, b)
-            Z = _abs_pow(w, 2.0 * (1.0 + kap) / (rj * b))
-            Mj = min(Mj, float(np.min(Z / np.abs(gap) ** (2.0 * (1.0 + kap) / (rj * bt)))))
-            Ki, Li, Mi = SAFETY * Kj, SAFETY * Lj, Mj / SAFETY
-            xi = (ell[0] / ((Ki + Li) * 2.0 ** (j - 1))) ** (1.0 / bt)
-            expo = 2.0 * (1.0 + kap) / (rj * bt) - 1.0 / bt
-            bound = max(bound, (Ki + Li) / (Mi * xi**expo))
-        records.append(
-            {"level": j, "K": Kj, "L": Lj, "M": Mj, "ell_recursion_bound": bound}
-        )
-    return records
 
 
 def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> HongGainSet:
@@ -404,8 +359,7 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     def level_ok(j, gains):
         worst = math.inf
         for kap, X in zip(grid, level_pts[j]):
-            _, dV, Vp = _decay_rows(gains, kap, X)
-            worst = min(worst, float(np.min(-dV / Vp)))
+            worst = min(worst, float(np.min(_decay_scores(gains, kap, X))))
         return worst >= LEVEL_TARGET
 
     for j in range(2, n + 1):
@@ -448,10 +402,8 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
         "samples_per_level": cfg.samples_per_level,
         "verify_samples_per_kappa": cfg.verify_samples_per_kappa,
         "seed": cfg.seed,
-        "safety": SAFETY,
         "c_raw": C_raw,
         "repair_rounds": rounds,
-        "levels": _recursion_record(list(g.ell), grid, cfg, n),
     }
     g.certificate["worst_residual"] = decay_residual(
         g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 997

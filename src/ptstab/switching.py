@@ -21,12 +21,10 @@ from .core import ChainSpec, dilate, dilate_rows, hong_weights, kappa_grid, pnf_
 from .hong import (
     HongGainSet,
     _cascade,
-    _cascade_batch,
+    _cascade_rows,
     _exponents,
-    _flow_derivative,
     alpha_of,
     hong_control,
-    hong_lyapunov,
     hong_value,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "kappa_of_x",
     "fixed_time_feedback",
     "MatchedRobustLaw",
-    "matched_robust_feedback",
     "settling_bound",
     "prescribed_time_feedback",
     "explicit_constants",
@@ -47,7 +44,6 @@ __all__ = [
     "sample_v0_level",
     "sample_vkappa_level",
     "band_decay_margin",
-    "vdot_with_control",
     "switch_diagnostics",
 ]
 
@@ -179,13 +175,6 @@ class MatchedRobustLaw:
         return self._minus_pass(y)[1]
 
 
-def matched_robust_feedback(
-    g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float, y
-) -> float:
-    """One evaluation of the matched-robust law (see MatchedRobustLaw)."""
-    return MatchedRobustLaw(g, sp, spec, reg_eps)(np.asarray(y, dtype=float))
-
-
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:
     """Settling-time bound of the switched loop from the three-phase estimate.
 
@@ -211,13 +200,6 @@ def prescribed_time_feedback(
     mu = max(1.0, sp.T_settle / T_target)
     xm = dilate(pnf_weights(g.n), mu, x)
     return fixed_time_feedback(g, sp, xm, b_lower=b_lower)
-
-
-def vdot_with_control(g: HongGainSet, kappa: float, x, u: float):
-    """(dV_kappa/dt, V_kappa) along dx = Jx + u e_n for an arbitrary u."""
-    V, grad = hong_lyapunov(g, kappa, x)
-    dV = _flow_derivative(grad[None, :], np.asarray(x, dtype=float)[None, :], u)
-    return float(dV[0]), V
 
 
 def z_value(g: HongGainSet, sp: SwitchParams, x, alt_exponent: bool = False) -> float:
@@ -266,7 +248,7 @@ def sample_vkappa_level(g: HongGainSet, kappa: float, level: float, N: int, seed
     """N points on {V_kappa = level}; exact by the degree-(2+kappa) homogeneity."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((N, g.n))
-    V = _cascade_batch(g.ell, kappa, z, grad=False)["V"]
+    V = _cascade_rows(g.ell, kappa, z, grad=False)[0]
     return dilate_rows(hong_weights(g.n, kappa), (level / V) ** (1.0 / (2.0 + kappa)), z)
 
 
@@ -368,14 +350,14 @@ def design_switch_params(
         raise SwitchDesignError("band decay could not be certified; gains look inconsistent")
 
     plus_pts = sample_v0_level(P, 1.0 + m, 1.0 + m, DESIGN_SAMPLES, seed + 3)
-    Vp = _cascade_batch(g.ell, sp.kappa0, plus_pts, grad=False)["V"]
+    Vp = _cascade_rows(g.ell, sp.kappa0, plus_pts, grad=False)[0]
     sp.r_plus = 0.9 * float(np.min(Vp))
     minus_pts = sample_v0_level(P, 1.0 - m, 1.0 - m, DESIGN_SAMPLES, seed + 4)
-    Vm = _cascade_batch(g.ell, -sp.kappa0, minus_pts, grad=False)["V"]
+    Vm = _cascade_rows(g.ell, -sp.kappa0, minus_pts, grad=False)[0]
     sp.r_minus = 1.1 * float(np.max(Vm))
 
     sphere_minus = sample_vkappa_level(g, -sp.kappa0, 1.0, DESIGN_SAMPLES, seed + 5)
-    Vplus_on = _cascade_batch(g.ell, sp.kappa0, sphere_minus, grad=False)["V"]
+    Vplus_on = _cascade_rows(g.ell, sp.kappa0, sphere_minus, grad=False)[0]
     sp.E = 0.9 * float(np.min(Vplus_on))
 
     sp.T_settle = settling_bound(sp.C, m, sp.kappa0, sp.r_plus, sp.r_minus)

@@ -25,7 +25,6 @@ __all__ = [
     "TimeScale",
     "build",
     "x_to_y",
-    "y_to_x",
 ]
 
 # evaluations are refused this close to the horizon; lambda overflows at T
@@ -168,8 +167,3 @@ def x_to_y(ts: TimeScale, w: WeightVector, eta: float, t: float, x) -> np.ndarra
     lam = ts.lam(t)
     return dilate(w, eta * lam, x)
 
-
-def y_to_x(ts: TimeScale, w: WeightVector, eta: float, t: float, y) -> np.ndarray:
-    """Inverse of :func:`x_to_y`."""
-    lam = ts.lam(t)
-    return dilate(w, 1.0 / (eta * lam), y)

@@ -1,8 +1,11 @@
+import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ptstab import cli
 from ptstab.cli import main
 from ptstab.gainfile import ConfigError, read_config, read_gains, validate_config, write_gains
 from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
@@ -97,6 +100,69 @@ def test_verify_hong_grid_scale(tmp_path, capsys):
     report = capsys.readouterr().out
     change_line = [ln for ln in report.splitlines() if "C change" in ln][0]
     assert float(change_line.split()[-2].rstrip("%")) < 10.0
+    # a non-positive scale is a usage error, not a silent scan at scale 1
+    for bad in ("0", "-5"):
+        assert main(["verify", "--gains", out, "--grid-scale", bad]) == 1
+        _one_line_error(capsys, "error: --grid-scale")
+
+
+def test_read_gains_accepts_recursion_record_lines(tmp_path):
+    # files written before the recursion record was dropped carry safety and level* lines
+    h = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=50, verify_samples_per_kappa=50))
+    path = tmp_path / "old.gains"
+    write_gains(str(path), h)
+    fresh = path.read_text()
+    assert "certificate.safety" not in fresh and "certificate.level" not in fresh
+    old = [
+        "certificate.safety = 4",
+        "certificate.level2.K = 1.5",
+        "certificate.level2.L = 0.25",
+        "certificate.level2.M = 0.125",
+        "certificate.level2.ell_recursion_bound = 3",
+    ]
+    path.write_text(fresh + "\n".join(old) + "\n")
+    h2, _ = read_gains(str(path))
+    assert np.array_equal(h2.ell, h.ell) and h2.C == h.C
+    assert h2.certificate["c_raw"] == h.certificate["c_raw"]
+    assert main(["verify", "--gains", str(path)]) == 0
+
+
+def _format_float_run_csv(path, traj, n):
+    """The run-CSV writer as it was: one format_float call per cell."""
+    from ptstab.gainfile import format_float
+
+    header = "t," + ",".join(f"x{i + 1}" for i in range(n)) + ",u,V0,Vkp,Vkm,kappa,Z"
+    lines = [header]
+    for i in range(len(traj.t)):
+        cells = [format_float(traj.t[i])]
+        cells += [format_float(v) for v in traj.x[i]]
+        cells.append(format_float(traj.u[i]))
+        for c in cli._DIAG_COLS:
+            cells.append(format_float(traj.diag[c][i]) if c in traj.diag else "nan")
+        lines.append(",".join(cells))
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("with_diag", [True, False])
+def test_run_csv_writer_bytes(tmp_path, with_diag):
+    rng = np.random.default_rng(3)
+    N, n = 40, 3
+    t = np.cumsum(rng.uniform(0.0, 0.1, N))
+    x = rng.standard_normal((N, n)) * 10.0 ** rng.uniform(-300, 300, (N, n))
+    u = rng.standard_normal(N)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1 / 3]
+    x[: len(special), 0] = special
+    u[: len(special)] = special[::-1]
+    diag = {}
+    if with_diag:
+        diag = {c: rng.standard_normal(N) for c in cli._DIAG_COLS}
+        diag["Z"][: len(special)] = special
+        diag["kappa"][3] = -0.0
+    traj = SimpleNamespace(t=t, x=x, u=u, diag=diag)
+    cli._write_run_csv(str(tmp_path / "new.csv"), traj, n)
+    _format_float_run_csv(str(tmp_path / "old.csv"), traj, n)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_config_validation_rejects_unknown_keys(tmp_path):

@@ -4,17 +4,18 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from ptstab.core import hong_weights, dilate, kappa_grid, sample_sphere, sphere_residual
+from ptstab import hong
+from ptstab.core import check_kappa, hong_weights, dilate, kappa_grid, sample_sphere, sphere_residual
 from ptstab.hong import (
+    CHUNK,
+    KINK_TOL,
     HongGainSet,
     HongSynthesisConfig,
-    alpha_of,
-    beta_exponents,
-    closed_loop_derivative,
     decay_residual,
     hong_control,
     hong_lyapunov,
     hong_value,
+    kappa_pos_certified,
     synthesize_hong_gains,
     verify_decay,
 )
@@ -27,6 +28,12 @@ def _gains(n, ell):
 
 
 # -- beta exponents ---------------------------------------------------------
+
+
+def beta_exponents(n, kappa):
+    """Exponents b_0..b_{n-1}: b_0 = 1+kappa and (b_j+1)(1+j*kappa) = 2+kappa."""
+    check_kappa(n, kappa)
+    return np.array([b for b, _, _ in hong._exponents(n, kappa)])
 
 
 def test_beta_kappa0_all_ones():
@@ -192,8 +199,6 @@ def test_synthesize_n2_certificate():
     assert C > 0
     assert g.certificate["c_raw"] > 0
     assert g.certificate["worst_residual"] <= 0.0
-    assert len(g.certificate["levels"]) == 1
-    assert g.certificate["levels"][0]["ell_recursion_bound"] > 0
 
 
 def test_synthesize_n3_two_seeds():
@@ -211,8 +216,7 @@ def test_verify_decay_worst_point(n):
     C, (kap, x, ratio) = verify_decay(g, samples_per_kappa=500, seed=9)
     assert ratio == C
     assert sphere_residual(x, kap) < 1e-12
-    dV, V = closed_loop_derivative(g, kap, x)
-    assert -dV / V ** (1.0 + alpha_of(kap)) == pytest.approx(C, rel=1e-12)
+    assert hong._decay_scores(g.ell, kap, x[None, :])[0] == pytest.approx(C, rel=1e-12)
 
 
 def test_kappa0_subcase_matches_eigensolver():
@@ -237,11 +241,10 @@ def test_kappa0_subcase_matches_eigensolver():
     pencil = eigh(Q, P, eigvals_only=True)
     c_lin = float(np.min(pencil))
     pts = sample_sphere(2, [0.0], 4000, seed=5)[0]
-    ratios = []
-    for p in pts:
-        dV, V = closed_loop_derivative(g, 0.0, p)
-        ratios.append(-dV / V)
-    assert min(ratios) == pytest.approx(c_lin, rel=0.02)
+    # at kappa = 0 the score is -dV/V^(1+0)
+    ratios = hong._decay_scores(ell, 0.0, pts)
+    assert np.all(np.isfinite(ratios))
+    assert np.min(ratios) == pytest.approx(c_lin, rel=0.02)
 
 
 def test_elementary_power_gap_inequality():
@@ -267,3 +270,175 @@ def test_verify_refinement_stability():
     c1, _ = verify_decay(g, samples_per_kappa=2000, seed=200)
     c10, _ = verify_decay(g, samples_per_kappa=20000, seed=201)
     assert abs(c10 - c1) / c1 < 0.10
+
+
+# -- the scan kernel against the per-matrix cascade it replaced -------------
+
+
+def _oracle_abs_pow(B, e):
+    out = np.zeros_like(B)
+    nz = B != 0
+    out[nz] = np.abs(B[nz]) ** e
+    return out
+
+
+def _oracle_cascade_batch(ell, kappa, X, grad=True):
+    """The cascade as it was written over (N, j) matrices, with masked gathers."""
+    X = np.asarray(X, dtype=float)
+    N, j = X.shape
+    v = np.zeros(N)
+    dv = np.zeros((N, j)) if grad else None
+    V = np.zeros(N)
+    gradV = np.zeros((N, j)) if grad else None
+    v_all = np.empty((N, j))
+    for lvl, (b, b1, gam) in enumerate(hong._exponents(j, kappa)):
+        xl = X[:, lvl]
+        sx = np.sign(xl) * _oracle_abs_pow(xl, b)
+        sv = np.sign(v) * _oracle_abs_pow(v, b)
+        w = sx - sv
+        V += (np.abs(xl) ** b1 - np.abs(v) ** b1) / b1 - sv * (xl - v)
+        if grad:
+            if lvl > 0:
+                fac = -b * _oracle_abs_pow(v, b - 1.0) * (xl - v)
+                gradV[:, :lvl] += fac[:, None] * dv[:, :lvl]
+            gradV[:, lvl] += w
+            dw = np.zeros((N, j))
+            if lvl > 0:
+                dw[:, :lvl] = (-b * _oracle_abs_pow(v, b - 1.0))[:, None] * dv[:, :lvl]
+            dw[:, lvl] = b * _oracle_abs_pow(xl, b - 1.0)
+            dv = (-ell[lvl] * gam * _oracle_abs_pow(w, gam - 1.0))[:, None] * dw
+        v = -ell[lvl] * np.sign(w) * _oracle_abs_pow(w, gam)
+        v_all[:, lvl] = v
+    return {"v_all": v_all, "V": V, "gradV": gradV, "dv_last": dv}
+
+
+def _oracle_kink_mask(X, v_all):
+    v_prev = np.concatenate([np.zeros((X.shape[0], 1)), v_all[:, :-1]], axis=1)
+    return np.min(np.abs(X - v_prev), axis=1) > KINK_TOL
+
+
+def _oracle_decay_rows(ell, kappa, X):
+    """(X, dV/dt, V^{1+alpha}) with the kink rows compacted out."""
+    j = X.shape[1]
+    res = _oracle_cascade_batch(ell[:j], kappa, X, grad=True)
+    keep = _oracle_kink_mask(X, res["v_all"])
+    X, V, gradV, u = X[keep], res["V"][keep], res["gradV"][keep], res["v_all"][keep, -1]
+    dV = np.zeros(len(X))
+    for i in range(j - 1):
+        dV += gradV[:, i] * X[:, i + 1]
+    return X, dV + gradV[:, -1] * u, V ** (1.0 + hong.alpha_of(kappa))
+
+
+def _oracle_scan(g, kappa_points, samples_per_kappa, seed):
+    grid = kappa_grid(g.n, kappa_points, g.kappa_pos)
+    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
+    rng = np.random.default_rng(seed + 31)
+    for kap, P in zip(grid, pts):
+        X = np.concatenate([P, hong._stress_samples(P, kap, rng)], axis=0)
+        yield (kap, *_oracle_decay_rows(g.ell, kap, X))
+
+
+def _oracle_verify_decay(g, kappa_points, samples_per_kappa, seed):
+    best, worst = math.inf, None
+    for kap, X, dV, Vp in _oracle_scan(g, kappa_points, samples_per_kappa, seed):
+        ratios = -dV / Vp
+        i = int(np.argmin(ratios))
+        if ratios[i] < best:
+            best = float(ratios[i])
+            worst = (float(kap), X[i].copy(), best)
+    return best, worst
+
+
+def _oracle_decay_residual(g, kappa_points, samples_per_kappa, seed):
+    worst = -math.inf
+    for _, _, dV, Vp in _oracle_scan(g, kappa_points, samples_per_kappa, seed):
+        worst = max(worst, float(np.max(dV + g.C * Vp)))
+    return worst
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_ORACLE_ELL = [1.0, 2.0, 8.0, 32.0, 256.0]
+
+
+def _edge_rows(n, kappa, N, seed):
+    """N states: magnitudes 1e-9..1e2, exact zeros, -0.0 and a negative subnormal
+    (whose power underflows to -0.0), and rows on, next to or exactly KINK_TOL from the kinks."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, n)) * 10.0 ** rng.uniform(-9.0, 2.0, size=(N, n))
+    special = rng.choice(N, size=min(N, 80), replace=False)
+    for k, r in enumerate(special):
+        col = k % n
+        kind = k % 8
+        if kind == 0:
+            X[r, col] = 0.0
+        elif kind == 1:
+            X[r, col] = -0.0
+        elif kind == 2:
+            X[r] = 0.0
+        elif kind == 6:
+            X[r, 0] = math.copysign(KINK_TOL, X[r, 0])
+        elif kind == 7:
+            X[r, col] = -1e-320
+        elif col > 0:
+            # x_col on v_{col-1}, or within KINK_TOL of it
+            v_prev = _oracle_cascade_batch(_ORACLE_ELL[:n], kappa, X[r : r + 1])["v_all"][0, col - 1]
+            X[r, col] = v_prev + (0.0, 0.5 * KINK_TOL, -2.0 * KINK_TOL)[kind - 3]
+    return X
+
+
+def _oracle_kappas(n):
+    return (-1.0 / (2 * n), 0.0, kappa_pos_certified(n), 1.0 / (2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cascade_rows_matches_oracle_bits(n):
+    ell = np.array(_ORACLE_ELL[:n])
+    for kap in _oracle_kappas(n):
+        X = _edge_rows(n, kap, 997, seed=40 + n)
+        ref = _oracle_cascade_batch(ell, kap, X)
+        V, vs, gradV, dv, gap = hong._cascade_rows(ell, kap, X)
+        _same_bits(V, ref["V"])
+        _same_bits(np.column_stack(vs), ref["v_all"])
+        _same_bits(np.column_stack(gradV), ref["gradV"])
+        _same_bits(np.column_stack(dv), ref["dv_last"])
+        assert np.array_equal(gap > KINK_TOL, _oracle_kink_mask(X, ref["v_all"]))
+        assert not np.all(gap > KINK_TOL)  # the kink rows are there
+        V_only, vs_only, no_grad, no_dv, _ = hong._cascade_rows(ell, kap, X, grad=False)
+        _same_bits(V_only, ref["V"])
+        _same_bits(np.column_stack(vs_only), ref["v_all"])
+        assert no_grad is None and no_dv is None
+
+
+@pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_decay_scores_match_oracle_bits(n, rows):
+    ell = _ORACLE_ELL[:n]
+    C = 0.37
+    for kap in _oracle_kappas(n):
+        X = _edge_rows(n, kap, rows, seed=rows + n)
+        ref = _oracle_cascade_batch(ell, kap, X)
+        keep = _oracle_kink_mask(X, ref["v_all"])
+        _, dV, Vp = _oracle_decay_rows(ell, kap, X)
+        ratio = np.full(rows, math.inf)
+        ratio[keep] = -dV / Vp
+        resid = np.full(rows, -math.inf)
+        resid[keep] = dV + C * Vp
+        _same_bits(hong._decay_scores(ell, kap, X), ratio)
+        _same_bits(hong._decay_scores(ell, kap, X, C), resid)
+
+
+@pytest.mark.parametrize("n, samples", [(1, 300), (2, CHUNK + 1), (3, 700), (4, 3000), (5, 500)])
+def test_verify_and_residual_match_oracle(n, samples):
+    g = _gains(n, _ORACLE_ELL[:n])
+    C, (kap, x, ratio) = verify_decay(g, 11, samples, seed=5)
+    C_ref, (kap_ref, x_ref, ratio_ref) = _oracle_verify_decay(g, 11, samples, 5)
+    _same_bits(C, C_ref)
+    _same_bits(kap, kap_ref)
+    _same_bits(x, x_ref)
+    _same_bits(ratio, ratio_ref)
+    _same_bits(decay_residual(g, 11, samples, seed=6), _oracle_decay_residual(g, 11, samples, 6))

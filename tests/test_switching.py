@@ -7,6 +7,7 @@ from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
     HongSynthesisConfig,
     hong_control,
+    hong_lyapunov,
     hong_value,
     synthesize_hong_gains,
 )
@@ -23,19 +24,29 @@ from ptstab.switching import (
     design_switch_params,
     explicit_constants,
     fixed_time_feedback,
+    MatchedRobustLaw,
     kappa_of_x,
-    matched_robust_feedback,
     prescribed_time_feedback,
     quadratic_form,
     sample_v0_level,
     sample_vkappa_level,
     settling_bound,
     v0_value,
-    vdot_with_control,
     z_value,
 )
 
 _CACHE = {}
+
+
+def vdot_with_control(g, kappa, x, u):
+    """(dV_kappa/dt, V_kappa) along dx = Jx + u e_n for an arbitrary u."""
+    V, grad = hong_lyapunov(g, kappa, x)
+    return float(np.dot(grad[:-1], x[1:]) + grad[-1] * u), V
+
+
+def matched_robust_feedback(g, sp, spec, reg_eps, y):
+    """One evaluation of the matched-robust law."""
+    return MatchedRobustLaw(g, sp, spec, reg_eps)(np.asarray(y, dtype=float))
 
 
 def _setup(n=2, seed=0, m=0.5):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ptstab.core import pnf_weights
+from ptstab.core import dilate, pnf_weights
 from ptstab.timescale import (
     build,
     constant_density,
     expflat_density,
     power_density,
     x_to_y,
-    y_to_x,
 )
 
 ALL_DENSITIES = [
@@ -133,6 +132,11 @@ def test_x_to_y_example():
     w = pnf_weights(2)
     y = x_to_y(ts, w, 1.0, 0.5, [1.0, 1.0])
     assert np.allclose(y, [4.0, 2.0])
+
+
+def y_to_x(ts, w, eta, t, y):
+    """Inverse of x_to_y: x = D^r_{1/(eta*lambda(t))} y."""
+    return dilate(w, 1.0 / (eta * ts.lam(t)), y)
 
 
 def test_xy_roundtrip():
