@@ -9,6 +9,7 @@ lines; unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -29,6 +30,9 @@ FORMAT_TAG = "ptstab-gains-v1"
 # integer entries of a hong certificate; the first three are sample counts
 _CERT_COUNTS = ("kappa_points", "samples_per_level", "verify_samples_per_kappa")
 _CERT_INTS = _CERT_COUNTS + ("seed", "repair_rounds")
+_CERT_KEYS = _CERT_INTS + ("c_raw", "worst_residual")
+# recursion bounds of older files: read as numbers and unused
+_LEGACY_CERT_KEY = re.compile(r"safety|level\d+\..+")
 
 
 class ConfigError(ValueError):
@@ -88,15 +92,7 @@ def write_gains(path: str, g, b_lower: float | None = None):
             f"kappa_pos = {format_float(g.kappa_pos)}",
         ]
         cert = g.certificate or {}
-        for key in (
-            "kappa_points",
-            "samples_per_level",
-            "verify_samples_per_kappa",
-            "seed",
-            "repair_rounds",
-            "c_raw",
-            "worst_residual",
-        ):
+        for key in _CERT_KEYS:
             if key in cert:
                 val = cert[key]
                 txt = format_float(val) if isinstance(val, float) else str(val)
@@ -144,13 +140,13 @@ def read_gains(path: str):
                 raise ValueError(f"C0 = {kv['C0']} is negative")
             return g, g.b_lower
         if kind == "hong":
-            # other certificate entries, such as the safety and level* lines of
-            # older files, are kept as finite floats
             cert = {}
             for key, val in kv.items():
                 if not key.startswith("certificate."):
                     continue
                 sub = key[len("certificate.") :]
+                if sub not in _CERT_KEYS and not _LEGACY_CERT_KEY.fullmatch(sub):
+                    raise ValueError(f"unknown key {key}")
                 if sub in _CERT_INTS:
                     cert[sub] = int(val)
                     if sub in _CERT_COUNTS and cert[sub] < 1:

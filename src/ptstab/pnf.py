@@ -9,6 +9,13 @@ semidefiniteness of the b-slope matrix (the family is affine in b).  A second
 certificate (C0, rho0) extends the inequality to an additive perturbation
 a*D_r with D_r = diag(n-i+1), |a| <= C0, which is what the warped dynamics
 y' = (a D_r + J_n) y + (b u + d) e_n requires.
+
+The b-slope matrix sym(K (S e_n)^T) is PSD only when S e_n is a positive
+multiple of K, so every certificate has the LQR form K = P e_n / b_lower,
+S proportional to P, with P the solution of the Riccati equation
+J^T P + P J - P e_n e_n^T P + Q = 0.  Synthesis searches Q over a short
+geometric family and keeps the gain with the largest dilation-invariant
+perturbation margin.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 
 from .core import jordan_block, pnf_weights
 from .timescale import TimeScale
@@ -24,8 +32,6 @@ from .timescale import TimeScale
 __all__ = [
     "LinearGain",
     "SynthesisError",
-    "companion_lift",
-    "lyapunov_solve",
     "synthesize_linear_gain",
     "verify_lmi",
     "certificate_checks",
@@ -40,6 +46,13 @@ __all__ = [
 EIG_TOL = 1e-9
 # certify_perturbation stops bisecting once C0 is known to this relative width
 C0_REL_TOL = 1e-3
+# least endpoint margin rho a certificate may carry, relative to max_eig(S):
+# synthesis discards weaker candidates and verify fails them
+RHO_FLOOR = 1e-6
+# the Riccati state weights Q = diag(2^(k*(i-1))) searched.  Steepest first:
+# at orders the solver cannot handle, the steep weights fail at once, so
+# synthesis refuses within milliseconds
+Q_RATIO_EXPONENTS = range(4, -9, -1)
 
 
 class SynthesisError(RuntimeError):
@@ -57,31 +70,6 @@ class LinearGain:
     b_lower: float
     C0: float = 0.0
     rho0: float = 0.0
-
-
-def companion_lift(K) -> np.ndarray:
-    """Upper-triangular Toeplitz polynomial in J_n with M e_n = K.
-
-    M commutes with J_n and is invertible iff the last entry of K is nonzero.
-    """
-    K = np.asarray(K, dtype=float)
-    n = len(K)
-    J = jordan_block(n)
-    M = np.zeros((n, n))
-    Jp = np.eye(n)
-    for p in range(n):
-        M += K[n - 1 - p] * Jp
-        Jp = Jp @ J
-    return M
-
-
-def lyapunov_solve(H: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve H^T X + X H = -Q by Kronecker vectorization (row-major vec)."""
-    m = H.shape[0]
-    I = np.eye(m)
-    A = np.kron(H.T, I) + np.kron(I, H.T)
-    X = np.linalg.solve(A, -Q.reshape(-1)).reshape(m, m)
-    return 0.5 * (X + X.T)
 
 
 def _closed_loop(n: int, K: np.ndarray, b: float) -> np.ndarray:
@@ -102,79 +90,6 @@ def _slope_matrix(g: LinearGain) -> np.ndarray:
     en[n - 1] = 1.0
     E = np.outer(g.K, en) @ g.S + g.S @ np.outer(en, g.K)
     return 0.5 * (E + E.T)
-
-
-def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
-    """Constructive synthesis of (K, S, rho) valid for every b >= b_lower.
-
-    Base case n=1: S = 1/2, K = 1/b_lower, rho = 1.  For n >= 2 the gain is
-    assembled in three frames: pole placement at {-1, ..., -(n-1)} fixes the
-    vector Omega, a Lyapunov solve gives the (n-1)-block of S, the scalar k1
-    is doubled until the endpoint eigenvalue check clears -1/2, and the
-    result is mapped back through A_Omega and the companion lift.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not b_lower > 0:
-        raise ValueError("b_lower must be positive")
-    if n == 1:
-        g = LinearGain(
-            n=1,
-            K=np.array([1.0 / b_lower]),
-            S=np.array([[0.5]]),
-            rho=1.0,
-            b_lower=b_lower,
-        )
-        return g
-
-    m = n - 1
-    # char(s) = s^m - Omega_1 s^(m-1) - ... - Omega_m, roots placed at -1..-m
-    coeffs = np.poly(np.arange(-1.0, -m - 1.0, -1.0))
-    Omega = -coeffs[1:]
-    H = jordan_block(m)
-    H[:, 0] += Omega
-    Sm = lyapunov_solve(H, np.eye(m))
-
-    Sy = np.zeros((n, n))
-    Sy[0, 0] = 1.0
-    Sy[1:, 1:] = Sm
-
-    A_Om = np.eye(n)
-    A_Om[1:, 0] = Omega
-    A_Om_inv = np.eye(n)
-    A_Om_inv[1:, 0] = -Omega
-
-    k1 = 1.0
-    rho_y = None
-    while True:
-        Khat = np.concatenate(([k1], -k1 * Omega))
-        Chat = jordan_block(n) - b_lower * np.outer(Khat, np.eye(n)[0])
-        Ahat = A_Om @ Chat @ A_Om_inv
-        G = Ahat.T @ Sy + Sy @ Ahat
-        top = float(np.max(np.linalg.eigvalsh(0.5 * (G + G.T))))
-        if top <= -0.5:
-            rho_y = -top
-            break
-        k1 *= 2.0
-        if k1 > 2.0**40:
-            raise SynthesisError(f"k1 doubling cap reached for n={n}, b_lower={b_lower}")
-
-    # pull the certificate back: y-frame -> e1-form -> e_n K^T form
-    S1 = A_Om.T @ Sy @ A_Om
-    K = Khat[::-1].copy()
-    P = companion_lift(Khat)
-    S = P.T @ S1 @ P
-    S = 0.5 * (S + S.T)
-    # the LMI is invariant under (S, rho) -> (S/c, rho/c); normalizing to unit
-    # spectral norm keeps the absolute 1e-9 tolerances meaningful at every n
-    S /= float(np.max(np.linalg.eigvalsh(S)))
-
-    g = LinearGain(n=n, K=K, S=S, rho=1.0, b_lower=b_lower)
-    # tighten rho to the margin actually achieved at the endpoint
-    g.rho = -float(np.max(np.linalg.eigvalsh(_lmi_matrix(g, b_lower))))
-    if g.rho <= 0:
-        raise SynthesisError("mapped-back certificate lost definiteness")
-    return g
 
 
 def _max_eig(M: np.ndarray) -> float:
@@ -207,24 +122,31 @@ def verify_lmi(g: LinearGain):
     return all(ok for _, _, ok in checks), checks[1][1], checks[2][1]
 
 
-def _perturbed_margin(g: LinearGain, c: float, rho0: float) -> float:
-    """Largest max-eig over a = +/-c of the LMI matrix at b_lower plus a*(D_r S + S D_r) + rho0 I."""
+def _perturbed_pencil(g: LinearGain, rho0: float):
+    """(M + rho0 I, D_r S + S D_r), M the LMI matrix at b_lower."""
     Dr = np.diag(pnf_weights(g.n).r)
-    M = _lmi_matrix(g, g.b_lower)
-    return max(_max_eig(M + a * (Dr @ g.S + g.S @ Dr) + rho0 * np.eye(g.n)) for a in (-c, c))
+    return _lmi_matrix(g, g.b_lower) + rho0 * np.eye(g.n), Dr @ g.S + g.S @ Dr
+
+
+def _perturbed_margin(pencil, c: float) -> float:
+    """Largest max-eig of M + a*(D_r S + S D_r) + rho0 I over a = +/-c."""
+    M0, H = pencil
+    return max(_max_eig(M0 + a * H) for a in (-c, c))
 
 
 def certificate_checks(g: LinearGain) -> list:
     """(name, value, passed) of every check of a certificate.
 
-    The checks of verify_lmi and rho > 0 (a margin rho <= 0 certifies no
-    decay), then, once C0 > 0, rho0 > 0 and the perturbed endpoints
-    a = +/-C0 at margin rho0 (pass requires <= EIG_TOL; certify_perturbation
-    bisects on the same margin with no slack).
+    The checks of verify_lmi and rho >= RHO_FLOOR * max_eig(S) (a margin
+    that small certifies no decay the eigenvalue checks can resolve), then,
+    once C0 > 0, rho0 > 0 and the perturbed endpoints a = +/-C0 at margin
+    rho0 (pass requires <= EIG_TOL; certify_perturbation bisects on the same
+    margin with no slack).
     """
-    checks = _lmi_checks(g) + [("rho", g.rho, g.rho > 0)]
+    rho_ok = g.rho > 0 and g.rho >= RHO_FLOOR * _max_eig(g.S)
+    checks = _lmi_checks(g) + [("rho", g.rho, rho_ok)]
     if g.C0 > 0:
-        worst = _perturbed_margin(g, g.C0, g.rho0)
+        worst = _perturbed_margin(_perturbed_pencil(g, g.rho0), g.C0)
         checks.append(("rho0", g.rho0, g.rho0 > 0))
         checks.append(("perturbed endpoints + rho0", worst, worst <= EIG_TOL))
     return checks
@@ -242,9 +164,10 @@ def certify_perturbation(g: LinearGain):
     if not ok:
         raise ValueError("gain fails verify_lmi; cannot certify perturbation")
     rho0 = g.rho / 2.0
+    pencil = _perturbed_pencil(g, rho0)
 
     def ok_at(c):
-        return _perturbed_margin(g, c, rho0) <= 0.0
+        return _perturbed_margin(pencil, c) <= 0.0
 
     lo = 0.0
     hi = 1e-3
@@ -267,6 +190,58 @@ def certify_perturbation(g: LinearGain):
     g.C0 = lo
     g.rho0 = rho0
     return lo, rho0
+
+
+def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
+    """LQR certificate for Q = diag(2^(k*(i-1))), R = 1, with S scaled to unit norm."""
+    en = np.zeros((n, 1))
+    en[n - 1] = 1.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # the weights overflow for n >= 257, before any n x n matrix exists
+        q = 2.0 ** (k * np.arange(n))
+        P = solve_continuous_are(jordan_block(n), en, np.diag(q), np.eye(1))
+    P = 0.5 * (P + P.T)
+    g = LinearGain(n=n, K=P[:, n - 1] / b_lower, S=P / _max_eig(P), rho=0.0, b_lower=b_lower)
+    g.rho = -_max_eig(_lmi_matrix(g, b_lower))
+    return g
+
+
+def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
+    """Certified (K, S, rho) valid for every b >= b_lower, with (C0, rho0) set.
+
+    Base case n=1: S = 1/2, K = 1/b_lower, rho = 1.  For n >= 2 each Riccati
+    weight in Q_RATIO_EXPONENTS gives a candidate; those with rho >= RHO_FLOOR
+    are certified by certify_perturbation and scored by
+    C0 / max_i (b_lower K_i)^(1/r_i).  The pair (D_mu K, mu C0) certifies the
+    same closed loop for every mu > 0, so the raw C0 is not comparable across
+    candidates and the score is.  P does not depend on b_lower, so neither
+    does the choice.  A solver failure, or no candidate clearing the floor,
+    raises SynthesisError.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not b_lower > 0:
+        raise ValueError("b_lower must be positive")
+    if n == 1:
+        g = LinearGain(n=1, K=np.array([1.0 / b_lower]), S=np.array([[0.5]]), rho=1.0, b_lower=b_lower)
+        certify_perturbation(g)
+        return g
+    best, best_score = None, 0.0
+    for k in Q_RATIO_EXPONENTS:
+        try:
+            g = _riccati_gain(n, b_lower, k)
+        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+            raise SynthesisError(f"Riccati solver failed at n={n}: {exc}") from exc
+        if not g.rho >= RHO_FLOOR:
+            continue
+        certify_perturbation(g)
+        r = np.array(pnf_weights(n).r)
+        score = g.C0 / float(np.max((b_lower * g.K) ** (1.0 / r)))
+        if score > best_score:
+            best, best_score = g, score
+    if best is None:
+        raise SynthesisError(f"no Riccati gain reaches rho >= {RHO_FLOOR:g} at n={n}")
+    return best
 
 
 def pnf_feedback(g: LinearGain, ts: TimeScale, eta: float, t: float, x) -> float:

@@ -85,18 +85,25 @@ def _ok(num, msg):
 
 
 def test_criterion_01_lmi_certificate_suite():
-    for n in range(1, 7):
+    for n in range(1, 13):
         for b_lower in (0.25, 1.0, 4.0):
             g = synthesize_linear_gain(n, b_lower)
             ok, endpoint, slope = verify_lmi(g)
             assert ok, (n, b_lower, endpoint, slope)
             assert endpoint <= 1e-9
             assert slope >= -1e-9
+            if b_lower == 0.25:
+                ref = g
+            # the search does not depend on b_lower (exact: b_lower is a power of 2)
+            assert (
+                np.array_equal(g.S, ref.S) and g.rho == ref.rho and g.C0 == ref.C0
+                and np.array_equal(b_lower * g.K, ref.b_lower * ref.K)
+            )
             if n == 1:
                 assert g.K[0] == pytest.approx(1.0 / b_lower, rel=1e-15)
                 assert g.S[0, 0] == 0.5
                 assert g.rho == pytest.approx(1.0, rel=1e-12)
-    _ok(1, "18 gain syntheses verified; n=1 reproduces K=1/b, S=1/2, rho=1")
+    _ok(1, "36 gain syntheses verified, independent of b_lower; n=1 reproduces K=1/b, S=1/2, rho=1")
 
 
 # 2 ---------------------------------------------------------------------------

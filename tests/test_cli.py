@@ -334,12 +334,23 @@ def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
     from ptstab.switching import SwitchDesignError
 
     out = f"output.dir = {tmp_path / 'o'}"
-    # pnf synthesis refuses n = 8 (SynthesisError)
-    cfg = _write_cfg(tmp_path / "p8.cfg", ["plant.n = 8", "controller.kind = pnf", out])
-    assert main(["simulate", "--config", cfg]) == 2
+    # pnf synthesis refuses n = 14 (no gain clears the rho floor) and n = 40
+    # (the Riccati solver fails), each with a SynthesisError
+    for n in (14, 40):
+        cfg = _write_cfg(tmp_path / f"p{n}.cfg", [f"plant.n = {n}", "controller.kind = pnf", out])
+        assert main(["simulate", "--config", cfg]) == 2
+        _one_line_error(capsys, "synthesis failed: ")
+        assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 2
+        _one_line_error(capsys, "synthesis failed: ")
+
+    # a certificate that fails its own checks is not written
+    flipped = LinearGain(n=1, K=np.array([-1.0]), S=np.array([[0.5]]), rho=1.0, b_lower=1.0)
+    monkeypatch.setattr(cli, "synthesize_linear_gain", lambda n, b_lower: flipped)
+    gains = tmp_path / "flipped.gains"
+    assert main(["synthesize", "--kind", "pnf", "--n", "1", "--b-lower", "1", "--out", str(gains)]) == 2
     _one_line_error(capsys, "synthesis failed: ")
-    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 2
-    _one_line_error(capsys, "synthesis failed: ")
+    assert not gains.exists()
+    monkeypatch.undo()
 
     cfg = _write_cfg(tmp_path / "h.cfg", ["plant.n = 2", "controller.kind = fixed_time", out])
 
@@ -384,8 +395,10 @@ def fresh_gain_files(tmp_path_factory):
         ("hong", "kappa_bound", "0", 1, None),
         ("hong", "kappa_pos", "-0.2", 1, None),
         ("hong", "kappa_pos", "0.3", 1, None),
+        ("hong", "certificate.seed", "1\ncertificate.sead = 1", 1, None),
         # vacuous certificates: one failing row, exit 2
         ("pnf", "rho", "-5", 2, "rho"),
+        ("pnf", "rho", "1e-8", 2, "rho"),
         ("pnf", "rho0", "-5", 2, "rho0"),
         ("hong", "C", "-1", 2, "decay constant C (file)"),
     ],

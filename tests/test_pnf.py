@@ -9,10 +9,8 @@ from ptstab.pnf import (
     LinearGain,
     certificate_checks,
     certify_perturbation,
-    companion_lift,
     convergence_envelope,
     envelope_constants,
-    lyapunov_solve,
     noise_envelope,
     pnf_feedback,
     synthesize_linear_gain,
@@ -46,7 +44,7 @@ def test_n1_scaled_b_lower():
     assert verify_lmi(g)[0]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("b_lower", [0.25, 1.0, 4.0])
 def test_synthesis_battery(n, b_lower):
     g = synthesize_linear_gain(n, b_lower)
@@ -77,31 +75,6 @@ def test_monotone_robustness_in_b():
             assert _lmi_max_eig(g, factor * g.b_lower) <= -g.rho + 1e-9
 
 
-def test_companion_lift_identities():
-    rng = np.random.default_rng(11)
-    for n in (2, 3, 5):
-        J = jordan_block(n)
-        en = np.zeros(n)
-        en[-1] = 1.0
-        for _ in range(20):
-            K = rng.standard_normal(n)
-            if abs(K[0]) < 1e-3 or abs(K[-1]) < 1e-3:
-                continue
-            M = companion_lift(K)
-            assert np.max(np.abs(M @ en - K)) < 1e-12
-            assert np.max(np.abs(M @ J - J @ M)) < 1e-12
-
-
-def test_lyapunov_solver():
-    rng = np.random.default_rng(3)
-    H = -np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    if np.max(np.linalg.eigvals(H).real) >= -0.05:
-        H -= np.eye(3)
-    Q = np.eye(3)
-    X = lyapunov_solve(H, Q)
-    assert np.max(np.abs(H.T @ X + X @ H + Q)) < 1e-10
-
-
 def test_certify_perturbation_n1():
     g = synthesize_linear_gain(1, 1.0)
     C0, rho0 = certify_perturbation(g)
@@ -121,7 +94,7 @@ def test_certify_perturbation_n2():
         assert _lmi_max_eig(g, g.b_lower, a) <= -rho0 + 1e-8
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("b_lower", [0.5, 1.0, 1.7, 3.0])
 def test_certified_c0_holds_without_slack(n, b_lower):
     # the perturbed inequality at |a| <= C0 must hold outright, not only
