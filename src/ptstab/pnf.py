@@ -36,6 +36,7 @@ __all__ = [
     "verify_lmi",
     "certificate_checks",
     "certify_perturbation",
+    "pnf_law",
     "pnf_feedback",
     "envelope_constants",
     "convergence_envelope",
@@ -139,15 +140,17 @@ def certificate_checks(g: LinearGain) -> list:
 
     The checks of verify_lmi and rho >= RHO_FLOOR * max_eig(S) (a margin
     that small certifies no decay the eigenvalue checks can resolve), then,
-    once C0 > 0, rho0 > 0 and the perturbed endpoints a = +/-C0 at margin
-    rho0 (pass requires <= EIG_TOL; certify_perturbation bisects on the same
-    margin with no slack).
+    once C0 > 0, rho0 >= RHO_FLOOR/2 * max_eig(S) (synthesis sets
+    rho0 = rho/2) and the perturbed endpoints a = +/-C0 at margin rho0 (pass
+    requires <= EIG_TOL; certify_perturbation bisects on the same margin
+    with no slack).
     """
-    rho_ok = g.rho > 0 and g.rho >= RHO_FLOOR * _max_eig(g.S)
+    s_max = _max_eig(g.S)
+    rho_ok = g.rho > 0 and g.rho >= RHO_FLOOR * s_max
     checks = _lmi_checks(g) + [("rho", g.rho, rho_ok)]
     if g.C0 > 0:
         worst = _perturbed_margin(_perturbed_pencil(g, g.rho0), g.C0)
-        checks.append(("rho0", g.rho0, g.rho0 > 0))
+        checks.append(("rho0", g.rho0, g.rho0 > 0 and g.rho0 >= RHO_FLOOR / 2 * s_max))
         checks.append(("perturbed endpoints + rho0", worst, worst <= EIG_TOL))
     return checks
 
@@ -244,12 +247,23 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
     return best
 
 
+def pnf_law(g: LinearGain, ts: TimeScale, eta: float):
+    """The feedback (t, x) -> -K^T D^r_{eta*lambda(t)} x with K and r bound once.
+
+    x must be a float array; pnf_feedback accepts any sequence.
+    """
+    K = g.K
+    r = np.array(pnf_weights(g.n).r)
+
+    def u(t, x):
+        return -float(np.dot(K, (eta * ts.lam(t)) ** r * x))
+
+    return u
+
+
 def pnf_feedback(g: LinearGain, ts: TimeScale, eta: float, t: float, x) -> float:
     """Time-varying linear control u = -K^T D^r_{eta*lambda(t)} x."""
-    lam = ts.lam(t)
-    x = np.asarray(x, dtype=float)
-    scales = (eta * lam) ** np.array(pnf_weights(g.n).r)
-    return -float(np.dot(g.K, scales * x))
+    return pnf_law(g, ts, eta)(t, np.asarray(x, dtype=float))
 
 
 def envelope_constants(g: LinearGain) -> dict:

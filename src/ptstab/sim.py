@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ChainSpec, dilate, pnf_weights
 from .hong import HongGainSet
-from .pnf import LinearGain, pnf_feedback
+from .pnf import LinearGain, pnf_law
 from .switching import (
     MatchedRobustLaw,
     SwitchParams,
@@ -159,7 +159,7 @@ class Controller:
 def pnf_controller(gain: LinearGain, ts: TimeScale, eta: float, t_stop_frac: float = 1.0 - 1e-6):
     return Controller(
         name="pnf",
-        u=lambda t, x: pnf_feedback(gain, ts, eta, t, x),
+        u=pnf_law(gain, ts, eta),
         t_stop=ts.T * t_stop_frac,
     )
 

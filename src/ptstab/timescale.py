@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.special import expi
 
 from .core import WeightVector, dilate
 
@@ -29,6 +28,17 @@ __all__ = [
 
 # evaluations are refused this close to the horizon; lambda overflows at T
 HORIZON_GUARD = 1e-9
+# the expflat clock uses the asymptotic series of G above this u; scipy's
+# expi loses up to 3e-14 relative between 40 and 45, where the series is good
+# to 3e-15 and better beyond
+ASYMPTOTIC_U = 40.0
+# the inverse expflat clock stops once |ln(s/sigma)| is this small, or once
+# no double lies strictly inside its bracket
+CLOCK_RESID_TOL = 2.0**-46
+# 8-point Gauss-Legendre rule on [0, 1] for short clock spans (3e-15 relative)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+_GL_RULE = tuple(zip((0.5 * (1.0 + _GL_X)).tolist(), (0.5 * _GL_W).tolist()))
+_E64 = math.exp(64.0)
 
 
 @dataclass(frozen=True)
@@ -67,12 +77,147 @@ def expflat_density() -> Density:
     return Density("expflat")
 
 
+def _g(u: float) -> float:
+    """G(u) = Ei(u) - e^u/u, an antiderivative of e^u/u^2 (A&S 5.1)."""
+    return float(expi(u)) - math.exp(u) / u
+
+
+def _g_scaled(u: float) -> float:
+    """u^2 e^-u G(u) from its asymptotic series sum_k (k+1)!/u^k, for u > ASYMPTOTIC_U."""
+    total = term = 1.0
+    k = 1
+    while True:
+        nxt = term * (k + 1) / u
+        if nxt >= term:  # the series has reached its smallest term
+            return total
+        term = nxt
+        total += term
+        if term < 1e-17 * total:
+            return total
+        k += 1
+
+
+def _exp_times(e: float, m: float) -> float:
+    """e^e * m for m > 0, inf once the product leaves the double range."""
+    if e <= 700.0:
+        return math.exp(e) * m
+    try:
+        return math.exp(e - 64.0) * m * _E64
+    except OverflowError:
+        return math.inf
+
+
+class _ExpflatClock:
+    """The expflat clock s = int_{u0}^{u0+h} e^u/u^2 du and its inverse in h.
+
+    The substitution u = 1/(T - xi) turns s(t) = int_0^t exp(1/(T - xi)) dxi
+    into that integral with u0 = 1/T and h = 1/(T - t) - 1/T.  Values are
+    returned as a pair (E, M) with s = e^E * M, so that neither the clock nor
+    its logarithm overflows before s does:
+
+    - h <= min(1, u0/2): Gauss-Legendre on the span (E = u0), where the
+      difference of antiderivatives would cancel;
+    - u0 + h <= ASYMPTOTIC_U: G(u0 + h) - G(u0) (E = 0);
+    - beyond: G(U) = e^U/U^2 * _g_scaled(U) (E = U).
+    """
+
+    def __init__(self, u0: float):
+        self.u0 = u0
+        self.short = min(1.0, 0.5 * u0)
+        if u0 <= ASYMPTOTIC_U:
+            self.g0 = _g(u0)
+            self.log_g0 = math.log(self.g0) if self.g0 > 0 else None
+        else:
+            self.m0 = _g_scaled(u0) / (u0 * u0)  # G(u0) = e^u0 * m0
+            self.log_g0 = u0 + math.log(self.m0)
+
+    def scaled(self, h: float):
+        """(E, M) with s(h) = e^E * M and M > 0 for h > 0."""
+        u0 = self.u0
+        if h <= self.short:
+            acc = 0.0
+            for x, w in _GL_RULE:
+                v = h * x
+                acc += w * math.exp(v) / (u0 + v) ** 2
+            return u0, h * acc
+        U = u0 + h
+        if U <= ASYMPTOTIC_U:
+            return 0.0, _g(U) - self.g0
+        if u0 <= ASYMPTOTIC_U:
+            tail = self.g0 * math.exp(-U)
+        else:
+            tail = math.exp(u0 - U) * self.m0
+        return U, _g_scaled(U) / (U * U) - tail
+
+    def _guess(self, ln_sig: float) -> float:
+        """Starting h: the tangent at h = 0 for short spans, else G(U) ~ e^U/U^2 (1 + 2/U)."""
+        u0 = self.u0
+        lin = ln_sig + 2.0 * math.log(u0) - u0
+        if lin <= math.log(self.short):
+            return max(math.exp(lin), math.ulp(0.0))
+        target = ln_sig  # ln(sigma + G(u0)) when G(u0) > 0
+        if self.log_g0 is not None:
+            big, small = max(target, self.log_g0), min(target, self.log_g0)
+            target = big + math.log1p(math.exp(small - big))
+        U = max(target, 2.0)
+        for _ in range(4):
+            U = max(2.0, target + 2.0 * math.log(U) - math.log1p(2.0 / U))
+        return max(U - u0, self.short)
+
+    def solve(self, sig: float) -> float:
+        """The h with s(h) = sig for finite sig > 0.
+
+        Safeguarded Newton on phi(h) = ln(s(h)/sig), with phi' = s'/s and
+        s' = e^U/U^2 and Halley's curvature term (phi'' = phi'(1 - 2/U -
+        phi')): each iterate narrows a bracket [lo, hi], a step
+        that leaves it bisects (or doubles while hi is unknown), and a step
+        below the resolution of h moves one double towards the root.  Stops
+        on the residual |phi| <= CLOCK_RESID_TOL, or when no double lies
+        inside the bracket, returning the iterate of least residual.
+        """
+        u0 = self.u0
+        ln_sig = math.log(sig)
+        # phi = (E - c) + ln M - ln(sig e^-c) keeps every term small near the root
+        c = min(max(ln_sig, -700.0), 700.0)
+        lq = math.log(sig / math.exp(c))
+        h = self._guess(ln_sig)
+        lo, hi = 0.0, math.inf
+        best_h, best_r = h, math.inf
+        for _ in range(100):  # each pass narrows the bracket; 2-8 passes are typical
+            E, M = self.scaled(h)
+            r = (E - c) + math.log(M) - lq if M > 0 else -math.inf
+            if abs(r) < abs(best_r):
+                best_h, best_r = h, r
+            if abs(r) <= CLOCK_RESID_TOL:
+                return h
+            if r < 0:
+                lo = h
+            else:
+                hi = h
+            h_new = math.nan
+            if math.isfinite(r):
+                U = u0 + h
+                d1 = math.exp(U - E) / (U * U * M)
+                h_new = h - r / d1 / (1.0 - 0.5 * r * (1.0 - 2.0 / U - d1) / d1)
+            if h_new == h:
+                h_new = math.nextafter(h, hi if r < 0 else lo)
+            elif not lo < h_new < hi:
+                h_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * h + 1.0
+            if not lo < h_new < hi:
+                break
+            h = h_new
+        return best_h
+
+
 class TimeScale:
     """Bundle (a, A, lambda, s) with the inverse clock map t_of_s.
 
-    Closed forms are used for the constant and power densities; the expflat
-    clock s is evaluated by adaptive quadrature and inverted by a monotone
-    root-find.  All evaluations require t <= T*(1 - 1e-9).
+    Closed forms are used for all three densities.  For expflat the clock
+    is s(t) = G(1/(T-t)) - G(1/T) with G(u) = Ei(u) - e^u/u (see
+    _ExpflatClock); it raises OverflowError where s exceeds the double
+    range, and t_of_s inverts it by a safeguarded Newton solve in
+    u = 1/(T-t), returning t < T for every finite warped time.  All
+    evaluations require t <= T*(1 - 1e-9).
     """
 
     def __init__(self, T: float, density: Density):
@@ -80,6 +225,8 @@ class TimeScale:
             raise ValueError("T must be positive")
         self.T = float(T)
         self.density = density
+        if density.tag == "expflat":
+            self._clock = _ExpflatClock(1.0 / self.T)
 
     def _check_t(self, t: float) -> float:
         t = float(t)
@@ -130,9 +277,10 @@ class TimeScale:
             if p == 1:
                 return math.log(T / (T - t))
             return p / (p - 1.0) * ((T - t) ** (1.0 - p) - T ** (1.0 - p))
-        val, _ = quad(
-            lambda xi: math.exp(1.0 / (T - xi)), 0.0, t, epsabs=1e-13, epsrel=1e-11, limit=200
-        )
+        E, M = self._clock.scaled(t / (T * (T - t)))
+        val = _exp_times(E, M)
+        if val == math.inf:
+            raise OverflowError(f"expflat clock s({t!r}) exceeds the double range with T={T!r}")
         return val
 
     def t_of_s(self, sig: float) -> float:
@@ -148,13 +296,13 @@ class TimeScale:
                 return T * (1.0 - math.exp(-sig))
             base = T ** (1.0 - p) + sig * (p - 1.0) / p
             return T - base ** (-1.0 / (p - 1.0))
-        # monotone bracket that avoids the overflowing tail of exp(1/(T-t))
-        hi = T * 0.5
-        while self.s(hi) < sig:
-            hi = T - (T - hi) * 0.5
-            if T - hi < T * 2e-9:
-                break
-        return brentq(lambda t: self.s(t) - sig, 0.0, hi, xtol=1e-15, rtol=1e-14)
+        if not math.isfinite(sig):
+            raise ValueError("warped time must be finite")
+        h = self._clock.solve(sig)
+        U = self._clock.u0 + h
+        # T*h/U keeps the relative precision of small t, T - 1/U that of t near T
+        t = T * h / U if h <= self._clock.u0 else T - 1.0 / U
+        return min(t, math.nextafter(T, 0.0))
 
 
 def build(T: float, density: Density) -> TimeScale:

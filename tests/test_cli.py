@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,6 +402,7 @@ def fresh_gain_files(tmp_path_factory):
         ("pnf", "rho", "-5", 2, "rho"),
         ("pnf", "rho", "1e-8", 2, "rho"),
         ("pnf", "rho0", "-5", 2, "rho0"),
+        ("pnf", "rho0", "1e-12", 2, "rho0"),
         ("hong", "C", "-1", 2, "decay constant C (file)"),
     ],
 )
@@ -415,3 +418,12 @@ def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_f
         _one_line_error(capsys, "error: ")
     else:
         assert _failing_rows(capsys.readouterr().out) == [failing]
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    # ptstab uses neither subpackage; importing them cost setup time and memory
+    code = "import sys, ptstab.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,8 @@ from ptstab.pnf import (
     synthesize_linear_gain,
     verify_lmi,
 )
-from ptstab.timescale import build, constant_density
+from ptstab.sim import pnf_controller
+from ptstab.timescale import build, constant_density, expflat_density, power_density
 
 
 def _lmi_max_eig(g, b, a=0.0):
@@ -137,6 +138,24 @@ def test_pnf_feedback_values():
     assert u0 == pytest.approx(-(g2.K[0] + g2.K[1]))
     with pytest.raises(ValueError):
         pnf_feedback(g2, ts, 1.0, 1.0, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bound_pnf_law_matches_feedback_bit_for_bit(n):
+    # the controller binds K and r once; its u must keep the bits of
+    # pnf_feedback and of the unbound expression it replaces
+    g = synthesize_linear_gain(n, 1.0)
+    rng = np.random.default_rng([n, 8])
+    # expflat's lambda = e^(1/(1-t)) keeps lambda^6 finite on [0, 0.95]
+    for dens, t_hi in ((constant_density(1.0), 0.999), (power_density(2), 0.999), (expflat_density(), 0.95)):
+        ts = build(1.0, dens)
+        eta = max(1.0, ts.a_sup() / g.C0)
+        u = pnf_controller(g, ts, eta).u
+        for _ in range(500):
+            t = float(rng.uniform(0.0, t_hi))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            unbound = -float(np.dot(g.K, (eta * ts.lam(t)) ** np.array(pnf_weights(n).r) * x))
+            assert u(t, x).hex() == pnf_feedback(g, ts, eta, t, x).hex() == unbound.hex()
 
 
 def _certified(n):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from ptstab.core import dilate, pnf_weights
 from ptstab.timescale import (
+    _exp_times,
     build,
     constant_density,
     expflat_density,
@@ -149,3 +151,92 @@ def test_xy_roundtrip():
         eta = rng.uniform(1.0, 5.0)
         back = y_to_x(ts, w, eta, t, x_to_y(ts, w, eta, t, x))
         assert np.allclose(back, x, rtol=1e-12, atol=1e-14)
+
+
+# --- the closed-form expflat clock ------------------------------------------
+
+DBL_MAX = float(np.finfo(float).max)
+
+
+def _mp_expflat_clock(mp, T, t):
+    """s(t) = G(1/(T-t)) - G(1/T), G(u) = Ei(u) - e^u/u, at the double t."""
+    T, t = mp.mpf(T), mp.mpf(t)
+
+    def G(u):
+        return mp.ei(u) - mp.exp(u) / u
+
+    return G(1 / (T - t)) - G(1 / T)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_expflat_clock_matches_mpmath(T):
+    mp = pytest.importorskip("mpmath")
+    ts = build(T, expflat_density())
+    u0 = 1.0 / T
+    with mp.workdps(50):
+        # u where the clock reaches the largest double
+        u_lim = mp.findroot(lambda u: mp.log(_mp_expflat_clock(mp, T, T - 1 / u) / DBL_MAX), 720)
+        us = [u0 + h for h in np.geomspace(1e-15, 1.0, 80)]
+        us += list(np.linspace(u0 + 1.0, float(u_lim) - 0.01, 300))
+        us += [float(u_lim) - d for d in (1e-3, 1e-5, 1e-7)] + [float(u_lim) + d for d in (1e-3, 1.0, 50.0)]
+        largest = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in us:
+                t = T - 1.0 / u
+                exact = _mp_expflat_clock(mp, T, t)
+                if exact > DBL_MAX:
+                    with pytest.raises(OverflowError):
+                        ts.s(t)
+                    continue
+                got = ts.s(t)
+                assert abs(got / exact - 1) <= 1e-12, (u, got, exact)
+                largest = max(largest, got)
+    assert largest > 0.5 * DBL_MAX
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_expflat_inverse_clock_roundtrip(T):
+    ts = build(T, expflat_density())
+    clock = ts._clock
+    for sig in np.logspace(-12, 300, 400):
+        # in the solver's variable h = 1/(T-t) - 1/T
+        assert abs(_exp_times(*clock.scaled(clock.solve(sig))) - sig) <= 1e-13 * sig
+        # through t, where the spacing of doubles near t also caps it (one
+        # step of t moves s by about (T/(T-t))^2 * 1.1e-16 relative, 5e-11
+        # at sig = 1e300): sig lies between the clock at t's two neighbours
+        t = ts.t_of_s(sig)
+        assert 0.0 < t < T
+        s_lo = ts.s(math.nextafter(t, 0.0))
+        s_hi = ts.s(math.nextafter(t, T))
+        assert s_lo * (1 - 1e-13) <= sig <= s_hi * (1 + 1e-13)
+        assert abs(ts.s(t) - sig) <= max(1e-13 * sig, s_hi - s_lo)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_expflat_clock_strictly_monotone(T):
+    ts = build(T, expflat_density())
+    sigs = np.unique(np.concatenate([np.linspace(0.0, 60.0, 12001), np.logspace(-12, 308, 3201)]))
+    t = np.array([ts.t_of_s(sig) for sig in sigs])
+    assert np.all(np.diff(t) > 0) and t[-1] < T
+    # s up to the u where it leaves the double range (about 722.95)
+    u = np.linspace(1.0 / T, 721.0, 20001)
+    s = np.array([ts.s(T - 1.0 / ui) for ui in u])
+    assert np.all(np.diff(s) > 0) and np.all(np.isfinite(s))
+
+
+def test_expflat_clock_near_the_horizon():
+    # quadrature returned 0.0 here with only an IntegrationWarning, and the
+    # root-find ended in an OverflowError traceback
+    ts = build(1.0, expflat_density())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # e^600/600^2 * (1 + 2/600 + 6/600^2 + ...) - G(1)
+        assert ts.s(1.0 - 1.0 / 600.0) == pytest.approx(1.0515723171219e255, rel=1e-12)
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            ts.s(1.0 - 1.0 / 730.0)
+        for sig in (1e300, DBL_MAX):
+            assert 0.0 < ts.t_of_s(sig) < 1.0
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ts.t_of_s(bad)
