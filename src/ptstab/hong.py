@@ -207,15 +207,11 @@ class HongGainSet:
             raise ValueError(f"kappa={kappa} outside +/-{self.kappa_bound}")
 
 
-def hong_control(g: HongGainSet, kappa: float, x, ell=None):
-    """Control u = v_n of the cascade, with the intermediate v's.
-
-    ``ell`` overrides the stored gains (used for the b_lower adaptation).
-    """
+def hong_control(g: HongGainSet, kappa: float, x):
+    """Control u = v_n of the cascade, with the intermediate v's."""
     g.check_kappa(kappa)
-    gains = np.asarray(g.ell if ell is None else ell, dtype=float).tolist()
     vs = []
-    u, _ = _cascade(gains, _exponents(len(x), kappa), x, want_value=False, vs=vs)
+    u, _ = _cascade(g.ell.tolist(), _exponents(len(x), kappa), x, want_value=False, vs=vs)
     return u, vs
 
 

@@ -8,7 +8,9 @@ which is verified exactly at the endpoint b = b_lower together with positive
 semidefiniteness of the b-slope matrix (the family is affine in b).  A second
 certificate (C0, rho0) extends the inequality to an additive perturbation
 a*D_r with D_r = diag(n-i+1), |a| <= C0, which is what the warped dynamics
-y' = (a D_r + J_n) y + (b u + d) e_n requires.
+y' = (a D_r + J_n) y + (b u + d) e_n requires.  The perturbed LMI is affine
+in a, so its exact bound is 1/max|mu| over the generalized eigenvalues of one
+definite matrix pencil; C0 keeps a relative headroom of C0_REL_TOL under it.
 
 The b-slope matrix sym(K (S e_n)^T) is PSD only when S e_n is a positive
 multiple of K, so every certificate has the LQR form K = P e_n / b_lower,
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import eigh, solve_continuous_are
 
 from .core import jordan_block, pnf_weights
 from .timescale import TimeScale
@@ -45,7 +47,8 @@ __all__ = [
 
 # eigenvalue slack on all semidefiniteness checks
 EIG_TOL = 1e-9
-# certify_perturbation stops bisecting once C0 is known to this relative width
+# relative headroom of C0 under the exact pencil bound 1/max|mu|, so that
+# rounding cannot lift the perturbed max-eig at a = +/-C0 above 0
 C0_REL_TOL = 1e-3
 # least endpoint margin rho a certificate may carry, relative to max_eig(S):
 # synthesis discards weaker candidates and verify fails them
@@ -142,8 +145,8 @@ def certificate_checks(g: LinearGain) -> list:
     that small certifies no decay the eigenvalue checks can resolve), then,
     once C0 > 0, rho0 >= RHO_FLOOR/2 * max_eig(S) (synthesis sets
     rho0 = rho/2) and the perturbed endpoints a = +/-C0 at margin rho0 (pass
-    requires <= EIG_TOL; certify_perturbation bisects on the same margin
-    with no slack).
+    requires <= EIG_TOL; certify_perturbation checks the same margin with
+    no slack).
     """
     s_max = _max_eig(g.S)
     rho_ok = g.rho > 0 and g.rho >= RHO_FLOOR * s_max
@@ -158,41 +161,31 @@ def certificate_checks(g: LinearGain) -> list:
 def certify_perturbation(g: LinearGain):
     """Largest C0 with the LMI holding for |a| <= C0 at margin rho0 = rho/2.
 
-    The perturbation a*(D_r S + S D_r) is affine in a, so checking the two
-    endpoints suffices.  Found by doubling then bisection on a perturbed
-    max-eig <= 0, without the EIG_TOL slack that verify allows.  Updates g
-    in place and returns (C0, rho0).
+    M0 + a*H (M0 the endpoint LMI matrix plus rho0 I, H = D_r S + S D_r) is
+    affine in a and M0 < 0, so it stays negative semidefinite exactly for
+    |a| <= 1/max|mu| over the eigenvalues mu of the definite pencil (H, -M0)
+    (Boyd et al., LMIs in System and Control Theory, 1994, 2.2.3).  C0 sits
+    C0_REL_TOL below that bound, and the perturbed max-eig at a = +/-C0 is
+    checked once more without the EIG_TOL slack that verify allows; C0 = 0
+    when -M0 is not numerically definite or that check fails.  Updates g in
+    place and returns (C0, rho0).
     """
     ok, _, _ = verify_lmi(g)
     if not ok:
         raise ValueError("gain fails verify_lmi; cannot certify perturbation")
     rho0 = g.rho / 2.0
     pencil = _perturbed_pencil(g, rho0)
-
-    def ok_at(c):
-        return _perturbed_margin(pencil, c) <= 0.0
-
-    lo = 0.0
-    hi = 1e-3
-    while ok_at(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    if lo == 0.0 and not ok_at(hi):
-        # shrink below the initial guess
-        while hi > 1e-15 and not ok_at(hi):
-            hi /= 2.0
-        lo, hi = (hi, hi * 2.0) if hi > 1e-15 else (0.0, 1e-15)
-    while hi - lo > C0_REL_TOL * max(hi, 1e-12):
-        mid = 0.5 * (lo + hi)
-        if ok_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    g.C0 = lo
+    M0, H = pencil
+    try:
+        mu = eigh(H, -M0, eigvals_only=True)
+        C0 = (1.0 - C0_REL_TOL) / float(np.max(np.abs(mu)))
+    except np.linalg.LinAlgError:
+        C0 = 0.0
+    if C0 > 0 and _perturbed_margin(pencil, C0) > 0.0:
+        C0 = 0.0
+    g.C0 = C0
     g.rho0 = rho0
-    return lo, rho0
+    return C0, rho0
 
 
 def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
@@ -299,6 +292,16 @@ def _require_eta(g: LinearGain, ts: TimeScale, eta: float):
         )
 
 
+def _transient(g: LinearGain, ts: TimeScale, eta: float, x0_norm: float, t: float):
+    """(envelope_constants, eta*lambda(t), the x0 term of the amplitude) of both envelopes."""
+    _require_eta(g, ts, eta)
+    c = envelope_constants(g)
+    e0 = eta * ts.lam(0.0)
+    el = eta * ts.lam(t)
+    amp = c["c_init"] * max(e0, e0**g.n) * math.exp(-c["mu_rate"] * eta * ts.s(t)) * x0_norm
+    return c, el, amp
+
+
 def convergence_envelope(
     g: LinearGain, ts: TimeScale, eta: float, x0_norm: float, d_sup: float, t: float
 ) -> np.ndarray:
@@ -310,15 +313,9 @@ def convergence_envelope(
         |x_i(t)| <= [c_init * max(eta*lam0, (eta*lam0)^n) * exp(-mu_rate*eta*s(t)) * ||x0||
                      + c_dist * d_sup] / (eta*lambda(t))^{n-i+1}
     """
-    _require_eta(g, ts, eta)
-    c = envelope_constants(g)
-    lam0 = ts.lam(0.0)
-    lam = ts.lam(t)
-    s = ts.s(t)
-    e0 = eta * lam0
-    amp = c["c_init"] * max(e0, e0**g.n) * math.exp(-c["mu_rate"] * eta * s) * x0_norm
+    c, el, amp = _transient(g, ts, eta, x0_norm, t)
     amp += c["c_dist"] * d_sup
-    return amp / (eta * lam) ** np.array(pnf_weights(g.n).r)
+    return amp / el ** np.array(pnf_weights(g.n).r)
 
 
 def noise_envelope(
@@ -338,15 +335,8 @@ def noise_envelope(
     t -> T whenever d1_sup > 0 while i = 1 stays bounded.  b_sup defaults to
     g.b_lower (constant-gain plant).
     """
-    _require_eta(g, ts, eta)
+    c, el, amp = _transient(g, ts, eta, x0_norm, t)
     if b_sup is None:
         b_sup = g.b_lower
-    c = envelope_constants(g)
-    lam0 = ts.lam(0.0)
-    lam = ts.lam(t)
-    s = ts.s(t)
-    e0 = eta * lam0
-    el = eta * lam
-    amp = c["c_init"] * max(e0, e0**g.n) * math.exp(-c["mu_rate"] * eta * s) * x0_norm
     amp += c["c_dist"] * b_sup * float(np.sum(np.abs(g.K))) * max(el, el**g.n) * d1_sup
     return amp / el ** np.array(pnf_weights(g.n).r)

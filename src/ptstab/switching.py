@@ -116,15 +116,8 @@ def _kappa_of_v0(sp: SwitchParams, v0: float) -> float:
 
 
 def fixed_time_feedback(g: HongGainSet, sp: SwitchParams, x, b_lower: float = 1.0) -> float:
-    """u = omega^H_{kappa(x)}(x); for b_lower != 1 the last gain becomes ell_n/b_lower."""
-    kap = kappa_of_x(sp, x)
-    if b_lower == 1.0:
-        u, _ = hong_control(g, kap, x)
-    else:
-        ell = np.array(g.ell, dtype=float)
-        ell[-1] /= b_lower
-        u, _ = hong_control(g, kap, x, ell=ell)
-    return u
+    """u = omega^H_{kappa(x)}(x) / b_lower (v_n is linear in the last gain ell_n)."""
+    return hong_control(g, kappa_of_x(sp, x), x)[0] / b_lower
 
 
 class MatchedRobustLaw:

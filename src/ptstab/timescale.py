@@ -216,8 +216,9 @@ class TimeScale:
     is s(t) = G(1/(T-t)) - G(1/T) with G(u) = Ei(u) - e^u/u (see
     _ExpflatClock); it raises OverflowError where s exceeds the double
     range, and t_of_s inverts it by a safeguarded Newton solve in
-    u = 1/(T-t), returning t < T for every finite warped time.  All
-    evaluations require t <= T*(1 - 1e-9).
+    u = 1/(T-t), returning t < T for every finite warped time; lambda =
+    exp(1/(T-t)) is inf once it leaves the double range.  All evaluations
+    require t <= T*(1 - 1e-9).
     """
 
     def __init__(self, T: float, density: Density):
@@ -266,7 +267,13 @@ class TimeScale:
         return math.exp(-1.0 / (T - t))
 
     def lam(self, t: float) -> float:
-        return 1.0 / self.A(t)
+        if self.density.tag != "expflat":
+            return 1.0 / self.A(t)
+        t = self._check_t(t)
+        try:
+            return math.exp(1.0 / (self.T - t))
+        except OverflowError:  # T - t below about 1/709.8
+            return math.inf
 
     def s(self, t: float) -> float:
         t = self._check_t(t)

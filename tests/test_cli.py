@@ -1,7 +1,10 @@
+import csv
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,12 +378,19 @@ def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def fresh_gain_files(tmp_path_factory):
+def gain_paths(tmp_path_factory):
+    """Fresh gain files (b_lower = 1, seed 0) by (kind, n)."""
     d = tmp_path_factory.mktemp("gains")
-    files = {"pnf": str(d / "p2.gains"), "hong": str(d / "h2.gains")}
-    for kind, path in files.items():
-        assert main(["synthesize", "--kind", kind, "--n", "2", "--b-lower", "1", "--out", path]) == 0
-    return {kind: open(path).read() for kind, path in files.items()}
+    paths = {}
+    for kind, n in (("pnf", 2), ("hong", 1), ("hong", 2)):
+        paths[kind, n] = str(d / f"{kind}{n}.gains")
+        assert main(["synthesize", "--kind", kind, "--n", str(n), "--b-lower", "1", "--out", paths[kind, n]]) == 0
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fresh_gain_files(gain_paths):
+    return {kind: Path(gain_paths[kind, 2]).read_text() for kind in ("pnf", "hong")}
 
 
 @pytest.mark.parametrize(
@@ -427,3 +437,90 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_RUNS = ["runs.count = 2", "runs.seed = 1", "runs.x0_min = 0.3", "runs.x0_max = 30.0", "sim.rel_tol = 1e-7", "sim.horizon = 1.0"]
+_REG_EPS = 5e-3
+_T_TARGET = 0.5
+
+
+def _run_configs(gain_paths):
+    """The README's matched-robust example at n = 2, a prescribed-time and a pnf config."""
+    hong = f"controller.gains = {gain_paths['hong', 2]}"
+    robust = [
+        "plant.b_lower = 1.0",
+        "plant.b_upper = 3.0",
+        "plant.d_bound = 1.0",
+        f"controller.reg_eps = {_REG_EPS!r}",
+        "disturbance.d = sine:1.0,0.7,0.2",
+        "disturbance.b = sine:1,3,0.4",
+    ]
+    kinds = {
+        "matched_robust": [hong] + robust,
+        "prescribed_time": [hong, f"controller.t_target = {_T_TARGET!r}"],
+        "pnf": [f"controller.gains = {gain_paths['pnf', 2]}", "controller.density = expflat", "controller.eta = 4.0"],
+    }
+    return {kind: ["plant.n = 2", "plant.t = 1.0", f"controller.kind = {kind}"] + lines + _RUNS for kind, lines in kinds.items()}
+
+
+def _simulate(tmp_path, name, lines) -> Path:
+    out = tmp_path / name
+    cfg = _write_cfg(tmp_path / f"{name}.cfg", lines + [f"output.dir = {out}"])
+    assert main(["simulate", "--config", cfg]) == 0
+    return out
+
+
+@pytest.mark.parametrize("kind", ["matched_robust", "prescribed_time"])
+def test_simulate_switching_kinds(tmp_path, gain_paths, kind):
+    out = _simulate(tmp_path, kind, _run_configs(gain_paths)[kind])
+    summary = list(csv.DictReader((out / "summary.csv").read_text().splitlines()))
+    assert len(summary) == 2
+    for k, row in enumerate(summary):
+        with open(out / f"run_{k}.csv") as fh:
+            assert fh.readline().strip() == "t,x1,x2,u,V0,Vkp,Vkm,kappa,Z"
+            vkm = np.array([float(line.split(",")[6]) for line in fh])
+        if kind == "matched_robust":
+            # the sliding set {V_{-kappa0} <= 1} is invariant up to the regularization
+            inside = np.flatnonzero(vkm <= 1.0)
+            assert inside.size and vkm[inside[0]:].max() <= 1.0 + 10.0 * _REG_EPS
+        else:
+            # the undisturbed prescribed-time loop settles before t_target
+            assert row["status"] == "SettledAt" and float(row["settle_time"]) <= _T_TARGET
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracing_keeps_outputs(tmp_path, gain_paths, capsys):
+    # the traced benchmark patches cli attributes, rebuilds controllers with
+    # dataclasses.replace(u=, surfaces=, diag=), shadows TimeScale methods on
+    # the instance and calls verify_decay(g, kappa_points, samples, ...)
+    # positionally; every output must keep its bytes under those patches
+    tracing = _load_tracing()
+
+    def outputs(label):
+        files = {}
+        for name, lines in _run_configs(gain_paths).items():
+            out = _simulate(tmp_path / label, name, lines)
+            files.update({(name, p.name): p.read_bytes() for p in out.iterdir()})
+        capsys.readouterr()
+        for key in (("hong", 1), ("pnf", 2)):
+            assert main(["verify", "--gains", gain_paths[key]]) == 0
+            files["verify", key] = capsys.readouterr().out
+        return files
+
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "traced").mkdir()
+    plain = outputs("plain")
+    rec = tracing.Recorder()
+    with tracing.install(rec, full=True):
+        traced = outputs("traced")
+    assert len(plain) == 3 * 3 + 2 and traced == plain
+    assert len(rec.integrations) == 6 and rec.calls["hong.verify_decay"] == 1
+    for span in ("switching.feedback", "switching.surface", "switching.diag", "pnf.feedback", "timescale.lam"):
+        assert rec.calls[span] > 0, span

@@ -5,8 +5,14 @@ import pytest
 
 from ptstab.core import jordan_block, pnf_weights, dilation_matrix
 from ptstab.pnf import (
+    C0_REL_TOL,
     EIG_TOL,
+    Q_RATIO_EXPONENTS,
+    RHO_FLOOR,
     LinearGain,
+    _perturbed_margin,
+    _perturbed_pencil,
+    _riccati_gain,
     certificate_checks,
     certify_perturbation,
     convergence_envelope,
@@ -108,6 +114,54 @@ def test_certified_c0_holds_without_slack(n, b_lower):
     assert all(ok for _, ok in rows.values())
 
 
+def _bisected_c0(g, rho0):
+    """C0 as a doubling, shrinking and bisection search on the perturbed margin finds it."""
+    pencil = _perturbed_pencil(g, rho0)
+
+    def ok_at(c):
+        return _perturbed_margin(pencil, c) <= 0.0
+
+    lo, hi = 0.0, 1e-3
+    while ok_at(hi) and hi <= 1e12:
+        lo, hi = hi, 2.0 * hi
+    if lo == 0.0:
+        while hi > 1e-15 and not ok_at(hi):
+            hi /= 2.0
+        lo, hi = (hi, 2.0 * hi) if hi > 1e-15 else (0.0, 1e-15)
+    while hi - lo > C0_REL_TOL * max(hi, 1e-12):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok_at(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+@pytest.mark.parametrize("b_lower", [0.25, 0.5, 1.0, 1.7, 3.0, 4.0])
+def test_closed_form_c0_matches_the_bisected_search(n, b_lower):
+    # the pencil bound sits within the bisection's bracket, and scoring the
+    # Riccati candidates by the bisected C0 picks the same gain bit for bit
+    g = synthesize_linear_gain(n, b_lower)
+    pencil = _perturbed_pencil(g, g.rho0)
+    assert _perturbed_margin(pencil, g.C0) <= 0.0
+    assert _perturbed_margin(pencil, g.C0 / (1.0 - 2.0 * C0_REL_TOL)) > 0.0
+    assert all(ok for _, _, ok in certificate_checks(g))
+    lo = _bisected_c0(g, g.rho0)
+    assert (1.0 - C0_REL_TOL) * lo <= g.C0 * (1.0 + 1e-6) and g.C0 <= lo * (1.0 + 1e-6)
+    if n == 1:
+        expected = LinearGain(n=1, K=np.array([1.0 / b_lower]), S=np.array([[0.5]]), rho=1.0, b_lower=b_lower)
+    else:
+        r = np.array(pnf_weights(n).r)
+        best_score = 0.0
+        for k in Q_RATIO_EXPONENTS:
+            cand = _riccati_gain(n, b_lower, k)
+            if not cand.rho >= RHO_FLOOR:
+                continue
+            score = _bisected_c0(cand, cand.rho / 2.0) / float(np.max((b_lower * cand.K) ** (1.0 / r)))
+            if score > best_score:
+                expected, best_score = cand, score
+    assert g.K.tobytes() == expected.K.tobytes() and g.S.tobytes() == expected.S.tobytes()
+    assert g.rho.hex() == float(expected.rho).hex() and g.rho0.hex() == (expected.rho / 2.0).hex()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("eta", [1.0, 2.0, 10.0])
 def test_scaled_lmi_via_dilation(n, eta):
@@ -199,6 +253,41 @@ def test_noise_envelope_reduces_and_blows_up():
     late = noise_envelope(g, ts, eta, 1.0, 0.1, 1.0 - 1e-6)
     assert late[0] < 10.0 * max(1.0, early[0])
     assert late[1] > 1e3 * early[1]
+
+
+def test_envelopes_keep_their_bits():
+    # both envelopes share one transient term; each must keep the bits of
+    # the expression it was written as
+    rng = np.random.default_rng(41)
+    for n in range(1, 6):
+        g = _certified(n)
+        c = envelope_constants(g)
+        r = np.array(pnf_weights(n).r)
+        for dens in (constant_density(1.0), power_density(2), expflat_density()):
+            ts = build(1.0, dens)
+            eta = _eta_min(g, ts) * float(rng.uniform(1.0, 3.0))
+            for t in rng.uniform(0.0, 0.9, 20):
+                x0n, d_sup, d1_sup, b_sup = rng.uniform(0.0, 5.0, 4)
+                e0 = eta * ts.lam(0.0)
+                el = eta * ts.lam(t)
+                amp = c["c_init"] * max(e0, e0**n) * math.exp(-c["mu_rate"] * eta * ts.s(t)) * x0n
+                conv = (amp + c["c_dist"] * d_sup) / (eta * ts.lam(t)) ** r
+                assert convergence_envelope(g, ts, eta, x0n, d_sup, t).tobytes() == conv.tobytes()
+                for b in (None, b_sup):
+                    bb = g.b_lower if b is None else b
+                    noise = (amp + c["c_dist"] * bb * float(np.sum(np.abs(g.K))) * max(el, el**n) * d1_sup) / el**r
+                    assert noise_envelope(g, ts, eta, x0n, d1_sup, t, b_sup=b).tobytes() == noise.tobytes()
+
+
+def test_pnf_law_past_the_expflat_double_range():
+    # lambda is inf there, so the feedback is non-finite (a rejected step
+    # for the integrator), not an exception
+    g = _certified(2)
+    ts = build(1.0, expflat_density())
+    u = pnf_controller(g, ts, _eta_min(g, ts)).u
+    for t in (1.0 - 1.0 / 720.0, 1.0 - 1.0 / 750.0):
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(u(t, np.array([1.0, 0.0])))
 
 
 def test_envelope_requires_eta():

@@ -121,6 +121,23 @@ def test_b_lower_adaptation():
     assert u2 == pytest.approx(u1 / 2.0)
 
 
+def test_b_lower_adaptation_matches_the_scaled_last_gain():
+    # v_n is linear in ell_n: dividing u by b_lower is the cascade with
+    # ell_n/b_lower within one ulp, and b_lower = 1 leaves u's bits alone
+    from dataclasses import replace
+
+    g, sp = _setup()
+    rng = np.random.default_rng(12)
+    for b in (0.25, 1.7, 3.0):
+        scaled = replace(g, ell=np.append(g.ell[:-1], g.ell[-1] / b))
+        for _ in range(200):
+            x = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0)
+            kap = kappa_of_x(sp, x)
+            old, _ = hong_control(scaled, kap, x)
+            assert abs(fixed_time_feedback(g, sp, x, b_lower=b) - old) <= math.ulp(old)
+            assert fixed_time_feedback(g, sp, x).hex() == hong_control(g, kap, x)[0].hex()
+
+
 def test_matched_robust_examples():
     g, sp = _setup()
     spec = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)

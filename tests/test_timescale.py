@@ -21,6 +21,7 @@ ALL_DENSITIES = [
     (2.0, power_density(2)),
     (1.5, power_density(3)),
     (1.0, expflat_density()),
+    (1.0, power_density(1)),
 ]
 
 
@@ -168,7 +169,8 @@ def _mp_expflat_clock(mp, T, t):
     return G(1 / (T - t)) - G(1 / T)
 
 
-@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+# T = 0.02 starts the clock at u0 = 50 > ASYMPTOTIC_U, where G(u0) comes from the series
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 0.02])
 def test_expflat_clock_matches_mpmath(T):
     mp = pytest.importorskip("mpmath")
     ts = build(T, expflat_density())
@@ -190,12 +192,15 @@ def test_expflat_clock_matches_mpmath(T):
                         ts.s(t)
                     continue
                 got = ts.s(t)
+                if exact == 0:  # u0 + h rounds to u0 when h is below half an ulp of u0
+                    assert got == 0.0, (u, got)
+                    continue
                 assert abs(got / exact - 1) <= 1e-12, (u, got, exact)
                 largest = max(largest, got)
     assert largest > 0.5 * DBL_MAX
 
 
-@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 0.02])
 def test_expflat_inverse_clock_roundtrip(T):
     ts = build(T, expflat_density())
     clock = ts._clock
@@ -213,7 +218,7 @@ def test_expflat_inverse_clock_roundtrip(T):
         assert abs(ts.s(t) - sig) <= max(1e-13 * sig, s_hi - s_lo)
 
 
-@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 0.02])
 def test_expflat_clock_strictly_monotone(T):
     ts = build(T, expflat_density())
     sigs = np.unique(np.concatenate([np.linspace(0.0, 60.0, 12001), np.logspace(-12, 308, 3201)]))
@@ -240,3 +245,13 @@ def test_expflat_clock_near_the_horizon():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError):
             ts.t_of_s(bad)
+
+
+def test_expflat_lambda_past_the_double_range():
+    # lambda = e^(1/(T-t)) leaves the double range at T-t of about 1/709.8,
+    # inside the horizon guard: it is inf there, never a ZeroDivisionError
+    ts = build(1.0, expflat_density())
+    t = 1.0 - 1.0 / 700.0
+    assert ts.lam(t) == pytest.approx(1.0 / ts.A(t), rel=1e-15)
+    for u in (720.0, 750.0, 1e8):
+        assert ts.lam(1.0 - 1.0 / u) == math.inf
