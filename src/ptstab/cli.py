@@ -24,6 +24,7 @@ from .gainfile import (
 )
 from .hong import (
     KAPPA_POINTS,
+    MAX_ROUNDS,
     GainSynthesisError,
     HongSynthesisConfig,
     decay_residual,
@@ -82,7 +83,11 @@ def cmd_synthesize(args) -> int:
             ells = [float(v) for v in g.ell]
             print(f"hong gains written to {args.out} (ell={ells}, C={g.C:.6g})")
     except (SynthesisError, GainSynthesisError) as exc:
-        print(f"synthesis failed: {exc}", file=sys.stderr)
+        msg = f"synthesis failed: {exc}"
+        if getattr(exc, "worst", None) is not None:
+            kap, _, ratio = exc.worst
+            msg += f" ({MAX_ROUNDS} repair rounds; last round's worst sample: kappa={kap:.4g}, ratio={ratio:.4g})"
+        print(msg, file=sys.stderr)
         return 2
     return 0
 

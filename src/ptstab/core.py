@@ -183,6 +183,18 @@ def onto_sphere(w: WeightVector, Z: np.ndarray) -> np.ndarray:
     return dilate_rows(w, _sphere_sum(np.array(w.r), Z) ** -0.5, Z)
 
 
+def _sphere_directions(j: int, count: int, N: int, seed: int) -> np.ndarray:
+    """The standard-normal directions of sample_sphere, shape (count, N, j).
+
+    Block g is what sample_sphere dilates onto the sphere of its g-th kappa:
+    one draw in grid order, with exact-zero rows (which no dilation places
+    on the sphere) replaced by ones.
+    """
+    z = np.random.default_rng(seed).standard_normal((count, N, j))
+    z[np.all(z == 0.0, axis=-1)] = 1.0
+    return z
+
+
 def sample_sphere(j: int, kappa_grid, N: int, seed: int) -> np.ndarray:
     """Sample N points per kappa on the weighted unit sphere in R^j.
 
@@ -198,11 +210,7 @@ def sample_sphere(j: int, kappa_grid, N: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one sample point")
     grid = np.atleast_1d(np.asarray(kappa_grid, dtype=float))
     weights = [hong_weights(j, kap) for kap in grid]
-    rng = np.random.default_rng(seed)
-    out = np.empty((len(grid), N, j))
+    out = _sphere_directions(j, len(grid), N, seed)
     for g, w in enumerate(weights):
-        z = rng.standard_normal((N, j))
-        # degenerate draws (exact zeros) would break the normalization
-        z[np.all(z == 0.0, axis=1)] = 1.0
-        out[g] = onto_sphere(w, z)
+        out[g] = onto_sphere(w, out[g])
     return out

@@ -19,9 +19,10 @@ certificate to all of R^n \\ {0}), including targeted probes of the layers
 {x_i ~ 0} where positive-kappa decay degrades first; for n >= 3 those layers
 force a cap on the certified positive extent (see kappa_pos_certified).
 Gains are picked level by level as the smallest powers of two passing the
-normalized level decay, then the whole set is re-verified, repaired by
-doubling the first failing level, and accepted only once the sampled
-constant is stable under a tenfold denser scan.
+normalized level decay, then the whole set is re-verified and accepted only
+once the sampled constant is stable under a tenfold denser scan; each failed
+round doubles ell_n.  The dense scan takes the kappas worst-first and stops
+as soon as its running minimum fails the round.
 
 Every batched evaluation (verify_decay, decay_residual, the synthesis level
 check, hong_lyapunov, and switching's level-set sampler and design) runs one
@@ -41,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _hong_r, hong_weights, kappa_grid, onto_sphere, sample_sphere
+from .core import _hong_r, _sphere_directions, hong_weights, kappa_grid, onto_sphere, sample_sphere
 
 __all__ = [
     "alpha_of",
@@ -229,21 +230,22 @@ def hong_lyapunov(g: HongGainSet, kappa: float, x):
     return float(V[0]), np.array([col[0] for col in gradV])
 
 
-def _stress_samples(X: np.ndarray, kappa: float, rng) -> np.ndarray:
+def _stress_samples(X: np.ndarray, kappa: float, decades: np.ndarray) -> np.ndarray:
     """Extra sphere points probing the singular layers {x_i ~ 0}, i interior.
 
-    Each interior coordinate of a copy of X is shrunk by up to twelve decades
-    and the point is re-dilated exactly onto the sphere.  This is where the
-    positive-kappa decay fails first, so certificates must look there.
+    In the i-th copy of X, coordinate i of row k is shrunk by decades[i-1, k]
+    decades (drawn uniform on [1, 12]) and the point is re-dilated exactly
+    onto the sphere.  This is where the positive-kappa decay fails first,
+    so certificates must look there.
     """
-    N, j = X.shape
+    j = X.shape[1]
     if j < 3:
         return X[:0]
     w = hong_weights(j, kappa)
     out = []
-    for i in range(1, j - 1):
+    for i, d in enumerate(decades, start=1):
         Y = X.copy()
-        Y[:, i] *= 10.0 ** -rng.uniform(1.0, 12.0, size=N)
+        Y[:, i] *= 10.0**-d
         out.append(onto_sphere(w, Y))
     return np.concatenate(out, axis=0)
 
@@ -280,14 +282,51 @@ def _decay_scores(ell, kappa: float, X: np.ndarray, C: float | None = None) -> n
     return out
 
 
-def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int, seed: int, C=None):
-    """(kappa, X, _decay_scores) per kappa of g's certified grid, X the sphere plus stress samples."""
+def _certificate_scan(g: HongGainSet, kappa_points: int, samples_per_kappa: int, seed: int, C=None, order=None):
+    """(kappa, X, _decay_scores) per kappa of g's certified grid, X the sphere plus stress samples.
+
+    The kappas come in grid order, or in ``order`` (a permutation of grid
+    indices).  A kappa's rows are those of a grid-order scan whatever the
+    order, and they are built only when that kappa is reached, so a
+    consumer that stops early skips the rest.  The sphere directions are
+    drawn up front from ``seed``, and a kappa's block is dilated onto its
+    sphere in place when reached; its stress decades are read at their
+    place in the grid-order stream of ``seed + 31``.
+    """
     grid = kappa_grid(g.n, kappa_points, g.kappa_pos)
-    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
-    rng = np.random.default_rng(seed + 31)
-    for kap, P in zip(grid, pts):
-        X = np.concatenate([P, _stress_samples(P, kap, rng)], axis=0)
+    Z = _sphere_directions(g.n, len(grid), samples_per_kappa, seed)
+    shape = (max(g.n - 2, 0), samples_per_kappa)
+    for k in range(len(grid)) if order is None else order:
+        kap = grid[k]
+        Z[k] = onto_sphere(hong_weights(g.n, kap), Z[k])
+        # a uniform double is one PCG64 step (the generator of default_rng),
+        # so kappa k's decades start k*size steps into the stream
+        stream = np.random.Generator(np.random.PCG64(seed + 31).advance(int(k) * shape[0] * shape[1]))
+        X = np.concatenate(
+            [Z[k], _stress_samples(Z[k], kap, stream.uniform(1.0, 12.0, size=shape))], axis=0
+        )
         yield kap, X, _decay_scores(g.ell, kap, X, C)
+
+
+def _least_ratio(scan, stop=None):
+    """Reduce a _certificate_scan of ratios to (C, worst, per-kappa minima in scan order).
+
+    Each kappa contributes its np.argmin row, and the first kappa attaining
+    the least ratio gives worst = (kappa, x, ratio).  Given ``stop``, the
+    scan ends after the first kappa at which stop(C so far) holds.
+    """
+    best = math.inf
+    worst = None
+    minima = []
+    for kap, X, ratios in scan:
+        i = int(np.argmin(ratios))
+        minima.append(ratios[i])
+        if ratios[i] < best:
+            best = float(ratios[i])
+            worst = (float(kap), X[i].copy(), best)
+            if stop is not None and stop(best):
+                break
+    return best, worst, minima
 
 
 def verify_decay(
@@ -303,14 +342,8 @@ def verify_decay(
     sphere certificate is global.  Returns (C, worst) with worst =
     (kappa, x, ratio), x being the sample that attains C.
     """
-    best = math.inf
-    worst = None
-    for kap, X, ratios in _certificate_scan(g, kappa_points, samples_per_kappa, seed):
-        i = int(np.argmin(ratios))
-        if ratios[i] < best:
-            best = float(ratios[i])
-            worst = (float(kap), X[i].copy(), best)
-    return best, worst
+    C, worst, _ = _least_ratio(_certificate_scan(g, kappa_points, samples_per_kappa, seed))
+    return C, worst
 
 
 def decay_residual(
@@ -338,9 +371,13 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
 
     ell_1 = 1 normalizes the scale.  Each subsequent ell_j is the smallest
     power of two for which the normalized level decay min(-dV_j/V_j^{1+a})
-    clears the target on the sampled sphere-times-kappa compacta; the final
-    set is certified by verify_decay and repaired by doubling the first
-    failing level (at most MAX_ROUNDS times).
+    clears the target on the sampled sphere-times-kappa compacta.  The final
+    set is certified by verify_decay's scan plus a tenfold denser one; a
+    round fails unless the dense constant is positive and within 5% of the
+    raw one, and each failed round doubles ell_n (at most MAX_ROUNDS times).
+    The dense scan visits the kappas in ascending order of the raw scan's
+    per-kappa minima and stops once the round must fail, so only a passing
+    round scans it whole.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -370,28 +407,37 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     g = HongGainSet(n=n, ell=ell, C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
 
     # certificate loop: the sampled constant must be positive AND stable
-    # under a 10x denser scan (the singular layers reveal slowly), else the
-    # first failing level (fallback: the deepest) is doubled
+    # under a 10x denser scan (the singular layers reveal slowly), else
+    # ell_n is doubled.  No lower level is re-checked: its gains never change
+    # and passed level_ok on the same level_pts.  A dense scan stops once its
+    # running minimum is below C_raw and fails the test, since the full
+    # minimum is lower still and fails it too (- and / round monotonically).
     rounds = 0
     while True:
-        C_raw, worst = verify_decay(
-            g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds
+        C_raw, worst, minima = _least_ratio(
+            _certificate_scan(g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
         )
         if C_raw > 0:
-            C_dense, _ = verify_decay(
-                g, KAPPA_POINTS, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
+
+            def stable(C):
+                return C > 0 and abs(C - C_raw) / C_raw <= 0.05
+
+            C_dense, _, _ = _least_ratio(
+                _certificate_scan(
+                    g,
+                    KAPPA_POINTS,
+                    10 * cfg.verify_samples_per_kappa,
+                    cfg.seed + 57 + rounds,
+                    order=np.argsort(minima, kind="stable"),
+                ),
+                lambda C: C < C_raw and not stable(C),
             )
-            if C_dense > 0 and abs(C_dense - C_raw) / C_raw <= 0.05:
+            if stable(C_dense):
                 break
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise GainSynthesisError("decay verification failed after repairs", worst)
-        for j in range(2, n + 1):
-            if not level_ok(j, list(g.ell[:j])):
-                g.ell[j - 1] *= 2.0
-                break
-        else:
-            g.ell[-1] *= 2.0
+        g.ell[-1] *= 2.0
     g.C = 0.85 * min(C_raw, C_dense)
     g.certificate = {
         "kappa_points": KAPPA_POINTS,

@@ -338,5 +338,20 @@ def noise_envelope(
     c, el, amp = _transient(g, ts, eta, x0_norm, t)
     if b_sup is None:
         b_sup = g.b_lower
-    amp += c["c_dist"] * b_sup * float(np.sum(np.abs(g.K))) * max(el, el**g.n) * d1_sup
-    return amp / el ** np.array(pnf_weights(g.n).r)
+    gain = c["c_dist"] * b_sup * float(np.sum(np.abs(g.K)))
+    r = np.array(pnf_weights(g.n).r)
+    try:
+        total = amp + gain * max(el, el**g.n) * d1_sup
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total) and math.isfinite(el):
+        return total / el**r
+    # near T, (eta*lam)^n leaves the double range: each term is divided by
+    # (eta*lam)^(n-i+1) on its own, so coordinate 1 keeps its finite noise
+    # limit gain*d1_sup and the others grow to inf
+    noise = gain * d1_sup
+    with np.errstate(over="ignore"):
+        env = amp / el**r
+        if noise:
+            env += noise * np.maximum(el ** (1.0 - r), el ** (g.n - r))
+    return env

@@ -111,6 +111,19 @@ def test_verify_hong_grid_scale(tmp_path, capsys):
         _one_line_error(capsys, "error: --grid-scale")
 
 
+def test_synthesize_hong_failure_names_evidence(tmp_path, capsys):
+    # n=4 at seed 0 is not certified after MAX_ROUNDS repairs; the worst
+    # sample of the last round sits at the positive end of the grid
+    out = tmp_path / "h4.gains"
+    argv = ["synthesize", "--kind", "hong", "--n", "4", "--b-lower", "1", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("synthesis failed: decay verification failed after repairs (20 repair rounds; ")
+    assert "kappa=0.02," in err[0]
+    assert not out.exists()
+
+
 def test_read_gains_accepts_recursion_record_lines(tmp_path):
     # files written before the recursion record was dropped carry safety and level* lines
     h = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=50, verify_samples_per_kappa=50))

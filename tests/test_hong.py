@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptstab import hong
-from ptstab.core import check_kappa, hong_weights, dilate, kappa_grid, sample_sphere, sphere_residual
+from ptstab.core import check_kappa, dilate, hong_weights, kappa_grid, onto_sphere, sample_sphere, sphere_residual
 from ptstab.hong import (
     CHUNK,
     KINK_TOL,
@@ -329,12 +329,42 @@ def _oracle_decay_rows(ell, kappa, X):
     return X, dV + gradV[:, -1] * u, V ** (1.0 + hong.alpha_of(kappa))
 
 
-def _oracle_scan(g, kappa_points, samples_per_kappa, seed):
-    grid = kappa_grid(g.n, kappa_points, g.kappa_pos)
-    pts = sample_sphere(g.n, grid, samples_per_kappa, seed)
+def _oracle_stress_samples(X, kappa, rng):
+    """The stress rows as they were drawn: per interior coordinate, N uniforms from rng."""
+    N, j = X.shape
+    if j < 3:
+        return X[:0]
+    w = hong_weights(j, kappa)
+    out = []
+    for i in range(1, j - 1):
+        Y = X.copy()
+        Y[:, i] *= 10.0 ** -rng.uniform(1.0, 12.0, size=N)
+        out.append(onto_sphere(w, Y))
+    return np.concatenate(out, axis=0)
+
+
+def _oracle_sample_sphere(n, grid, N, seed):
+    """sample_sphere as it was: one normal draw per kappa, placed at once."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((len(grid), N, n))
+    for g, kap in enumerate(grid):
+        z = rng.standard_normal((N, n))
+        z[np.all(z == 0.0, axis=1)] = 1.0
+        out[g] = onto_sphere(hong_weights(n, kap), z)
+    return out
+
+
+def _oracle_scan_rows(n, kappa_points, kappa_pos, samples_per_kappa, seed):
+    """(kappa, X) per grid kappa, every row drawn and placed eagerly in grid order."""
+    grid = kappa_grid(n, kappa_points, kappa_pos)
+    pts = _oracle_sample_sphere(n, grid, samples_per_kappa, seed)
     rng = np.random.default_rng(seed + 31)
     for kap, P in zip(grid, pts):
-        X = np.concatenate([P, hong._stress_samples(P, kap, rng)], axis=0)
+        yield kap, np.concatenate([P, _oracle_stress_samples(P, kap, rng)], axis=0)
+
+
+def _oracle_scan(g, kappa_points, samples_per_kappa, seed):
+    for kap, X in _oracle_scan_rows(g.n, kappa_points, g.kappa_pos, samples_per_kappa, seed):
         yield (kap, *_oracle_decay_rows(g.ell, kap, X))
 
 
@@ -442,3 +472,130 @@ def test_verify_and_residual_match_oracle(n, samples):
     _same_bits(x, x_ref)
     _same_bits(ratio, ratio_ref)
     _same_bits(decay_residual(g, 11, samples, seed=6), _oracle_decay_residual(g, 11, samples, 6))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_rows_on_demand_match_eager_bits(n):
+    # rows placed per kappa, in any order, are the eagerly drawn and placed ones
+    g = _gains(n, _ORACLE_ELL[:n])
+    grid = kappa_grid(n, 11, g.kappa_pos)
+    _same_bits(sample_sphere(n, grid, 257, 3), _oracle_sample_sphere(n, grid, 257, 3))
+    ref = list(_oracle_scan_rows(n, 11, g.kappa_pos, 257, 3))
+    shuffled = np.random.default_rng(n).permutation(11)
+    for order in (None, shuffled):
+        scan = hong._certificate_scan(g, 11, 257, 3, order=order)
+        for k, (kap, X, _) in zip(range(11) if order is None else order, scan):
+            _same_bits(kap, ref[k][0])
+            _same_bits(X, ref[k][1])
+
+
+# -- the certificate loop against the one that scanned everything ----------
+
+
+def _oracle_synthesize_hong_gains(n, cfg):
+    """synthesize_hong_gains as it was: every dense scan runs over the whole
+    grid, and each repair re-checks the levels in order, doubling the first
+    failing one (fallback: the deepest)."""
+    kappa_pos = kappa_pos_certified(n)
+    grid = kappa_grid(n, hong.KAPPA_POINTS, kappa_pos)
+    ell = [1.0]
+    level_pts = {}
+    for j in range(2, n + 1):
+        level_pts[j] = sample_sphere(j, grid, cfg.samples_per_level, cfg.seed + 101 * j)
+
+    def level_ok(j, gains):
+        worst = math.inf
+        for kap, X in zip(grid, level_pts[j]):
+            worst = min(worst, float(np.min(hong._decay_scores(gains, kap, X))))
+        return worst >= hong.LEVEL_TARGET
+
+    for j in range(2, n + 1):
+        lj = 1.0
+        while not level_ok(j, ell + [lj]):
+            lj *= 2.0
+        ell.append(lj)
+
+    g = HongGainSet(n=n, ell=np.array(ell), C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
+    rounds = 0
+    while True:
+        C_raw, worst = verify_decay(g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
+        if C_raw > 0:
+            C_dense, _ = verify_decay(
+                g, hong.KAPPA_POINTS, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
+            )
+            if C_dense > 0 and abs(C_dense - C_raw) / C_raw <= 0.05:
+                break
+        rounds += 1
+        if rounds > hong.MAX_ROUNDS:
+            raise hong.GainSynthesisError("decay verification failed after repairs", worst)
+        for j in range(2, n + 1):
+            if not level_ok(j, list(g.ell[:j])):
+                g.ell[j - 1] *= 2.0
+                break
+        else:
+            g.ell[-1] *= 2.0
+    g.C = 0.85 * min(C_raw, C_dense)
+    g.certificate = {
+        "kappa_points": hong.KAPPA_POINTS,
+        "samples_per_level": cfg.samples_per_level,
+        "verify_samples_per_kappa": cfg.verify_samples_per_kappa,
+        "seed": cfg.seed,
+        "c_raw": C_raw,
+        "repair_rounds": rounds,
+    }
+    g.certificate["worst_residual"] = decay_residual(
+        g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 997
+    )
+    return g
+
+
+def _assert_same_gains(g, ref):
+    assert g.ell.tobytes() == ref.ell.tobytes()
+    _same_bits(g.C, ref.C)
+    assert repr(g.certificate) == repr(ref.certificate)
+
+
+@pytest.mark.parametrize(
+    "n, cfg",
+    [
+        (1, HongSynthesisConfig()),
+        (2, HongSynthesisConfig()),
+        (3, HongSynthesisConfig(seed=11)),  # 8 repair rounds
+        (4, HongSynthesisConfig(seed=2)),
+        (5, HongSynthesisConfig(samples_per_level=300, verify_samples_per_kappa=60)),
+    ],
+)
+def test_synthesis_matches_oracle_loop(n, cfg):
+    _assert_same_gains(synthesize_hong_gains(n, cfg), _oracle_synthesize_hong_gains(n, cfg))
+
+
+def test_synthesis_failure_matches_oracle_loop():
+    # the last round's worst point lies at an interior kappa, not at the grid end
+    cfg = HongSynthesisConfig(samples_per_level=1000, verify_samples_per_kappa=200)
+    with pytest.raises(hong.GainSynthesisError) as ref:
+        _oracle_synthesize_hong_gains(4, cfg)
+    with pytest.raises(hong.GainSynthesisError) as got:
+        synthesize_hong_gains(4, cfg)
+    assert str(got.value) == str(ref.value)
+    (kap, x, ratio), (kap_ref, x_ref, ratio_ref) = got.value.worst, ref.value.worst
+    _same_bits(kap, kap_ref)
+    _same_bits(x, x_ref)
+    _same_bits(ratio, ratio_ref)
+
+
+def test_synthesis_scan_work_bound(monkeypatch):
+    # n=3 at seed 0 takes 3 repair rounds; scanning every dense row of every
+    # round and re-checking the levels scores 2,057,000 rows
+    rows = [0]
+    score = hong._decay_scores
+
+    def counted(ell, kappa, X, C=None):
+        rows[0] += len(X)
+        return score(ell, kappa, X, C)
+
+    monkeypatch.setattr(hong, "_decay_scores", counted)
+    g = synthesize_hong_gains(3, HongSynthesisConfig())
+    assert g.certificate["repair_rounds"] == 3
+    assert rows[0] <= 1_100_000
+    monkeypatch.undo()
+    _assert_same_gains(g, _oracle_synthesize_hong_gains(3, HongSynthesisConfig()))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,29 @@ def test_noise_envelope_reduces_and_blows_up():
     late = noise_envelope(g, ts, eta, 1.0, 0.1, 1.0 - 1e-6)
     assert late[0] < 10.0 * max(1.0, early[0])
     assert late[1] > 1e3 * early[1]
+
+
+def test_noise_envelope_limit_at_the_expflat_horizon():
+    # (eta*lam)^2 overflows at T-t = 1/400 and lam is inf at 1/715; the
+    # envelope must stay a number there, finite in coordinate 1
+    g = _certified(2)
+    ts = build(1.0, expflat_density())
+    eta = 1.01 * ts.a_sup() / g.C0
+    noise = envelope_constants(g)["c_dist"] * g.b_lower * float(np.sum(np.abs(g.K))) * 0.1
+    # coordinate 1 tends to the noise limit while the envelope is still finite
+    assert noise_envelope(g, ts, eta, 1.0, 0.1, 1.0 - 1.0 / 300.0)[0] == pytest.approx(noise, rel=1e-12)
+    for t, last in ((1.0 - 1.0 / 400.0, 1e170), (1.0 - 1.0 / 715.0, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env = noise_envelope(g, ts, eta, 1.0, 0.1, t)
+            quiet = noise_envelope(g, ts, eta, 1.0, 0.0, t)
+        assert env[0] == pytest.approx(noise, rel=1e-12) and env[1] >= last
+        with np.errstate(over="ignore"):
+            conv = convergence_envelope(g, ts, eta, 1.0, 0.0, t)
+        # convergence_envelope divides its terms by (eta*lam)^(n-i+1), so
+        # its 0 (or 1e-174 at 1/400) is the limit, and without noise the
+        # noise envelope is that same envelope
+        assert np.all(conv < 1e-170) and quiet.tobytes() == conv.tobytes()
 
 
 def test_envelopes_keep_their_bits():
