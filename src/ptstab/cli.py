@@ -249,9 +249,8 @@ class _Problem:
                 g = synthesize_hong_gains(n, HongSynthesisConfig(seed=cfg["controller.synth_seed"]))
             self.gains = g
             b_up = self.spec.b_upper if math.isfinite(self.spec.b_upper) else self.spec.b_lower
-            kappa0 = cfg["controller.kappa0"] or None
             self.switch = design_switch_params(
-                g, m=cfg["controller.m"], kappa0=kappa0, b_upper=b_up, seed=cfg["controller.design_seed"]
+                g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"]
             )
 
     def controller(self):

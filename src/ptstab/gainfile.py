@@ -191,7 +191,6 @@ CONFIG_SCHEMA = {
     "controller.density_param": ("float", 1.0),
     "controller.t_stop_frac": ("float", 1.0 - 1e-6),
     "controller.m": ("float", 0.5),
-    "controller.kappa0": ("float", 0.0),
     "controller.t_target": ("float", 1.0),
     "controller.reg_eps": ("float", 1e-3),
     "controller.synth_seed": ("int", 0),
@@ -253,4 +252,6 @@ def validate_config(kv: dict) -> dict:
         raise ConfigError(f"controller.kind must be one of {_CONTROLLER_KINDS}")
     if cfg["plant.n"] < 1 or cfg["plant.t"] <= 0:
         raise ConfigError("plant.n must be >= 1 and plant.t > 0")
+    if not 0.0 < cfg["controller.m"] < 1.0:
+        raise ConfigError("controller.m must lie in (0, 1)")
     return cfg

@@ -100,10 +100,14 @@ def kappa_pos_certified(n: int) -> float:
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
 
 
-@lru_cache(maxsize=32)  # bounded: band scans pass continuous kappa values
+@lru_cache(maxsize=32)  # bounded: the fixed-time feedback passes continuous kappa values
 def _exponents(n: int, kappa: float) -> tuple:
     """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the cascade, unchecked."""
-    kappa = float(kappa)
+    return _level_exponents(n, float(kappa))
+
+
+def _level_exponents(n: int, kappa) -> tuple:
+    """_exponents uncached, for a float kappa or elementwise for an array of them."""
     r = _hong_r(n + 1, kappa)
     out = []
     for lvl in range(n):
@@ -133,25 +137,31 @@ def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
     return v, (V if want_value else None)
 
 
-def _pow0(a: np.ndarray, e: float) -> np.ndarray:
-    """a^e of magnitudes a >= 0 with the a.e. convention 0^e := 0, also for e <= 0."""
-    if e > 0:
+def _pow0(a: np.ndarray, e) -> np.ndarray:
+    """a^e of magnitudes a >= 0 with the a.e. convention 0^e := 0, also for e <= 0.
+
+    e is a float or an array of exponents, one per entry of a.
+    """
+    if isinstance(e, float) and e > 0:
         return np.power(a, e)  # 0^e is 0 already
     return np.power(a, e, out=np.zeros(len(a)), where=a != 0)
 
 
-def _cascade_rows(ell, kappa: float, X: np.ndarray, grad: bool = True):
+def _cascade_rows(ell, kappa, X: np.ndarray, grad: bool = True):
     """The batched cascade over the rows of X (shape (N, j)), one level at a time.
 
-    Returns (V, vs, gradV, dv, gap): V per row; vs, the v_l per level (vs[-1]
-    is u); gradV and dv, the columns of grad V and of the gradient of the
-    last v (None unless grad); and gap = min_l |x_l - v_{l-1}|, the distance
-    to the signed-power kinks where the a.e. gradient formulas fail.  Every
-    array is one contiguous (N,) vector, and each |.|^e is taken once.
+    kappa is one float for all rows, or an (N,) array giving each row its
+    own degree (the float path keeps the cached, scalar exponents).  Returns
+    (V, vs, gradV, dv, gap): V per row; vs, the v_l per level (vs[-1] is u);
+    gradV and dv, the columns of grad V and of the gradient of the last v
+    (None unless grad); and gap = min_l |x_l - v_{l-1}|, the distance to the
+    signed-power kinks where the a.e. gradient formulas fail.  Every array
+    is one contiguous (N,) vector, and each |.|^e is taken once.
     """
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     vs, gradV, dv = [], [], []
-    for lvl, (b, b1, gam) in enumerate(_exponents(len(XT), kappa)):
+    exps = _exponents(len(XT), kappa) if np.ndim(kappa) == 0 else _level_exponents(len(XT), kappa)
+    for lvl, (b, b1, gam) in enumerate(exps):
         xl = XT[lvl]
         ax = np.abs(xl)
         sx = np.sign(xl) * _pow0(ax, b)
@@ -408,10 +418,12 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
 
     # certificate loop: the sampled constant must be positive AND stable
     # under a 10x denser scan (the singular layers reveal slowly), else
-    # ell_n is doubled.  No lower level is re-checked: its gains never change
-    # and passed level_ok on the same level_pts.  A dense scan stops once its
-    # running minimum is below C_raw and fails the test, since the full
-    # minimum is lower still and fails it too (- and / round monotonically).
+    # ell_n is doubled.  worst is the failing scan's worst sample: the dense
+    # one's when it ran, else the raw one's.  No lower level is re-checked:
+    # its gains never change and passed level_ok on the same level_pts.  A
+    # dense scan stops once its running minimum is below C_raw and fails the
+    # test, since the full minimum is lower still and fails it too (- and /
+    # round monotonically).
     rounds = 0
     while True:
         C_raw, worst, minima = _least_ratio(
@@ -422,7 +434,7 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
             def stable(C):
                 return C > 0 and abs(C - C_raw) / C_raw <= 0.05
 
-            C_dense, _, _ = _least_ratio(
+            C_dense, worst, _ = _least_ratio(
                 _certificate_scan(
                     g,
                     KAPPA_POINTS,

@@ -315,7 +315,9 @@ def convergence_envelope(
     """
     c, el, amp = _transient(g, ts, eta, x0_norm, t)
     amp += c["c_dist"] * d_sup
-    return amp / el ** np.array(pnf_weights(g.n).r)
+    # near T a power of eta*lambda leaves the double range; its coordinate's bound is then 0
+    with np.errstate(over="ignore"):
+        return amp / el ** np.array(pnf_weights(g.n).r)
 
 
 def noise_envelope(

@@ -6,8 +6,10 @@ is the quadratic Lyapunov function of the kappa=0 cascade.  Outside the band
 the closed loop is homogeneous of positive (resp. negative) degree, which
 gives fixed-time convergence onto the band and finite-time convergence to
 the origin, with the crossing controlled by a smallness condition on
-kappa0.  A dilation of the state by mu >= T_settle/T_target converts the
-fixed-time law into a prescribed-time one.
+kappa0: design_switch_params halves kappa0 from the largest certified
+degree until a sampled band-decay margin holds.  A dilation of the state by
+mu >= T_settle/T_target converts the fixed-time law into a prescribed-time
+one.
 """
 
 from __future__ import annotations
@@ -17,21 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec, dilate, dilate_rows, hong_weights, kappa_grid, pnf_weights
-from .hong import (
-    HongGainSet,
-    _cascade,
-    _cascade_rows,
-    _exponents,
-    alpha_of,
-    hong_control,
-    hong_value,
-)
+from .core import ChainSpec, dilate, dilate_rows, hong_weights, pnf_weights
+from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, alpha_of, hong_control, hong_value
 
 __all__ = [
     "SwitchDesignError",
     "SwitchParams",
-    "ExplicitConstants",
     "quadratic_form",
     "v0_value",
     "kappa_of_x",
@@ -39,7 +32,6 @@ __all__ = [
     "MatchedRobustLaw",
     "settling_bound",
     "prescribed_time_feedback",
-    "explicit_constants",
     "design_switch_params",
     "sample_v0_level",
     "sample_vkappa_level",
@@ -48,13 +40,9 @@ __all__ = [
 ]
 
 
-# explicit_constants: degree grid points, and band samples per degree of the
-# scalar control sweep (its extrema saturate early)
-EXPLICIT_KAPPA_POINTS = 9
-SWEEP_SAMPLES = 800
 # design_switch_params: samples per level set, and band samples of the decay margin
 DESIGN_SAMPLES = 4000
-BAND_SAMPLES = 3000
+BAND_SAMPLES = 30000
 
 
 class SwitchDesignError(RuntimeError):
@@ -74,12 +62,6 @@ class SwitchParams:
     C: float
     E: float = 0.0
     b_upper: float = 1.0
-
-
-@dataclass
-class ExplicitConstants:
-    C1_n: float
-    kappa0_of_m: float
 
 
 def quadratic_form(g: HongGainSet) -> np.ndarray:
@@ -253,84 +235,42 @@ def band_decay_margin(
 ) -> tuple:
     """(max over band samples of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|, C(1-m)/2).
 
-    The first below the second forces dV0 <= -C V0 / 2 across the band.
+    The first below the second forces dV0 <= -C V0 / 2 across the band.  Both
+    cascades run batched over CHUNK-row blocks of the samples, omega_k with
+    each row's own degree kappa(x).
     """
     X = sample_v0_level(sp.P, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
-    en_col = sp.P[:, g.n - 1]
-    worst = 0.0
-    for x in X:
-        kap = kappa_of_x(sp, x)
-        u_k, _ = hong_control(g, kap, x)
-        u_0, _ = hong_control(g, 0.0, x)
-        lhs = 2.0 * abs(float(x @ en_col)) * sp.b_upper * abs(u_k - u_0)
-        worst = max(worst, lhs)
-    return worst, sp.C * (1.0 - sp.m) / 2.0
-
-
-def explicit_constants(
-    g: HongGainSet,
-    m: float,
-    seed: int = 33,
-) -> ExplicitConstants:
-    """Sweep constant C1 and the kappa0(m) formula.
-
-    C1 is a direct maximization of the control deviation over band samples,
-    inflated by 2.  kappa0_of_m evaluates
-
-        (C(1-m) / (4 sqrt(1+m) sqrt(V0(e_n)) C1_n))^{2n/(n+1)}
-
-    capped below 1/(2n) to keep the degree range open.
-    """
-    if not 0.0 < m < 1.0:
-        raise ValueError("m must lie in (0, 1)")
-    n = g.n
-    grid = kappa_grid(n, EXPLICIT_KAPPA_POINTS, g.kappa_pos)
-
-    C1 = 0.0
-    for kap in grid:
-        if abs(kap) < 1e-12:
-            continue
-        pts = sample_vkappa_level(g, kap, 1.0, SWEEP_SAMPLES, seed)
-        # spread over the whole band by rescaling levels
-        rng = np.random.default_rng(seed + 1)
-        levels = rng.uniform(1.0 - m, 1.0 + m, size=SWEEP_SAMPLES)
-        w = hong_weights(n, kap)
-        pts = dilate_rows(w, levels ** (1.0 / (2.0 + kap)), pts)
-        denom = abs(kap) ** min(1.0, w.r[-1])
-        for x in pts:
-            uk, _ = hong_control(g, kap, x)
-            u0, _ = hong_control(g, 0.0, x)
-            C1 = max(C1, abs(uk - u0) / denom)
-    C1 *= 2.0
-
-    P = quadratic_form(g)
-    v0_en = float(P[n - 1, n - 1])
-    kap0 = (g.C * (1.0 - m) / (4.0 * math.sqrt(1.0 + m) * math.sqrt(v0_en) * C1)) ** (
-        2.0 * n / (n + 1.0)
-    )
-    kap0 = min(kap0, 0.999 / (2 * n))
-    return ExplicitConstants(C1_n=C1, kappa0_of_m=kap0)
+    lever = 2.0 * np.abs(X @ sp.P[:, g.n - 1]) * sp.b_upper
+    v0 = np.einsum("ij,jk,ik->i", X, sp.P, X)
+    # _kappa_of_v0 row by row; the clip pins rounding just outside the band to +-kappa0
+    kap = np.clip(sp.kappa0 * (1.0 + (v0 - (1.0 + sp.m)) / sp.m), -sp.kappa0, sp.kappa0)
+    block_max = []
+    for s in range(0, n_samples, CHUNK):
+        rows = slice(s, s + CHUNK)
+        u_k = _cascade_rows(g.ell, kap[rows], X[rows], grad=False)[1][-1]
+        u_0 = _cascade_rows(g.ell, 0.0, X[rows], grad=False)[1][-1]
+        block_max.append(np.max(lever[rows] * np.abs(u_k - u_0)))
+    return float(np.max(block_max)), sp.C * (1.0 - sp.m) / 2.0
 
 
 def design_switch_params(
     g: HongGainSet,
     m: float = 0.5,
-    kappa0: float | None = None,
     b_upper: float = 1.0,
     seed: int = 17,
 ) -> SwitchParams:
-    """Pick (m, kappa0), certify the band decay, and bound the settling time.
+    """Pick kappa0 for the band m, certify the band decay, and bound the settling time.
 
-    kappa0 defaults to the explicit formula, capped inside (0, 1/(2n)); it is
-    halved (at most 40 times) until the sampled band-decay margin holds with
-    the given b_upper.  r_plus/r_minus come from level-set extrema with 0.9
-    and 1.1 safety factors.
+    kappa0 starts at min(0.999 kappa_pos, 0.999/(2n)), just inside the
+    certified degree interval, and is halved (at most 40 times) until the
+    band-decay margin over BAND_SAMPLES points holds with the given b_upper;
+    nothing else chooses it.  r_plus/r_minus come from level-set extrema with
+    0.9 and 1.1 safety factors.
     """
+    if not 0.0 < m < 1.0:
+        raise ValueError("m must lie in (0, 1)")
     P = quadratic_form(g)
-    if kappa0 is None:
-        kappa0 = explicit_constants(g, m, seed=seed).kappa0_of_m
-    kappa0 = min(kappa0, 0.999 * g.kappa_pos, 0.999 / (2 * g.n))
-
+    kappa0 = min(0.999 * g.kappa_pos, 0.999 / (2 * g.n))
     sp = SwitchParams(
         m=m, kappa0=kappa0, P=P, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=b_upper
     )

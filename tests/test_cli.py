@@ -334,6 +334,8 @@ def _one_line_error(capsys, prefix):
         "disturbance.d2 = constant:1\ndisturbance.d2_direction = 1,x",
         "runs.x0 = 1,2,3",
         "plant.b_lower = -1",
+        "controller.m = 1.5",
+        "controller.m = 0",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):

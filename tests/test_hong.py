@@ -492,10 +492,23 @@ def test_scan_rows_on_demand_match_eager_bits(n):
 # -- the certificate loop against the one that scanned everything ----------
 
 
+def _oracle_kappa_minima(g, kappa_points, samples_per_kappa, seed):
+    """(kappa, x, ratio) at each grid kappa's least decay ratio, in grid order."""
+    out = []
+    for kap, X, dV, Vp in _oracle_scan(g, kappa_points, samples_per_kappa, seed):
+        ratios = -dV / Vp
+        i = int(np.argmin(ratios))
+        out.append((float(kap), X[i].copy(), float(ratios[i])))
+    return out
+
+
 def _oracle_synthesize_hong_gains(n, cfg):
     """synthesize_hong_gains as it was: every dense scan runs over the whole
     grid, and each repair re-checks the levels in order, doubling the first
-    failing one (fallback: the deepest)."""
+    failing one (fallback: the deepest).  A failing round's worst sample is
+    the one that fails it: the raw scan's least ratio, or the first running
+    minimum of the dense scan, read worst raw kappa first, that fails the
+    round."""
     kappa_pos = kappa_pos_certified(n)
     grid = kappa_grid(n, hong.KAPPA_POINTS, kappa_pos)
     ell = [1.0]
@@ -518,13 +531,26 @@ def _oracle_synthesize_hong_gains(n, cfg):
     g = HongGainSet(n=n, ell=np.array(ell), C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
     rounds = 0
     while True:
-        C_raw, worst = verify_decay(g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
+        raw = _oracle_kappa_minima(g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
+        worst = min(raw, key=lambda w: w[2])
+        C_raw = worst[2]
         if C_raw > 0:
-            C_dense, _ = verify_decay(
+
+            def stable(C):
+                return C > 0 and abs(C - C_raw) / C_raw <= 0.05
+
+            dense = _oracle_kappa_minima(
                 g, hong.KAPPA_POINTS, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
             )
-            if C_dense > 0 and abs(C_dense - C_raw) / C_raw <= 0.05:
+            C_dense = min(w[2] for w in dense)
+            if stable(C_dense):
                 break
+            running = math.inf
+            for k in np.argsort([w[2] for w in raw], kind="stable"):
+                if dense[k][2] < running:
+                    running, worst = dense[k][2], dense[k]
+                    if running < C_raw and not stable(running):
+                        break
         rounds += 1
         if rounds > hong.MAX_ROUNDS:
             raise hong.GainSynthesisError("decay verification failed after repairs", worst)
@@ -570,7 +596,8 @@ def test_synthesis_matches_oracle_loop(n, cfg):
 
 
 def test_synthesis_failure_matches_oracle_loop():
-    # the last round's worst point lies at an interior kappa, not at the grid end
+    # the last round's worst point lies at an interior kappa, not at the grid
+    # end, and comes from its dense scan
     cfg = HongSynthesisConfig(samples_per_level=1000, verify_samples_per_kappa=200)
     with pytest.raises(hong.GainSynthesisError) as ref:
         _oracle_synthesize_hong_gains(4, cfg)
@@ -581,6 +608,26 @@ def test_synthesis_failure_matches_oracle_loop():
     _same_bits(kap, kap_ref)
     _same_bits(x, x_ref)
     _same_bits(ratio, ratio_ref)
+
+
+def test_failed_round_reports_the_dense_scan_worst(monkeypatch):
+    # n=3 at these sizes fails its first round on the dense scan; with no
+    # repairs allowed, the error carries the dense sample that fails it, not
+    # the raw scan's least ratio
+    cfg = HongSynthesisConfig(samples_per_level=200, verify_samples_per_kappa=100)
+    g = synthesize_hong_gains(3, cfg)
+    rounds = g.certificate["repair_rounds"]
+    assert rounds > 0
+    g0 = HongGainSet(n=3, ell=g.ell.copy(), C=0.0, kappa_bound=1.0 / 6.0, kappa_pos=g.kappa_pos)
+    g0.ell[-1] /= 2.0**rounds
+    C_raw, _ = verify_decay(g0, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7)
+    assert C_raw > 0
+    monkeypatch.setattr(hong, "MAX_ROUNDS", 0)
+    with pytest.raises(hong.GainSynthesisError) as err:
+        synthesize_hong_gains(3, cfg)
+    kap, x, ratio = err.value.worst
+    assert ratio < C_raw and not (ratio > 0 and abs(ratio - C_raw) / C_raw <= 0.05)
+    assert hong._decay_scores(g0.ell, kap, x[None, :])[0] == pytest.approx(ratio, rel=1e-12)
 
 
 def test_synthesis_scan_work_bound(monkeypatch):

@@ -279,6 +279,22 @@ def test_noise_envelope_limit_at_the_expflat_horizon():
         assert np.all(conv < 1e-170) and quiet.tobytes() == conv.tobytes()
 
 
+def test_convergence_envelope_is_quiet_at_the_expflat_horizon():
+    # (eta*lam)^2 overflows at T-t = 1/400: coordinate 1's bound is 0 and
+    # coordinate 2's is c_dist*d_sup/(eta*lam), with no RuntimeWarning
+    g = _certified(2)
+    ts = build(1.0, expflat_density())
+    eta = 1.01 * ts.a_sup() / g.C0
+    t = 1.0 - 1.0 / 400.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = convergence_envelope(g, ts, eta, 1.0, 0.1, t)
+    assert env[0] == 0.0 and env[1] == pytest.approx(4.7397e-174, rel=1e-4)
+    with np.errstate(over="ignore"):
+        ref = (envelope_constants(g)["c_dist"] * 0.1) / (eta * ts.lam(t)) ** np.array([2.0, 1.0])
+    assert env.tobytes() == ref.tobytes()
+
+
 def test_envelopes_keep_their_bits():
     # both envelopes share one transient term; each must keep the bits of
     # the expression it was written as

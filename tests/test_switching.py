@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ptstab import hong
 from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
     HongSynthesisConfig,
@@ -22,7 +23,6 @@ from ptstab.switching import (
     SwitchParams,
     band_decay_margin,
     design_switch_params,
-    explicit_constants,
     fixed_time_feedback,
     MatchedRobustLaw,
     kappa_of_x,
@@ -286,20 +286,92 @@ def test_sample_v0_level_band_and_level_set():
     assert np.allclose(level, hi, rtol=1e-12, atol=0.0)
 
 
-def test_explicit_constants_sanity():
-    g, _ = _setup()
-    ec = explicit_constants(g, 0.5)
-    assert ec.C1_n > 0
-    assert 0 < ec.kappa0_of_m <= 0.999 / 4
-    # n=1: the deviation sweep is finite
-    g1 = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=100, verify_samples_per_kappa=100))
-    ec1 = explicit_constants(g1, 0.5)
-    assert np.isfinite(ec1.C1_n) and ec1.C1_n > 0
+def _band_margin_oracle(g, sp, n_samples, seed):
+    """band_decay_margin as it was: one scalar cascade pair per band sample."""
+    X = sample_v0_level(sp.P, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
+    en_col = sp.P[:, g.n - 1]
+    worst = 0.0
+    for x in X:
+        u_k, _ = hong_control(g, kappa_of_x(sp, x), x)
+        u_0, _ = hong_control(g, 0.0, x)
+        worst = max(worst, 2.0 * abs(float(x @ en_col)) * sp.b_upper * abs(u_k - u_0))
+    return worst, sp.C * (1.0 - sp.m) / 2.0
+
+
+def _small_gains(n):
+    return synthesize_hong_gains(n, HongSynthesisConfig(samples_per_level=100, verify_samples_per_kappa=100))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_band_margin_matches_scalar_oracle(n):
+    g = _small_gains(n)
+    cap = min(0.999 * g.kappa_pos, 0.999 / (2 * n))
+    for kappa0, b_upper in ((cap, 1.0), (cap / 16.0, 3.0)):
+        sp = SwitchParams(m=0.5, kappa0=kappa0, P=quadratic_form(g), r_plus=0.0, r_minus=0.0,
+                          T_settle=0.0, C=g.C, b_upper=b_upper)
+        worst, allowed = band_decay_margin(g, sp, n_samples=2000, seed=31 + n)
+        worst_ref, allowed_ref = _band_margin_oracle(g, sp, 2000, 31 + n)
+        assert worst > 0
+        assert worst == pytest.approx(worst_ref, rel=1e-12, abs=0.0)
+        assert allowed == allowed_ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cascade_rows_per_row_kappa_matches_scalar_cascade(n):
+    # each row of the batched cascade runs at its own degree: +-kappa0, 0
+    # and interior values, as in a band scan
+    ell = np.array([1.0, 2.0, 8.0, 32.0][:n])
+    rng = np.random.default_rng(50 + n)
+    kappa0 = 0.9 / (2 * n)
+    kap = rng.uniform(-kappa0, kappa0, size=400)
+    kap[:40] = kappa0
+    kap[40:80] = -kappa0
+    kap[80:120] = 0.0
+    X = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(400, 1))
+    X[120:130, 0] = 0.0
+    u = hong._cascade_rows(ell, kap, X, grad=False)[1][-1]
+    for x, kappa, u_row in zip(X, kap, u):
+        u_ref, _ = hong._cascade(ell.tolist(), hong._exponents(n, kappa), x.tolist(), want_value=False)
+        assert u_row == pytest.approx(u_ref, rel=1e-13, abs=0.0)
+    # a constant array gives the float path's values
+    for kappa in (kappa0, 0.0, -kappa0):
+        rows = hong._cascade_rows(ell, np.full(len(X), kappa), X, grad=False)
+        ref = hong._cascade_rows(ell, kappa, X, grad=False)
+        np.testing.assert_allclose(rows[0], ref[0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(rows[1][-1], ref[1][-1], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_design_gives_finite_kappa0_and_settling_bound(n):
+    g = _small_gains(n)
+    sp = design_switch_params(g, m=0.5)
+    assert 0 < sp.kappa0 <= min(0.999 * g.kappa_pos, 0.999 / (2 * n))
+    assert math.isfinite(sp.T_settle) and sp.T_settle > 0
+    worst, allowed = band_decay_margin(g, sp, n_samples=30000, seed=19)
+    assert worst <= allowed
+    for m in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            design_switch_params(g, m=m)
+
+
+def test_dense_band_scan_refuses_what_the_sparse_one_accepts():
+    # n=3, Hong seed 0, b_upper 1, design seed 17: the halving from the cap
+    # reaches 3.122e-4, which a 3,000-sample scan accepts (margin 0.301 of an
+    # allowed 0.332) but the 30,000-sample scan refuses (0.359)
+    g = synthesize_hong_gains(3, HongSynthesisConfig(seed=0))
+    sp = design_switch_params(g, m=0.5, b_upper=1.0, seed=17)
+    assert sp.kappa0 <= 1.561e-4
+    coarse = SwitchParams(m=0.5, kappa0=2.0 * sp.kappa0, P=sp.P, r_plus=0.0, r_minus=0.0,
+                          T_settle=0.0, C=g.C, b_upper=1.0)
+    worst, allowed = band_decay_margin(g, coarse, n_samples=3000, seed=19)
+    assert worst <= allowed
+    worst, allowed = band_decay_margin(g, coarse, n_samples=30000, seed=19)
+    assert worst > allowed
 
 
 def test_kappa0_formula_reproduces_band_decay():
     # the designed kappa0 comes from requiring dV0 <= -C V0/2 on the band;
-    # verified at the formula value on fresh samples
+    # verified at the designed value on fresh samples
     g, sp = _setup()
     rng = np.random.default_rng(8)
     for _ in range(500):
