@@ -86,7 +86,10 @@ def cmd_synthesize(args) -> int:
         msg = f"synthesis failed: {exc}"
         if getattr(exc, "worst", None) is not None:
             kap, _, ratio = exc.worst
-            msg += f" ({MAX_ROUNDS} repair rounds; last round's worst sample: kappa={kap:.4g}, ratio={ratio:.4g})"
+            msg += (
+                f" ({MAX_ROUNDS} repair rounds; last round's worst sample: kappa={kap:.4g},"
+                f" ratio={ratio:.4g} against C_raw={exc.c_raw:.4g})"
+            )
         print(msg, file=sys.stderr)
         return 2
     return 0

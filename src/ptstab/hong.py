@@ -74,9 +74,13 @@ MAX_ROUNDS = 20
 
 
 class GainSynthesisError(RuntimeError):
-    def __init__(self, msg, worst=None):
+    """Synthesis gave up; worst is the last round's worst (kappa, x, ratio)
+    and c_raw the raw constant that round was judged against."""
+
+    def __init__(self, msg, worst=None, c_raw=None):
         super().__init__(msg)
         self.worst = worst
+        self.c_raw = c_raw
 
 
 def alpha_of(kappa: float) -> float:
@@ -448,7 +452,7 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
                 break
         rounds += 1
         if rounds > MAX_ROUNDS:
-            raise GainSynthesisError("decay verification failed after repairs", worst)
+            raise GainSynthesisError("decay verification failed after repairs", worst, C_raw)
         g.ell[-1] *= 2.0
     g.C = 0.85 * min(C_raw, C_dense)
     g.certificate = {

@@ -18,6 +18,10 @@ S proportional to P, with P the solution of the Riccati equation
 J^T P + P J - P e_n e_n^T P + Q = 0.  Synthesis searches Q over a short
 geometric family and keeps the gain with the largest dilation-invariant
 perturbation margin.
+
+scipy.linalg is imported inside _riccati_gain and certify_perturbation, the
+two steps of synthesis that need it; checking, reading or running a gain
+does not load scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_continuous_are
 
 from .core import jordan_block, pnf_weights
 from .timescale import TimeScale
@@ -170,6 +173,8 @@ def certify_perturbation(g: LinearGain):
     when -M0 is not numerically definite or that check fails.  Updates g in
     place and returns (C0, rho0).
     """
+    from scipy.linalg import eigh
+
     ok, _, _ = verify_lmi(g)
     if not ok:
         raise ValueError("gain fails verify_lmi; cannot certify perturbation")
@@ -190,6 +195,8 @@ def certify_perturbation(g: LinearGain):
 
 def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
     """LQR certificate for Q = diag(2^(k*(i-1))), R = 1, with S scaled to unit norm."""
+    from scipy.linalg import solve_continuous_are
+
     en = np.zeros((n, 1))
     en[n - 1] = 1.0
     with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -227,6 +227,39 @@ def sample_vkappa_level(g: HongGainSet, kappa: float, level: float, N: int, seed
     return dilate_rows(hong_weights(g.n, kappa), (level / V) ** (1.0 / (2.0 + kappa)), z)
 
 
+def _band_scan(g: HongGainSet, P: np.ndarray, m: float, b_upper: float, n_samples: int, seed: int) -> list:
+    """The kappa0-independent part of the band scan, per CHUNK-row block.
+
+    Each block is (X, lever 2|x'Pe_n| b_upper, kappa(x)/kappa0, omega_0) over
+    n_samples points with V0 uniform on [1-m, 1+m].
+    """
+    X = sample_v0_level(P, 1.0 - m, 1.0 + m, n_samples, seed)
+    lever = 2.0 * np.abs(X @ P[:, g.n - 1]) * b_upper
+    v0 = np.einsum("ij,jk,ik->i", X, P, X)
+    # _kappa_of_v0 row by row, divided by kappa0 and before the clip
+    frac = 1.0 + (v0 - (1.0 + m)) / m
+    blocks = []
+    for s in range(0, n_samples, CHUNK):
+        rows = slice(s, s + CHUNK)
+        u_0 = _cascade_rows(g.ell, 0.0, X[rows], grad=False)[1][-1]
+        blocks.append((X[rows], lever[rows], frac[rows], u_0))
+    return blocks
+
+
+def _band_worst(g: HongGainSet, blocks: list, kappa0: float) -> float:
+    """max over the band scan of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|.
+
+    omega_k runs with each row's own degree kappa(x); the clip pins rounding
+    just outside the band to +-kappa0.
+    """
+    block_max = []
+    for X, lever, frac, u_0 in blocks:
+        kap = np.clip(kappa0 * frac, -kappa0, kappa0)
+        u_k = _cascade_rows(g.ell, kap, X, grad=False)[1][-1]
+        block_max.append(np.max(lever * np.abs(u_k - u_0)))
+    return float(np.max(block_max))
+
+
 def band_decay_margin(
     g: HongGainSet,
     sp: SwitchParams,
@@ -235,22 +268,12 @@ def band_decay_margin(
 ) -> tuple:
     """(max over band samples of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|, C(1-m)/2).
 
-    The first below the second forces dV0 <= -C V0 / 2 across the band.  Both
-    cascades run batched over CHUNK-row blocks of the samples, omega_k with
-    each row's own degree kappa(x).
+    The first below the second forces dV0 <= -C V0 / 2 across the band.  The
+    same two steps as one halving of design_switch_params: _band_scan, then
+    _band_worst at sp.kappa0.
     """
-    X = sample_v0_level(sp.P, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
-    lever = 2.0 * np.abs(X @ sp.P[:, g.n - 1]) * sp.b_upper
-    v0 = np.einsum("ij,jk,ik->i", X, sp.P, X)
-    # _kappa_of_v0 row by row; the clip pins rounding just outside the band to +-kappa0
-    kap = np.clip(sp.kappa0 * (1.0 + (v0 - (1.0 + sp.m)) / sp.m), -sp.kappa0, sp.kappa0)
-    block_max = []
-    for s in range(0, n_samples, CHUNK):
-        rows = slice(s, s + CHUNK)
-        u_k = _cascade_rows(g.ell, kap[rows], X[rows], grad=False)[1][-1]
-        u_0 = _cascade_rows(g.ell, 0.0, X[rows], grad=False)[1][-1]
-        block_max.append(np.max(lever[rows] * np.abs(u_k - u_0)))
-    return float(np.max(block_max)), sp.C * (1.0 - sp.m) / 2.0
+    blocks = _band_scan(g, sp.P, sp.m, sp.b_upper, n_samples, seed)
+    return _band_worst(g, blocks, sp.kappa0), sp.C * (1.0 - sp.m) / 2.0
 
 
 def design_switch_params(
@@ -264,8 +287,9 @@ def design_switch_params(
     kappa0 starts at min(0.999 kappa_pos, 0.999/(2n)), just inside the
     certified degree interval, and is halved (at most 40 times) until the
     band-decay margin over BAND_SAMPLES points holds with the given b_upper;
-    nothing else chooses it.  r_plus/r_minus come from level-set extrema with
-    0.9 and 1.1 safety factors.
+    nothing else chooses it.  The band samples, their lever arms and omega_0
+    are computed once; a halving reruns only omega_kappa.  r_plus/r_minus
+    come from level-set extrema with 0.9 and 1.1 safety factors.
     """
     if not 0.0 < m < 1.0:
         raise ValueError("m must lie in (0, 1)")
@@ -274,9 +298,10 @@ def design_switch_params(
     sp = SwitchParams(
         m=m, kappa0=kappa0, P=P, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=b_upper
     )
+    blocks = _band_scan(g, P, m, b_upper, BAND_SAMPLES, seed + 2)
+    allowed = sp.C * (1.0 - m) / 2.0
     for _ in range(40):
-        worst, allowed = band_decay_margin(g, sp, n_samples=BAND_SAMPLES, seed=seed + 2)
-        if worst <= allowed:
+        if _band_worst(g, blocks, sp.kappa0) <= allowed:
             break
         sp.kappa0 *= 0.5
     else:

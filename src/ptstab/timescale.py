@@ -4,6 +4,10 @@ A density a(t) >= 0 with positive tail integral A(t) = int_t^T a defines the
 blow-up gain lambda(t) = 1/A(t) and the warped clock s(t) = int_0^t lambda.
 The state map y = D^r_{lambda(t)} x turns the prescribed-time problem on
 [0, T) into an ordinary stabilization problem on s in [0, inf).
+
+Only the expflat clock needs scipy (scipy.special.expi); each _ExpflatClock
+imports it once, when it is built, so the constant and power densities do
+not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 from .core import WeightVector, dilate
 
@@ -77,11 +80,6 @@ def expflat_density() -> Density:
     return Density("expflat")
 
 
-def _g(u: float) -> float:
-    """G(u) = Ei(u) - e^u/u, an antiderivative of e^u/u^2 (A&S 5.1)."""
-    return float(expi(u)) - math.exp(u) / u
-
-
 def _g_scaled(u: float) -> float:
     """u^2 e^-u G(u) from its asymptotic series sum_k (k+1)!/u^k, for u > ASYMPTOTIC_U."""
     total = term = 1.0
@@ -122,14 +120,21 @@ class _ExpflatClock:
     """
 
     def __init__(self, u0: float):
+        from scipy.special import expi
+
+        self._expi = expi
         self.u0 = u0
         self.short = min(1.0, 0.5 * u0)
         if u0 <= ASYMPTOTIC_U:
-            self.g0 = _g(u0)
+            self.g0 = self._g(u0)
             self.log_g0 = math.log(self.g0) if self.g0 > 0 else None
         else:
             self.m0 = _g_scaled(u0) / (u0 * u0)  # G(u0) = e^u0 * m0
             self.log_g0 = u0 + math.log(self.m0)
+
+    def _g(self, u: float) -> float:
+        """G(u) = Ei(u) - e^u/u, an antiderivative of e^u/u^2 (A&S 5.1)."""
+        return float(self._expi(u)) - math.exp(u) / u
 
     def scaled(self, h: float):
         """(E, M) with s(h) = e^E * M and M > 0 for h > 0."""
@@ -142,7 +147,7 @@ class _ExpflatClock:
             return u0, h * acc
         U = u0 + h
         if U <= ASYMPTOTIC_U:
-            return 0.0, _g(U) - self.g0
+            return 0.0, self._g(U) - self.g0
         if u0 <= ASYMPTOTIC_U:
             tail = self.g0 * math.exp(-U)
         else:

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import math
 import os
 import subprocess
@@ -121,6 +122,8 @@ def test_synthesize_hong_failure_names_evidence(tmp_path, capsys):
     assert len(err) == 1, err
     assert err[0].startswith("synthesis failed: decay verification failed after repairs (20 repair rounds; ")
     assert "kappa=0.02," in err[0]
+    # the sample fails by lying more than 5% below the raw constant it is judged against
+    assert "ratio=699.6 against C_raw=1.697e+04)" in err[0]
     assert not out.exists()
 
 
@@ -445,13 +448,47 @@ def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_f
         assert _failing_rows(capsys.readouterr().out) == [failing]
 
 
-def test_cli_import_leaves_out_scipy_integrate_and_optimize():
-    # ptstab uses neither subpackage; importing them cost setup time and memory
-    code = "import sys, ptstab.cli; print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+def _scipy_loaded_by(code: str) -> list:
+    """The scipy modules loaded after running code in a fresh interpreter that imports ptstab from src/."""
     src_dir = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    probe = "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    out = subprocess.run([sys.executable, "-c", code + probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _main_code(argv) -> str:
+    return f"from ptstab.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    # ptstab.cli imports no scipy module at all; only PNF synthesis and the
+    # expflat clock load scipy, inside the code that calls it
+    assert _scipy_loaded_by("import ptstab.cli") == []
+
+
+@pytest.mark.parametrize("command", ["synthesize hong", "verify hong", "verify pnf", "simulate matched_robust"])
+def test_commands_off_the_scipy_paths_load_no_scipy(tmp_path, gain_paths, command):
+    if command == "synthesize hong":
+        argv = ["synthesize", "--kind", "hong", "--n", "2", "--b-lower", "1", "--out", tmp_path / "h2.gains"]
+    elif command == "verify hong":
+        argv = ["verify", "--gains", gain_paths["hong", 2]]
+    elif command == "verify pnf":
+        argv = ["verify", "--gains", gain_paths["pnf", 2]]
+    else:
+        lines = [ln for ln in _run_configs(gain_paths)["matched_robust"] if not ln.startswith("runs.count")]
+        lines += ["runs.count = 1", f"output.dir = {tmp_path / 'out'}"]
+        argv = ["simulate", "--config", _write_cfg(tmp_path / "robust.cfg", lines)]
+    assert _scipy_loaded_by(_main_code(argv)) == []
+
+
+def test_pnf_synthesis_loads_scipy_linalg_and_writes_the_in_process_bytes(tmp_path):
+    fresh, here = tmp_path / "fresh.gains", tmp_path / "here.gains"
+    argv = ["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "1", "--out"]
+    assert "scipy.linalg" in _scipy_loaded_by(_main_code(argv + [fresh]))
+    assert main(argv + [str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 _RUNS = ["runs.count = 2", "runs.seed = 1", "runs.x0_min = 0.3", "runs.x0_max = 30.0", "sim.rel_tol = 1e-7", "sim.horizon = 1.0"]

@@ -553,7 +553,7 @@ def _oracle_synthesize_hong_gains(n, cfg):
                         break
         rounds += 1
         if rounds > hong.MAX_ROUNDS:
-            raise hong.GainSynthesisError("decay verification failed after repairs", worst)
+            raise hong.GainSynthesisError("decay verification failed after repairs", worst, C_raw)
         for j in range(2, n + 1):
             if not level_ok(j, list(g.ell[:j])):
                 g.ell[j - 1] *= 2.0
@@ -608,6 +608,7 @@ def test_synthesis_failure_matches_oracle_loop():
     _same_bits(kap, kap_ref)
     _same_bits(x, x_ref)
     _same_bits(ratio, ratio_ref)
+    _same_bits(got.value.c_raw, ref.value.c_raw)
 
 
 def test_failed_round_reports_the_dense_scan_worst(monkeypatch):

@@ -354,6 +354,22 @@ def test_design_gives_finite_kappa0_and_settling_bound(n):
             design_switch_params(g, m=m)
 
 
+@pytest.mark.parametrize(
+    "n, b_upper, pinned",
+    [
+        (2, 1.0, "(0.03121875, 179.44835984046605)"),
+        (2, 3.0, "(0.0078046875, 721.2532024807596)"),
+        (3, 1.0, "(0.00015609375, 19280.80975180992)"),
+        (3, 3.0, "(7.8046875e-05, 38562.293648443076)"),
+    ],
+)
+def test_design_is_pinned_bit_for_bit(n, b_upper, pinned):
+    # Hong seed 0, m = 0.5, design seed 17: kappa0 and T_settle to the last bit
+    g, _ = _setup(n)
+    sp = design_switch_params(g, m=0.5, b_upper=b_upper, seed=17)
+    assert repr((sp.kappa0, sp.T_settle)) == pinned
+
+
 def test_dense_band_scan_refuses_what_the_sparse_one_accepts():
     # n=3, Hong seed 0, b_upper 1, design seed 17: the halving from the cap
     # reaches 3.122e-4, which a 3,000-sample scan accepts (margin 0.301 of an

@@ -1,3 +1,4 @@
+import builtins
 import math
 import warnings
 
@@ -255,3 +256,23 @@ def test_expflat_lambda_past_the_double_range():
     assert ts.lam(t) == pytest.approx(1.0 / ts.A(t), rel=1e-15)
     for u in (720.0, 750.0, 1e8):
         assert ts.lam(1.0 - 1.0 / u) == math.inf
+
+
+def test_expflat_clock_runs_no_import_per_evaluation(monkeypatch):
+    # scipy.special.expi is bound when the clock is built; s and t_of_s run
+    # once per RHS evaluation and must not execute an import statement
+    ts = build(1.0, expflat_density())
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    # t in (1/3, 39/40) puts u = 1/(1-t) on the Ei branch of the clock
+    for t in np.linspace(0.4, 0.97, 20):
+        ts.t_of_s(ts.s(float(t)))
+        ts.lam(float(t))
+    monkeypatch.undo()
+    assert imports == []
