@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 usage or config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -48,8 +49,6 @@ from .sim import (
 )
 from .switching import SwitchDesignError, design_switch_params
 from .timescale import Density, build
-
-_DENSITIES = {"constant", "power", "expflat"}
 
 
 def _fmt(v) -> str:
@@ -176,19 +175,15 @@ def _make_signal(parsed: tuple, seed: int, period: float) -> Signal:
     return Signal("noise", amp=vals[0], seed=seed, period=period)
 
 
-def _parse_bprofile(spec_str: str, b_lower: float) -> BProfile:
+def _bprofile_args(spec_str: str, b_lower: float) -> tuple:
+    """BProfile arguments (lo[, hi, freq, phase]) of a disturbance.b spec."""
     if not spec_str:
-        return BProfile(b_lower)
+        return (b_lower,)
     kind, vals = _spec_values("disturbance.b", spec_str)
-    try:
-        if kind == "constant" and vals:
-            return BProfile(vals[0])
-        if kind == "sine" and len(vals) >= 2:
-            freq = vals[2] if len(vals) > 2 else 1.0
-            phase = vals[3] if len(vals) > 3 else 0.0
-            return BProfile(vals[0], vals[1], freq=freq, phase=phase)
-    except ValueError as exc:
-        raise ConfigError(f"disturbance.b: {exc}") from None
+    if kind == "constant" and vals:
+        return (vals[0],)
+    if kind == "sine" and len(vals) >= 2:
+        return (vals[0], vals[1], vals[2] if len(vals) > 2 else 1.0, vals[3] if len(vals) > 3 else 0.0)
     raise ConfigError(f"disturbance.b: expected constant:v or sine:lo,hi[,freq[,phase]], got {spec_str!r}")
 
 
@@ -199,24 +194,31 @@ def _vector(key: str, text: str, n: int) -> np.ndarray:
     return np.array(vec)
 
 
+@contextlib.contextmanager
+def _config_values(section: str):
+    """A ValueError of a constructor that checks config values, as a ConfigError naming section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 class _Problem:
     """Everything a batch of runs needs, built once from a validated config."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
         n = cfg["plant.n"]
-        try:
-            self.spec = ChainSpec(
+        with _config_values("plant"):
+            spec = self.spec = ChainSpec(
                 n=n,
                 T=cfg["plant.t"],
                 b_lower=cfg["plant.b_lower"],
                 b_upper=cfg["plant.b_upper"],
                 d_bound=cfg["plant.d_bound"],
             )
-        except ValueError as exc:
-            raise ConfigError(f"plant: {exc}") from None
         # disturbance specs are parsed here, once; runs differ only in their noise seeds
-        self.period = cfg["disturbance.noise_period"] or self.spec.T / 1e4
+        self.period = cfg["disturbance.noise_period"] or spec.T / 1e4
         self.signals = {k: _parse_signal(f"disturbance.{k}", cfg[f"disturbance.{k}"]) for k in ("d", "d1", "d2")}
         e_n = np.zeros(n)
         e_n[-1] = 1.0
@@ -225,48 +227,46 @@ class _Problem:
             if self.signals[key][0] != "zero":
                 text = cfg[f"disturbance.{key}_direction"]
                 self.directions[key] = _vector(f"disturbance.{key}_direction", text, n) if text else default
-        self.b = _parse_bprofile(cfg["disturbance.b"], self.spec.b_lower)
+        b_args = _bprofile_args(cfg["disturbance.b"], spec.b_lower)
+        with _config_values("disturbance.b"):
+            self.b = BProfile(*b_args)
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
+        self.opts = SimOptions(
+            rel_tol=cfg["sim.rel_tol"],
+            abs_tol=cfg["sim.abs_tol"],
+            settle_radius=cfg["sim.settle_radius"],
+            max_steps=cfg["sim.max_steps"],
+        )
         kind = cfg["controller.kind"]
-        self.kind = kind
-        self.gains = None
-        self.switch = None
-        self.ts = None
         if kind == "pnf":
-            if cfg["controller.density"] not in _DENSITIES:
-                raise ConfigError("controller.density must be constant|power|expflat")
-            self.ts = build(self.spec.T, Density(cfg["controller.density"], cfg["controller.density_param"]))
-            if cfg["controller.gains"]:
-                g, _ = read_gains(cfg["controller.gains"])
-                if not hasattr(g, "K"):
-                    raise ConfigError("pnf controller needs a pnf gain file")
-            else:
-                g = synthesize_linear_gain(n, self.spec.b_lower)
-            self.gains = g
+            with _config_values("controller.density"):
+                ts = build(spec.T, Density(cfg["controller.density"], cfg["controller.density_param"]))
+        if cfg["controller.gains"]:
+            g, _ = read_gains(cfg["controller.gains"])
+            if hasattr(g, "K") != (kind == "pnf"):
+                raise ConfigError(f"{kind} controller needs a {'pnf' if kind == 'pnf' else 'hong'} gain file")
+        elif kind == "pnf":
+            g = synthesize_linear_gain(n, spec.b_lower)
         else:
-            if cfg["controller.gains"]:
-                g, _ = read_gains(cfg["controller.gains"])
-                if hasattr(g, "K"):
-                    raise ConfigError(f"{kind} controller needs a hong gain file")
-            else:
-                g = synthesize_hong_gains(n, HongSynthesisConfig(seed=cfg["controller.synth_seed"]))
-            self.gains = g
-            b_up = self.spec.b_upper if math.isfinite(self.spec.b_upper) else self.spec.b_lower
-            self.switch = design_switch_params(
+            g = synthesize_hong_gains(n, HongSynthesisConfig(seed=cfg["controller.synth_seed"]))
+        self.gains = g
+        self.switch = sp = None
+        if kind != "pnf":
+            b_up = spec.b_upper if math.isfinite(spec.b_upper) else spec.b_lower
+            sp = self.switch = design_switch_params(
                 g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"]
             )
-
-    def controller(self):
-        cfg = self.cfg
-        if self.kind == "pnf":
-            return pnf_controller(self.gains, self.ts, cfg["controller.eta"], cfg["controller.t_stop_frac"])
-        if self.kind == "fixed_time":
-            return fixed_time_controller(self.gains, self.switch, b_lower=self.spec.b_lower)
-        if self.kind == "matched_robust":
-            return robust_controller(self.gains, self.switch, self.spec, cfg["controller.reg_eps"])
-        return prescribed_time_controller(
-            self.gains, self.switch, cfg["controller.t_target"], b_lower=self.spec.b_lower
-        )
+        with _config_values("controller"):
+            if kind == "pnf":
+                self.controller = pnf_controller(g, ts, cfg["controller.eta"], cfg["controller.t_stop_frac"])
+            elif kind == "fixed_time":
+                self.controller = fixed_time_controller(g, sp, b_lower=spec.b_lower)
+            elif kind == "matched_robust":
+                self.controller = robust_controller(g, sp, spec, cfg["controller.reg_eps"])
+            else:
+                self.controller = prescribed_time_controller(
+                    g, sp, cfg["controller.t_target"], b_lower=spec.b_lower
+                )
 
     def disturbances(self, run_seed: int) -> DisturbanceSpec:
         d = _make_signal(self.signals["d"], 4 * run_seed + 1, self.period)
@@ -287,24 +287,15 @@ class _Problem:
         radius = 10 ** rng.uniform(math.log10(cfg["runs.x0_min"]), math.log10(cfg["runs.x0_max"]))
         return radius * direction
 
-    def options(self) -> SimOptions:
-        cfg = self.cfg
-        return SimOptions(
-            rel_tol=cfg["sim.rel_tol"],
-            abs_tol=cfg["sim.abs_tol"],
-            settle_radius=cfg["sim.settle_radius"],
-            max_steps=cfg["sim.max_steps"],
-        )
-
     def run_one(self, k: int):
         cfg = self.cfg
         seed = cfg["runs.seed"] + k
         traj = integrate(
             self.spec,
-            self.controller(),
+            self.controller,
             self.disturbances(seed),
             self.initial_state(seed),
-            self.options(),
+            self.opts,
             horizon=cfg["sim.horizon"],
         )
         if self.switch is not None:
@@ -344,21 +335,33 @@ def _write_run_csv(path: str, traj, n: int):
         fh.writelines(row % tuple(r) for r in np.column_stack(cols).tolist())
 
 
-def cmd_simulate(args) -> int:
+def _load(path: str, variants) -> list | int:
+    """One _Problem per key-value dict that variants(kv) derives from the config file at path.
+
+    A failure prints its one stderr line and returns its exit code instead:
+    1 for an unreadable or invalid config, 2 for inline gain synthesis or
+    switch design that yields no certificate.
+    """
     try:
-        kv = read_config(args.config)
-        cfg = validate_config(kv)
-        if args.runs is not None:
-            cfg["runs.count"] = args.runs
-        if args.seed is not None:
-            cfg["runs.seed"] = args.seed
-        problem = _Problem(cfg)
+        kv = read_config(path)
+        return [_Problem(validate_config(v)) for v in variants(kv)]
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _SETUP_FAILURES as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return 2
+
+
+def cmd_simulate(args) -> int:
+    # --runs and --seed replace their config keys before the config is validated
+    given = (("runs.count", args.runs), ("runs.seed", args.seed))
+    overrides = {key: str(v) for key, v in given if v is not None}
+    problems = _load(args.config, lambda kv: [{**kv, **overrides}])
+    if isinstance(problems, int):
+        return problems
+    (problem,) = problems
+    cfg = problem.cfg
     out_dir = cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
     summary = ["run,seed,status,settle_time,sup_norm,limsup_Z"]
@@ -402,26 +405,15 @@ def cmd_sweep(args) -> int:
     if not values:
         print("error: empty --values list", file=sys.stderr)
         return 1
-    try:
-        kv = read_config(args.config)
-        base_cfg = validate_config(kv)
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = base_cfg["output.dir"]
+    problems = _load(args.config, lambda kv: [_apply_sweep(kv, args.param, v) for v in values])
+    if isinstance(problems, int):
+        return problems
+    out_dir = problems[0].cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
     rows = ["param,value,run,seed,status,settle_time,sup_norm,limsup_Z"]
     value_stat = []
-    for value in values:
-        try:
-            cfg = validate_config(_apply_sweep(kv, args.param, value))
-            problem = _Problem(cfg)
-        except (OSError, ConfigError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except _SETUP_FAILURES as exc:
-            print(f"synthesis failed: {exc}", file=sys.stderr)
-            return 2
+    for value, problem in zip(values, problems):
+        cfg = problem.cfg
         worst = -math.inf
         for k in range(cfg["runs.count"]):
             traj, seed, metrics = problem.run_one(k)

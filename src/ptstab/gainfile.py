@@ -254,4 +254,10 @@ def validate_config(kv: dict) -> dict:
         raise ConfigError("plant.n must be >= 1 and plant.t > 0")
     if not 0.0 < cfg["controller.m"] < 1.0:
         raise ConfigError("controller.m must lie in (0, 1)")
+    if cfg["runs.count"] < 0:
+        raise ConfigError(f"runs.count must be >= 0, got {cfg['runs.count']}")
+    if not (cfg["runs.x0_min"] > 0 and cfg["runs.x0_max"] > 0):
+        raise ConfigError("runs.x0_min and runs.x0_max must be > 0")
+    if not cfg["sim.rel_tol"] >= 0:
+        raise ConfigError(f"sim.rel_tol must be >= 0, got {cfg['sim.rel_tol']!r}")
     return cfg

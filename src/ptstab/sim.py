@@ -21,7 +21,6 @@ from .switching import (
     MatchedRobustLaw,
     SwitchParams,
     fixed_time_feedback,
-    prescribed_time_feedback,
     switch_diagnostics,
     v0_value,
     z_value,
@@ -42,7 +41,6 @@ __all__ = [
     "fixed_time_controller",
     "robust_controller",
     "prescribed_time_controller",
-    "custom_controller",
     "SimOptions",
     "Trajectory",
     "integrate",
@@ -63,7 +61,7 @@ TAIL_FRAC = 0.25
 
 
 class Signal:
-    """Scalar signal from the closed catalog; value(t), amplitude bound."""
+    """Scalar signal from the closed catalog; value(t)."""
 
     def __init__(self, kind, amp=0.0, freq=1.0, phase=0.0, seed=0, period=1e-4):
         self.kind = kind
@@ -84,10 +82,6 @@ class Signal:
         if self.kind == "sine":
             return self.amp * math.sin(2.0 * math.pi * self.freq * t + self.phase)
         return float(self._table[int(t / self.period) % NOISE_TABLE])
-
-    @property
-    def bound(self) -> float:
-        return abs(self.amp)
 
 
 def zero_signal() -> Signal:
@@ -117,10 +111,6 @@ class VectorSignal:
     def __call__(self, t: float) -> np.ndarray:
         return self.direction * self.signal(t)
 
-    @property
-    def bound(self) -> float:
-        return float(np.linalg.norm(self.direction)) * self.signal.bound
-
 
 class BProfile:
     """Control-gain profile with declared bounds [lo, hi]."""
@@ -149,7 +139,6 @@ class DisturbanceSpec:
 
 @dataclass
 class Controller:
-    name: str
     u: object  # callable (t, x_measured) -> float
     t_stop: float | None = None
     surfaces: object | None = None  # callable x -> tuple of surface values
@@ -157,31 +146,40 @@ class Controller:
 
 
 def pnf_controller(gain: LinearGain, ts: TimeScale, eta: float, t_stop_frac: float = 1.0 - 1e-6):
+    """The PNF law, stopped at T*t_stop_frac, inside the time scale's horizon guard."""
+    if not 0.0 < t_stop_frac <= 1.0 - HORIZON_GUARD:
+        raise ValueError(f"t_stop_frac must lie in (0, 1 - {HORIZON_GUARD:g}], got {t_stop_frac}")
+    return Controller(u=pnf_law(gain, ts, eta), t_stop=ts.T * t_stop_frac)
+
+
+def _band_controller(g: HongGainSet, sp: SwitchParams, b_lower: float, mu: float = 1.0):
+    """The switching-degree law on y = D_mu x under the chain weights (y = x at mu = 1).
+
+    u = omega_{kappa(y)}(y)/b_lower, the surfaces are V0(y) = 1 -+ m, and the
+    diagnostics are taken at x itself.
+    """
+    w = pnf_weights(g.n)
+    state = (lambda x: x) if mu == 1.0 else (lambda x: dilate(w, mu, x))
+
+    def surfaces(x):
+        v = v0_value(sp.P, state(x))
+        return (v - (1.0 - sp.m), v - (1.0 + sp.m))
+
     return Controller(
-        name="pnf",
-        u=pnf_law(gain, ts, eta),
-        t_stop=ts.T * t_stop_frac,
+        u=lambda t, x: fixed_time_feedback(g, sp, state(x), b_lower=b_lower),
+        surfaces=surfaces,
+        diag=lambda x: switch_diagnostics(g, sp, x),
     )
 
 
 def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
-    def surfaces(x):
-        v = v0_value(sp.P, x)
-        return (v - (1.0 - sp.m), v - (1.0 + sp.m))
-
-    return Controller(
-        name="fixed_time",
-        u=lambda t, x: fixed_time_feedback(g, sp, x, b_lower=b_lower),
-        surfaces=surfaces,
-        diag=lambda x: switch_diagnostics(g, sp, x),
-    )
+    return _band_controller(g, sp, b_lower)
 
 
 def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float = 1e-3):
     """Matched-robust feedback; surface and diagnostics share its V_{-kappa0}."""
     law = MatchedRobustLaw(g, sp, spec, reg_eps)
     return Controller(
-        name="matched_robust",
         u=lambda t, x: law(x),
         surfaces=lambda x: (law.v_minus(x) - 1.0,),
         diag=lambda x: switch_diagnostics(g, sp, x, vm=law.v_minus(x)),
@@ -191,23 +189,10 @@ def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps
 def prescribed_time_controller(
     g: HongGainSet, sp: SwitchParams, T_target: float, b_lower: float = 1.0
 ):
-    mu = max(1.0, sp.T_settle / T_target)
-    w = pnf_weights(g.n)
-
-    def surfaces(x):
-        v = v0_value(sp.P, dilate(w, mu, x))
-        return (v - (1.0 - sp.m), v - (1.0 + sp.m))
-
-    return Controller(
-        name="prescribed_time",
-        u=lambda t, x: prescribed_time_feedback(g, sp, T_target, x, b_lower=b_lower),
-        surfaces=surfaces,
-        diag=lambda x: switch_diagnostics(g, sp, x),
-    )
-
-
-def custom_controller(fn, name: str = "custom"):
-    return Controller(name=name, u=fn)
+    """The fixed-time law on D_mu x, mu = max(1, T_settle/T_target): x settles within T_target."""
+    if not T_target > 0:
+        raise ValueError(f"T_target must be positive, got {T_target}")
+    return _band_controller(g, sp, b_lower, max(1.0, sp.T_settle / T_target))
 
 
 @dataclass
@@ -520,7 +505,8 @@ def integrate_warped(
     dist: DisturbanceSpec,
     x0,
     opts: SimOptions | None = None,
-    s_max: float = 30.0,
+    *,
+    s_max: float,
 ) -> Trajectory:
     """Integrate the warped dynamics y' = (a D_r + J) y + (b u + d) e_n.
 

@@ -31,11 +31,11 @@ from ptstab.pnf import (
 )
 from ptstab.sim import (
     BProfile,
+    Controller,
     DisturbanceSpec,
     SimOptions,
     VectorSignal,
     constant_signal,
-    custom_controller,
     fixed_time_controller,
     integrate,
     integrate_warped,
@@ -197,7 +197,7 @@ def test_criterion_05_oracle_equivalence():
         assert traj.x[i, 0] == pytest.approx(2.0 * (1.0 - tq), rel=1e-8, abs=1e-10)
     # n=2 kappa=0 closed loop against a matrix-exponential oracle
     ell = [1.0, 2.0]
-    ctrl = custom_controller(lambda t, x: -ell[1] * (x[1] + ell[0] * x[0]))
+    ctrl = Controller(u=lambda t, x: -ell[1] * (x[1] + ell[0] * x[0]))
     A = np.array([[0.0, 1.0], [-ell[1] * ell[0], -ell[1]]])
     x0 = np.array([1.0, -2.0])
     pts = tuple(np.linspace(0.5, 5.0, 10))

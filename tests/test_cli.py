@@ -339,6 +339,11 @@ def _one_line_error(capsys, prefix):
         "plant.b_lower = -1",
         "controller.m = 1.5",
         "controller.m = 0",
+        "controller.density = power\ncontroller.density_param = 0.5",
+        "runs.count = -3",
+        "runs.x0_min = 0",
+        "runs.x0_max = -1",
+        "sim.rel_tol = -1e-9",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
@@ -349,6 +354,43 @@ def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
     _one_line_error(capsys, "config error: ")
     assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
     _one_line_error(capsys, "config error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("pnf", "controller.t_stop_frac = 0.9999999999"),
+        ("pnf", "controller.t_stop_frac = -0.5"),
+        ("matched_robust", "controller.reg_eps = 0"),
+        ("prescribed_time", "controller.t_target = 0"),
+        ("prescribed_time", "controller.t_target = -1"),
+    ],
+)
+def test_bad_controller_values_are_config_errors(tmp_path, capsys, gain_paths, kind, line):
+    # checked where the controller is built, after its gains and switch design
+    gains = gain_paths["pnf" if kind == "pnf" else "hong", 2]
+    base = ["plant.n = 2", f"controller.kind = {kind}", f"controller.gains = {gains}", f"output.dir = {tmp_path / 'o'}"]
+    cfg = _write_cfg(tmp_path / "c.cfg", base + [line])
+    assert main(["simulate", "--config", cfg]) == 1
+    _one_line_error(capsys, "config error: controller: ")
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
+    _one_line_error(capsys, "config error: controller: ")
+
+
+def test_negative_run_count_and_zero_target_sweep_are_config_errors(tmp_path, capsys, gain_paths):
+    out = tmp_path / "o"
+    cfg = _write_cfg(
+        tmp_path / "pt.cfg",
+        ["plant.n = 2", "controller.kind = prescribed_time", f"controller.gains = {gain_paths['hong', 2]}",
+         f"output.dir = {out}"],
+    )
+    # --runs overrides runs.count before the config is validated
+    assert main(["simulate", "--config", cfg, "--runs", "-3"]) == 1
+    _one_line_error(capsys, "config error: runs.count must be >= 0")
+    # every swept value is checked before the first run
+    assert main(["sweep", "--config", cfg, "--param", "T_target", "--values", "1,0"]) == 1
+    _one_line_error(capsys, "config error: controller: T_target must be positive")
+    assert not out.exists()
 
 
 def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):

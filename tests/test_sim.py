@@ -14,7 +14,6 @@ from ptstab.sim import (
     DisturbanceSpec,
     SimOptions,
     constant_signal,
-    custom_controller,
     fixed_time_controller,
     integrate,
     integrate_warped,
@@ -36,7 +35,7 @@ def _dist():
 
 def test_zero_dynamics():
     spec = ChainSpec(n=1, T=1.0)
-    ctrl = custom_controller(lambda t, x: 0.0)
+    ctrl = Controller(u=lambda t, x: 0.0)
     traj = integrate(spec, ctrl, _dist(), [1.0], SimOptions(), horizon=5.0)
     assert traj.status == "horizon"
     assert np.max(np.abs(traj.x - 1.0)) < 1e-12
@@ -62,7 +61,7 @@ def _linear_cascade_controller(ell):
     def u(t, x):
         return -ell[1] * (x[1] + ell[0] * x[0])
 
-    return custom_controller(u, name="linear")
+    return Controller(u=u)
 
 
 def test_n2_matrix_exponential_oracle():
@@ -208,14 +207,14 @@ def test_settles_and_reports_metrics():
 
 def test_step_failure_on_nonfinite_controller():
     spec = ChainSpec(n=1, T=1.0)
-    ctrl = custom_controller(lambda t, x: math.nan)
+    ctrl = Controller(u=lambda t, x: math.nan)
     traj = integrate(spec, ctrl, _dist(), [1.0], SimOptions(), horizon=1.0)
     assert traj.status == "step_failure"
 
 
 def test_signals_and_bounds():
     s = sine_signal(2.0, 0.5, 0.1)
-    assert abs(s(0.3)) <= 2.0 and s.bound == 2.0
+    assert abs(s(0.3)) <= 2.0
     nz = noise_signal(0.5, seed=3)
     vals = [nz(t) for t in np.linspace(0, 1, 1000)]
     assert max(abs(v) for v in vals) <= 0.5
@@ -224,7 +223,6 @@ def test_signals_and_bounds():
     assert all(1.0 <= b(t) <= 3.0 for t in np.linspace(0, 10, 100))
     v = VectorSignal([0.0, 1.0], constant_signal(0.7))
     assert np.allclose(v(1.0), [0.0, 0.7])
-    assert v.bound == pytest.approx(0.7)
 
 
 def test_isotonic_fit_pava():
@@ -396,14 +394,14 @@ def _warped_run(density):
 
 def _blowup_run():
     # the feedback turns infinite past t = 0.3: stages there are rejected until the step fails
-    ctrl = custom_controller(lambda t, x: math.inf if t > 0.3 else -x[0] - x[1])
+    ctrl = Controller(u=lambda t, x: math.inf if t > 0.3 else -x[0] - x[1])
     return integrate(ChainSpec(n=2, T=1.0), ctrl, _dist(), [1.0, 0.0], SimOptions(), horizon=1.0)
 
 
 def _chain9_run(max_steps):
     # (s+1)^9 feedback; 9 components take numpy's pairwise error-norm sum
     coef = [math.comb(9, i) for i in range(9)]
-    ctrl = custom_controller(lambda t, x: -sum(c * v for c, v in zip(coef, x)))
+    ctrl = Controller(u=lambda t, x: -sum(c * v for c, v in zip(coef, x)))
     x0 = [1.0, 0.0, -0.5, 0.0, 0.25, 0.0, 0.0, 0.1, 0.0]
     opts = SimOptions(rel_tol=1e-7, abs_tol=1e-10, max_steps=max_steps)
     return integrate(ChainSpec(n=9, T=1.0), ctrl, _dist(), x0, opts, horizon=3.0)
@@ -474,7 +472,7 @@ def test_six_rhs_evaluations_per_attempted_step():
         calls["attempts"] += 1
         return (1.0,)
 
-    ctrl = Controller(name="counting", u=u, surfaces=surfaces)
+    ctrl = Controller(u=u, surfaces=surfaces)
     traj = integrate(
         ChainSpec(n=2, T=1.0), ctrl, _dist(), [1.0, 0.0], SimOptions(rel_tol=1e-8), horizon=3.0
     )
@@ -484,14 +482,14 @@ def test_six_rhs_evaluations_per_attempted_step():
 
 
 def test_warped_rejects_unreachable_s_max():
-    # constant density, T = 1: s(T*(1-1e-9)) = ln(1e9) = 20.72..., below the default s_max = 30
+    # constant density, T = 1: s(T*(1-1e-9)) = ln(1e9) = 20.72..., below s_max = 30
     calls = []
     dist = DisturbanceSpec(d=lambda t: calls.append(t) or 0.0)
     gain = synthesize_linear_gain(2, 1.0)
     certify_perturbation(gain)
     ts = build(1.0, constant_density(1.0))
     with pytest.raises(ValueError, match=r"largest admissible s_max is .* = 20\.72"):
-        integrate_warped(ChainSpec(n=2, T=1.0), gain, ts, 12.0, dist, [1.0, 0.5])
+        integrate_warped(ChainSpec(n=2, T=1.0), gain, ts, 12.0, dist, [1.0, 0.5], s_max=30.0)
     assert calls == []
     traj = integrate_warped(ChainSpec(n=2, T=1.0), gain, ts, 12.0, dist, [1.0, 0.5], s_max=20.7)
     assert traj.status in ("horizon", "settled") and calls

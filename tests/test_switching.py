@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptstab import hong
+from ptstab import hong, sim, switching
 from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
     HongSynthesisConfig,
@@ -13,11 +13,12 @@ from ptstab.hong import (
     synthesize_hong_gains,
 )
 from ptstab.sim import (
+    Controller,
     DisturbanceSpec,
     SimOptions,
-    custom_controller,
     fixed_time_controller,
     integrate,
+    prescribed_time_controller,
 )
 from ptstab.switching import (
     SwitchParams,
@@ -244,6 +245,39 @@ def test_prescribed_time_reduces_to_fixed_at_bound():
         prescribed_time_feedback(g, sp, -1.0, x)
 
 
+def test_prescribed_time_controller_refuses_nonpositive_target():
+    g, sp = _setup()
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="T_target"):
+            prescribed_time_controller(g, sp, bad)
+
+
+def test_prescribed_time_controller_at_mu_one_is_fixed_time(monkeypatch):
+    # T_target >= T_settle gives mu = 1: the fixed-time run, bit for bit, with no dilation
+    g, sp = _setup()
+    dilations = []
+    for mod in (sim, switching):
+        monkeypatch.setattr(mod, "dilate", lambda *a: dilations.append(a) or dilate(*a))
+    spec = ChainSpec(n=2, T=1.0)
+    x0 = np.array([1.5, -2.0])
+    opts = SimOptions(rel_tol=1e-8)
+    runs = [
+        integrate(spec, ctrl, DisturbanceSpec(), x0, opts, horizon=sp.T_settle)
+        for ctrl in (
+            fixed_time_controller(g, sp),
+            prescribed_time_controller(g, sp, sp.T_settle),
+            prescribed_time_controller(g, sp, 10.0 * sp.T_settle),
+        )
+    ]
+    assert dilations == []
+    ref = runs[0]
+    assert len(ref.t) > 10 and ref.status == "settled"
+    for traj in runs[1:]:
+        assert traj.t.tobytes() == ref.t.tobytes() and traj.x.tobytes() == ref.x.tobytes()
+        assert traj.u.tobytes() == ref.u.tobytes()
+        assert {k: v.tobytes() for k, v in traj.diag.items()} == {k: v.tobytes() for k, v in ref.diag.items()}
+
+
 def test_rescaling_oracle_fixed_kappa():
     # for kappa frozen at +kappa0 the mu-fed trajectory is the state/time
     # rescale of the mu=1 trajectory under the chain dilation weights
@@ -263,11 +297,11 @@ def test_rescaling_oracle_fixed_kappa():
     spec = ChainSpec(n=2, T=1.0)
     x0 = np.array([0.4, -0.2])
     pts = tuple(np.linspace(0.2, 2.0, 8))
-    traj_mu = integrate(spec, custom_controller(u_mu), DisturbanceSpec(), x0,
+    traj_mu = integrate(spec, Controller(u=u_mu), DisturbanceSpec(), x0,
                         SimOptions(rel_tol=1e-10, abs_tol=1e-13, t_eval=pts), horizon=2.0)
     y0 = dilate(w, mu, x0)
     pts_s = tuple(mu * p for p in pts)
-    traj_1 = integrate(spec, custom_controller(u_1), DisturbanceSpec(), y0,
+    traj_1 = integrate(spec, Controller(u=u_1), DisturbanceSpec(), y0,
                        SimOptions(rel_tol=1e-10, abs_tol=1e-13, t_eval=pts_s), horizon=2.0 * mu)
     for tq in pts:
         i = int(np.argmin(np.abs(traj_mu.t - tq)))
