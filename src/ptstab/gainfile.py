@@ -260,4 +260,6 @@ def validate_config(kv: dict) -> dict:
         raise ConfigError("runs.x0_min and runs.x0_max must be > 0")
     if not cfg["sim.rel_tol"] >= 0:
         raise ConfigError(f"sim.rel_tol must be >= 0, got {cfg['sim.rel_tol']!r}")
+    if not 0.0 < cfg["sim.horizon"] < math.inf:
+        raise ConfigError(f"sim.horizon must be finite and > 0, got {cfg['sim.horizon']!r}")
     return cfg

@@ -120,22 +120,30 @@ def _level_exponents(n: int, kappa) -> tuple:
     return tuple(out)
 
 
+_copysign = math.copysign
+
+
 def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
     """Float-only cascade over one state; returns (u, V or None).
 
     ``exps`` comes from _exponents; the intermediate v's are appended to
     ``vs`` when it is given.  The signed powers <z>^a are written out
-    inline, with <0>^a := 0.
+    inline, with <0>^a := 0, and each |.| is taken once.
     """
     v = 0.0
     V = 0.0
     for el, (b, b1, gam), xl in zip(ell, exps, x):
         xl = float(xl)
-        sv = math.copysign(abs(v) ** b, v) if v else 0.0
-        w = (math.copysign(abs(xl) ** b, xl) if xl else 0.0) - sv
+        ax = abs(xl)
+        if v:
+            av = abs(v)
+            sv = _copysign(av**b, v)
+        else:
+            av = sv = 0.0
+        w = (_copysign(ax**b, xl) if xl else 0.0) - sv
         if want_value:
-            V += (abs(xl) ** b1 - abs(v) ** b1) / b1 - sv * (xl - v)
-        v = -el * (math.copysign(abs(w) ** gam, w) if w else 0.0)
+            V += (ax**b1 - av**b1) / b1 - sv * (xl - v)
+        v = -el * (_copysign(abs(w) ** gam, w) if w else 0.0)
         if vs is not None:
             vs.append(v)
     return v, (V if want_value else None)

@@ -250,13 +250,15 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
 def pnf_law(g: LinearGain, ts: TimeScale, eta: float):
     """The feedback (t, x) -> -K^T D^r_{eta*lambda(t)} x with K and r bound once.
 
-    x must be a float array; pnf_feedback accepts any sequence.
+    x is a list of floats or a float array: the product with the scale
+    array converts a list, with the same bits.  pnf_feedback accepts any
+    sequence.
     """
-    K = g.K
+    K = np.asarray(g.K, dtype=float)
     r = np.array(pnf_weights(g.n).r)
 
     def u(t, x):
-        return -float(np.dot(K, (eta * ts.lam(t)) ** r * x))
+        return -float(K.dot((eta * ts.lam(t)) ** r * x))
 
     return u
 

@@ -20,8 +20,8 @@ from .pnf import LinearGain, pnf_law
 from .switching import (
     MatchedRobustLaw,
     SwitchParams,
-    fixed_time_feedback,
-    switch_diagnostics,
+    bind_diagnostics,
+    fixed_time_law,
     v0_value,
     z_value,
 )
@@ -61,7 +61,11 @@ TAIL_FRAC = 0.25
 
 
 class Signal:
-    """Scalar signal from the closed catalog; value(t)."""
+    """Scalar signal from the closed catalog; value(t).
+
+    The angular frequency 2*pi*freq is formed once: 2.0*math.pi*freq*t
+    evaluates left to right, so w*t has the same bits.
+    """
 
     def __init__(self, kind, amp=0.0, freq=1.0, phase=0.0, seed=0, period=1e-4):
         self.kind = kind
@@ -70,18 +74,20 @@ class Signal:
         self.phase = float(phase)
         self.seed = int(seed)
         self.period = float(period)
+        self._w = 2.0 * math.pi * self.freq
         if kind == "noise":
             rng = np.random.default_rng(seed)
-            self._table = rng.uniform(-self.amp, self.amp, NOISE_TABLE)
+            self._table = rng.uniform(-self.amp, self.amp, NOISE_TABLE).tolist()
 
     def __call__(self, t: float) -> float:
-        if self.kind == "zero":
+        kind = self.kind
+        if kind == "sine":
+            return self.amp * math.sin(self._w * t + self.phase)
+        if kind == "zero":
             return 0.0
-        if self.kind == "constant":
+        if kind == "constant":
             return self.amp
-        if self.kind == "sine":
-            return self.amp * math.sin(2.0 * math.pi * self.freq * t + self.phase)
-        return float(self._table[int(t / self.period) % NOISE_TABLE])
+        return self._table[int(t / self.period) % NOISE_TABLE]
 
 
 def zero_signal() -> Signal:
@@ -113,20 +119,26 @@ class VectorSignal:
 
 
 class BProfile:
-    """Control-gain profile with declared bounds [lo, hi]."""
+    """Control-gain profile with declared bounds [lo, hi].
+
+    mid, half and 2*pi*freq are formed once, with the bits of the literal
+    mid + half*math.sin(2.0*math.pi*freq*t + phase).
+    """
 
     def __init__(self, lo: float, hi: float | None = None, freq: float = 0.0, phase: float = 0.0):
         hi = lo if hi is None else hi
         if not 0 < lo <= hi:
             raise ValueError("need 0 < lo <= hi")
         self.lo, self.hi, self.freq, self.phase = lo, hi, freq, phase
+        self._varies = not (lo == hi or freq == 0.0)
+        self._mid = 0.5 * (lo + hi)
+        self._half = 0.5 * (hi - lo)
+        self._w = 2.0 * math.pi * freq
 
     def __call__(self, t: float) -> float:
-        if self.lo == self.hi or self.freq == 0.0:
+        if not self._varies:
             return self.lo
-        mid = 0.5 * (self.lo + self.hi)
-        half = 0.5 * (self.hi - self.lo)
-        return mid + half * math.sin(2.0 * math.pi * self.freq * t + self.phase)
+        return self._mid + self._half * math.sin(self._w * t + self.phase)
 
 
 @dataclass
@@ -156,20 +168,24 @@ def _band_controller(g: HongGainSet, sp: SwitchParams, b_lower: float, mu: float
     """The switching-degree law on y = D_mu x under the chain weights (y = x at mu = 1).
 
     u = omega_{kappa(y)}(y)/b_lower, the surfaces are V0(y) = 1 -+ m, and the
-    diagnostics are taken at x itself.
+    diagnostics are taken at x itself.  The law, the dilation factors
+    mu^{r_i} and the band edges are bound once.
     """
-    w = pnf_weights(g.n)
-    state = (lambda x: x) if mu == 1.0 else (lambda x: dilate(w, mu, x))
+    law = fixed_time_law(g, sp, b_lower)
+    scales = None if mu == 1.0 else dilate(pnf_weights(g.n), mu, np.ones(g.n)).tolist()
+    P, lo, hi = sp.P, 1.0 - sp.m, 1.0 + sp.m
+
+    def state(x):
+        return x if scales is None else [xi * si for xi, si in zip(x, scales)]
+
+    def u(t, x):
+        return law(state(x))
 
     def surfaces(x):
-        v = v0_value(sp.P, state(x))
-        return (v - (1.0 - sp.m), v - (1.0 + sp.m))
+        v = v0_value(P, state(x))
+        return (v - lo, v - hi)
 
-    return Controller(
-        u=lambda t, x: fixed_time_feedback(g, sp, state(x), b_lower=b_lower),
-        surfaces=surfaces,
-        diag=lambda x: switch_diagnostics(g, sp, x),
-    )
+    return Controller(u=u, surfaces=surfaces, diag=bind_diagnostics(g, sp))
 
 
 def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
@@ -179,11 +195,16 @@ def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0
 def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float = 1e-3):
     """Matched-robust feedback; surface and diagnostics share its V_{-kappa0}."""
     law = MatchedRobustLaw(g, sp, spec, reg_eps)
-    return Controller(
-        u=lambda t, x: law(x),
-        surfaces=lambda x: (law.v_minus(x) - 1.0,),
-        diag=lambda x: switch_diagnostics(g, sp, x, vm=law.v_minus(x)),
-    )
+    v_minus = law.v_minus
+    diagnostics = bind_diagnostics(g, sp)
+
+    def surfaces(x):
+        return (v_minus(x) - 1.0,)
+
+    def diag(x):
+        return diagnostics(x, v_minus(x))
+
+    return Controller(u=law.u, surfaces=surfaces, diag=diag)
 
 
 def prescribed_time_controller(
@@ -251,52 +272,52 @@ _C2, _C3, _C4, _C5 = _DP_C[:4]
 _E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
+_isfinite = math.isfinite
+
+
 def _all_finite(v) -> bool:
-    return all(map(math.isfinite, v))
+    for vi in v:
+        if not _isfinite(vi):
+            return False
+    return True
 
 
 def _dp_attempt(f, t, h, x, k1):
     """One DP54 attempt of size h from (t, x) with slope k1 = f(t, x).
 
-    Returns (x_new, x_new as an array, err, k7) with k7 = f(t + h, x_new),
-    the next step's k1 (first same as last), or None at the first non-finite
-    slope; x_new and err are float lists.  Each stage state is
+    Returns (x_new, err, k7) with k7 = f(t + h, x_new), the next step's k1
+    (first same as last), or None at the first non-finite slope.  Every state
+    handed to f, x_new and err are float lists.  Each stage state is
     x_i + (h*a_1)*k1_i + (h*a_2)*k2_i + ..., summed left to right over the
     nonzero entries of its tableau row, and err is summed the same way from
     0.0: the order of elementwise numpy updates, so the bits equal theirs.
     """
     a1 = h * _A21
-    k2 = f(t + _C2 * h, np.array([xi + a1 * p for xi, p in zip(x, k1)]))
+    k2 = f(t + _C2 * h, [xi + a1 * p for xi, p in zip(x, k1)])
     if not _all_finite(k2):
         return None
     a1, a2 = h * _A31, h * _A32
-    k3 = f(t + _C3 * h, np.array([xi + a1 * p + a2 * q for xi, p, q in zip(x, k1, k2)]))
+    k3 = f(t + _C3 * h, [xi + a1 * p + a2 * q for xi, p, q in zip(x, k1, k2)])
     if not _all_finite(k3):
         return None
     a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    k4 = f(
-        t + _C4 * h,
-        np.array([xi + a1 * p + a2 * q + a3 * r for xi, p, q, r in zip(x, k1, k2, k3)]),
-    )
+    k4 = f(t + _C4 * h, [xi + a1 * p + a2 * q + a3 * r for xi, p, q, r in zip(x, k1, k2, k3)])
     if not _all_finite(k4):
         return None
     a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
     k5 = f(
         t + _C5 * h,
-        np.array([
-            xi + a1 * p + a2 * q + a3 * r + a4 * s
-            for xi, p, q, r, s in zip(x, k1, k2, k3, k4)
-        ]),
+        [xi + a1 * p + a2 * q + a3 * r + a4 * s for xi, p, q, r, s in zip(x, k1, k2, k3, k4)],
     )
     if not _all_finite(k5):
         return None
     a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
     k6 = f(
         t + h,
-        np.array([
+        [
             xi + a1 * p + a2 * q + a3 * r + a4 * s + a5 * v
             for xi, p, q, r, s, v in zip(x, k1, k2, k3, k4, k5)
-        ]),
+        ],
     )
     if not _all_finite(k6):
         return None
@@ -305,8 +326,7 @@ def _dp_attempt(f, t, h, x, k1):
         xi + b1 * p + b3 * r + b4 * s + b5 * v + b6 * w
         for xi, p, r, s, v, w in zip(x, k1, k3, k4, k5, k6)
     ]
-    xa = np.array(x_new)
-    k7 = f(t + h, xa)
+    k7 = f(t + h, x_new)
     if not _all_finite(k7):
         return None
     e1, e3, e4, e5, e6, e7 = h * _E1, h * _E3, h * _E4, h * _E5, h * _E6, h * _E7
@@ -314,7 +334,7 @@ def _dp_attempt(f, t, h, x, k1):
         0.0 + e1 * p + e3 * r + e4 * s + e5 * v + e6 * w + e7 * z
         for p, r, s, v, w, z in zip(k1, k3, k4, k5, k6, k7)
     ]
-    return x_new, xa, err, k7
+    return x_new, err, k7
 
 
 def _err_norm(x, x_new, err, abs_tol, rel_tol) -> float:
@@ -341,22 +361,37 @@ def _err_norm(x, x_new, err, abs_tol, rel_tol) -> float:
     return math.sqrt(total / len(sq))
 
 
+def _within(x, radius) -> bool:
+    """math.sqrt(x.dot(x)) <= radius for the float list x, with numpy's dot.
+
+    Rounding is monotone, so that norm is at least every |x_i| whose square
+    is a normal double; a component above a radius of at least 1e-150 thus
+    decides the comparison without forming the norm.
+    """
+    if radius >= 1e-150 and max(map(abs, x)) > radius:
+        return False
+    xa = np.array(x)
+    return math.sqrt(xa.dot(xa)) <= radius
+
+
 def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     """Generic DP54 loop.  Returns (ts, xs, status, settle_time, fail_time).
 
-    f(t, x) takes a float64 array and returns the slope as a sequence of
-    floats; an attempted step evaluates it 6 times (first same as last), plus
-    once at the start.  h_cap(t, x) bounds the next step.  on_step(t, x) is
-    called for every recorded row, the initial one included, right after the
-    RHS evaluation at that row's (t, x), so on_step can read that
-    evaluation's by-products as the row's values.  xs holds each row as a
-    list of floats.
+    f(t, x) takes the state as a list of floats and returns the slope as a
+    sequence of floats; an attempted step evaluates it 6 times (first same
+    as last), plus once at the start.  h_cap(t, x) bounds the next step.
+    on_step(t, x) is called for every recorded row, the initial one
+    included, right after the RHS evaluation at that row's (t, x), so
+    on_step can read that evaluation's by-products as the row's values.
+    States are float lists that no callee may mutate: an accepted row's
+    list is the one its last RHS evaluation received, on_step and h_cap
+    receive it too, and xs holds it.
     """
     t = float(t0)
-    x = np.asarray(x0, dtype=float).copy()
-    xl = x.tolist()
+    x0 = np.asarray(x0, dtype=float)
+    x = x0.tolist()
     ts = [t]
-    xs = [xl]
+    xs = [x]
     evals = sorted(v for v in opts.t_eval if t0 < v <= t_end)
     eval_i = 0
 
@@ -365,7 +400,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
         on_step(t, x)
     if not _all_finite(k1):
         return ts, xs, "step_failure", None, t
-    scale = np.linalg.norm(x) + 1.0
+    scale = np.linalg.norm(x0) + 1.0
     rate = np.linalg.norm(k1) + 1e-12
     h = min((t_end - t0) * 1e-3, 0.01 * scale / rate)
     h = max(h, MIN_STEP * 10)
@@ -391,7 +426,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             fail_time = t
             break
 
-        step = _dp_attempt(f, t, h_try, xl, k1)
+        step = _dp_attempt(f, t, h_try, x, k1)
         if step is None:
             h = h_try * 0.2
             if h < MIN_STEP:
@@ -399,18 +434,17 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
                 fail_time = t
                 break
             continue
-        xl_new, x_new, err, k7 = step
-        err_norm = _err_norm(xl, xl_new, err, opts.abs_tol, opts.rel_tol)
+        x_new, err, k7 = step
+        err_norm = _err_norm(x, x_new, err, opts.abs_tol, opts.rel_tol)
 
         if err_norm <= 1.0 or h_try <= MIN_STEP * 10:
             t += h_try
-            x, xl, k1 = x_new, xl_new, k7
+            x, k1 = x_new, k7
             ts.append(t)
-            xs.append(xl)
+            xs.append(x)
             if on_step is not None:
                 on_step(t, x)
-            nx = math.sqrt(x.dot(x))
-            if nx <= opts.settle_radius:
+            if _within(x, opts.settle_radius):
                 if streak == 0:
                     settle_first = t
                 streak += 1
@@ -420,7 +454,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             else:
                 streak = 0
                 settle_first = None
-            if not _all_finite(xl):
+            if not _all_finite(x):
                 status = "step_failure"
                 fail_time = t
                 break
@@ -447,7 +481,9 @@ def integrate(
     Stops at min(horizon, ctrl.t_stop), on persistent settling, or on step
     failure.  Each accepted row records the u of the RHS evaluation at that
     row's (t, x) and the diagnostics of ctrl.diag at x, both taken in the
-    loop rather than recomputed afterwards.
+    loop rather than recomputed afterwards.  The state reaches ctrl.u,
+    ctrl.surfaces and ctrl.diag as a list of floats, never mutated, and the
+    measured state x + d1 is a fresh list.
     """
     opts = opts or SimOptions()
     n = spec.n
@@ -457,12 +493,13 @@ def integrate(
     t_end = min(horizon, ctrl.t_stop) if ctrl.t_stop is not None else horizon
 
     d, d1, d2, b = dist.d, dist.d1, dist.d2, dist.b
+    u_of, t_stop, surfaces, diag = ctrl.u, ctrl.t_stop, ctrl.surfaces, ctrl.diag
     last_u = [0.0]  # u of the latest RHS evaluation
 
     def f(t, x):
-        xm = x + d1(t) if d1 is not None else x
-        u = last_u[0] = ctrl.u(t, xm)
-        dx = x[1:].tolist()
+        xm = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
+        u = last_u[0] = u_of(t, xm)
+        dx = x[1:]
         dx.append(float(d(t) + b(t) * u))
         if d2 is not None:
             dx = [p + q for p, q in zip(dx, d2(t).tolist())]
@@ -470,11 +507,11 @@ def integrate(
 
     def h_cap(t, x):
         cap = math.inf
-        if ctrl.t_stop is not None:
-            cap = min(cap, max(0.05 * (ctrl.t_stop - t), 1e-12))
-        if ctrl.surfaces is not None:
-            vals = ctrl.surfaces(x + d1(t) if d1 is not None else x)
-            if min(abs(v) for v in vals) < 0.05:
+        if t_stop is not None:
+            cap = min(cap, max(0.05 * (t_stop - t), 1e-12))
+        if surfaces is not None:
+            xm = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
+            if min(map(abs, surfaces(xm))) < 0.05:
                 cap = min(cap, SWITCH_CAP)
         return cap
 
@@ -483,8 +520,8 @@ def integrate(
 
     def on_step(t, x):
         us.append(last_u[0])
-        if ctrl.diag is not None:
-            for k, v in ctrl.diag(x).items():
+        if diag is not None:
+            for k, v in diag(x).items():
                 cols.setdefault(k, []).append(v)
 
     ts, xs, status, settle_time, fail_time = _adaptive_run(
@@ -532,18 +569,17 @@ def integrate_warped(
     y0 = dilate(w, ts.lam(0.0), np.asarray(x0, dtype=float))
     r = np.array(w.r)
     eta_pow = eta**r
-    K = gain.K
+    K = np.asarray(gain.K, dtype=float)
     d, b = dist.d, dist.b
     last = [0.0, 0.0]  # (t, u) of the latest RHS evaluation
 
     def f(s, y):
         t = last[0] = ts.t_of_s(s)
-        u = last[1] = -float(np.dot(K, eta_pow * y))
-        yl = y.tolist()
-        dy = yl[1:]
+        u = last[1] = -float(K.dot(eta_pow * y))
+        dy = y[1:]
         dy.append(b(t) * u + d(t))
         a = ts.a(t)
-        return [p + a * ri * yi for p, ri, yi in zip(dy, w.r, yl)]
+        return [p + a * ri * yi for p, ri, yi in zip(dy, w.r, y)]
 
     t_rows = []
     u_rows = []

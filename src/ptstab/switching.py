@@ -9,7 +9,7 @@ the origin, with the crossing controlled by a smallness condition on
 kappa0: design_switch_params halves kappa0 from the largest certified
 degree until a sampled band-decay margin holds.  A dilation of the state by
 mu >= T_settle/T_target converts the fixed-time law into a prescribed-time
-one.
+one (sim.prescribed_time_controller).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec, dilate, dilate_rows, hong_weights, pnf_weights
-from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, alpha_of, hong_control, hong_value
+from .core import ChainSpec, dilate_rows, hong_weights
+from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, _level_exponents, alpha_of, hong_value
 
 __all__ = [
     "SwitchDesignError",
@@ -28,15 +28,15 @@ __all__ = [
     "quadratic_form",
     "v0_value",
     "kappa_of_x",
+    "fixed_time_law",
     "fixed_time_feedback",
     "MatchedRobustLaw",
     "settling_bound",
-    "prescribed_time_feedback",
     "design_switch_params",
     "sample_v0_level",
     "sample_vkappa_level",
     "band_decay_margin",
-    "switch_diagnostics",
+    "bind_diagnostics",
 ]
 
 
@@ -80,26 +80,58 @@ def quadratic_form(g: HongGainSet) -> np.ndarray:
 
 
 def v0_value(P: np.ndarray, x) -> float:
+    """x'Px for a float list or array x.
+
+    The ndarray.dot calls run the BLAS calls of x @ P @ x (a vector-matrix
+    product, then a dot) with less dispatch, and give the same bits.
+    """
     x = np.asarray(x, dtype=float)
-    return float(x @ P @ x)
+    return float(x.dot(P).dot(x))
 
 
 def kappa_of_x(sp: SwitchParams, x) -> float:
     """Continuous switching degree: saturated outside the band, affine inside."""
-    return _kappa_of_v0(sp, v0_value(sp.P, x))
+    return _kappa_law(sp)(v0_value(sp.P, x))
 
 
-def _kappa_of_v0(sp: SwitchParams, v0: float) -> float:
-    if v0 > 1.0 + sp.m:
-        return sp.kappa0
-    if v0 < 1.0 - sp.m:
-        return -sp.kappa0
-    return sp.kappa0 * (1.0 + (v0 - (1.0 + sp.m)) / sp.m)
+def _kappa_law(sp: SwitchParams):
+    """v0 -> kappa: +kappa0 above the band 1 +- m, -kappa0 below it, affine across it."""
+    k0, m = sp.kappa0, sp.m
+    hi, lo = 1.0 + m, 1.0 - m
+
+    def kappa(v0: float) -> float:
+        if v0 > hi:
+            return k0
+        if v0 < lo:
+            return -k0
+        return k0 * (1.0 + (v0 - hi) / m)
+
+    return kappa
+
+
+def fixed_time_law(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
+    """The feedback x -> omega^H_{kappa(x)}(x) / b_lower with its constants bound once.
+
+    kappa0 is checked against g once (every kappa(x) lies in [-kappa0, kappa0]),
+    and ell and the +-kappa0 exponents are fixed here; a degree inside the
+    band gets its exponents computed per call.  x is a float list or array.
+    """
+    g.check_kappa(sp.kappa0)
+    n, ell, P = g.n, g.ell.tolist(), sp.P
+    kappa_of_v0 = _kappa_law(sp)
+    saturated = {sp.kappa0: _exponents(n, sp.kappa0), -sp.kappa0: _exponents(n, -sp.kappa0)}
+
+    def law(x) -> float:
+        kappa = kappa_of_v0(v0_value(P, x))
+        exps = saturated.get(kappa) or _level_exponents(n, kappa)
+        return _cascade(ell, exps, x, want_value=False)[0] / b_lower
+
+    return law
 
 
 def fixed_time_feedback(g: HongGainSet, sp: SwitchParams, x, b_lower: float = 1.0) -> float:
     """u = omega^H_{kappa(x)}(x) / b_lower (v_n is linear in the last gain ell_n)."""
-    return hong_control(g, kappa_of_x(sp, x), x)[0] / b_lower
+    return fixed_time_law(g, sp, b_lower)(x)
 
 
 class MatchedRobustLaw:
@@ -112,10 +144,13 @@ class MatchedRobustLaw:
     {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.
 
     The -kappa0 pass yields V_{-kappa0} as a by-product.  v_minus(y) returns
-    it without another pass when y is the state of the last evaluation (a
-    one-entry memo keyed on the state's bytes), so the step-cap surface and
-    the diagnostics at an accepted step reuse the feedback's value there.
-    States are float64 arrays of length n.
+    it without another pass when y is the state of the last evaluation, or
+    of the last such reuse: a two-entry memo keyed on the state list
+    itself, with an equality fallback for another list or an array of the
+    same values.  So the step-cap surface and the diagnostics at an
+    accepted step reuse the feedback's value there, also after rejected
+    attempts have evaluated other states.  States are float lists, which
+    must not be mutated after a call, or float64 arrays of length n.
     """
 
     def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
@@ -128,26 +163,41 @@ class MatchedRobustLaw:
         self._d_bound = spec.d_bound
         self._b_lower = spec.b_lower
         self._eps = reg_eps
-        self._memo = (None, None)  # (state bytes, V_{-kappa0}), replaced in one assignment
-
-    def _minus_pass(self, y):
-        w0, vm = _cascade(self._ell, self._minus, y.tolist())
-        self._memo = (y.tobytes(), vm)
-        return w0, vm
+        # (state, V_{-kappa0}) of the last evaluation and of the last v_minus hit,
+        # each replaced in one assignment
+        self._memo = self._held = (None, None)
 
     def __call__(self, y) -> float:
-        w0, vm = self._minus_pass(y)
+        return self.u(None, y)
+
+    def u(self, t, y) -> float:
+        """The feedback at state y as a Controller.u (the law does not read t)."""
+        if type(y) is not list:
+            y = np.asarray(y, dtype=float).tolist()
+        w0, vm = _cascade(self._ell, self._minus, y)
+        self._memo = (y, vm)
         if vm > 1.0:
-            w0, _ = _cascade(self._ell, self._plus, y.tolist(), want_value=False)
+            w0 = _cascade(self._ell, self._plus, y, want_value=False)[0]
         sgn = w0 / max(abs(w0), self._eps)
         return (w0 + self._d_bound * sgn) / self._b_lower
 
     def v_minus(self, y) -> float:
-        """V_{-kappa0}(y), from the memo when y is the last evaluated state."""
-        key, vm = self._memo
-        if y.tobytes() == key:
+        """V_{-kappa0}(y), from the memo when y is a state it holds."""
+        memo = self._memo
+        if y is memo[0]:
+            self._held = memo
+            return memo[1]
+        if type(y) is not list:
+            y = np.asarray(y, dtype=float).tolist()
+        if y == memo[0]:
+            self._held = memo
+            return memo[1]
+        key, vm = self._held
+        if y is key or y == key:
             return vm
-        return self._minus_pass(y)[1]
+        vm = _cascade(self._ell, self._minus, y)[1]
+        self._memo = (y, vm)
+        return vm
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:
@@ -161,49 +211,42 @@ def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: fl
     return (r_plus ** (-ap) / ap - 2.0 * math.log(2.0 * m) + r_minus ** (-am) / (-am)) / C
 
 
-def prescribed_time_feedback(
-    g: HongGainSet, sp: SwitchParams, T_target: float, x, b_lower: float = 1.0
-) -> float:
-    """Fixed-time law evaluated on the chain-invariant dilation of the state.
-
-    With mu = max(1, T_settle/T_target) and the (n, n-1, ..., 1) weights, the
-    dilated state y = D_mu x runs the fixed-time loop in time s = mu*t, so x
-    settles within T_settle/mu <= T_target.
-    """
-    if not T_target > 0:
-        raise ValueError("T_target must be positive")
-    mu = max(1.0, sp.T_settle / T_target)
-    xm = dilate(pnf_weights(g.n), mu, x)
-    return fixed_time_feedback(g, sp, xm, b_lower=b_lower)
-
-
 def z_value(g: HongGainSet, sp: SwitchParams, x, alt_exponent: bool = False) -> float:
     """Residual metric Z = min(V0, V_{+k0}^{1+a}, V_{-k0}^{1-a}), a = alpha(kappa0).
 
     alt_exponent uses 1+alpha(-kappa0) on the third term instead of 1-a.
     """
-    v0 = v0_value(sp.P, x)
-    vp = hong_value(g, sp.kappa0, x)
-    vm = hong_value(g, -sp.kappa0, x)
-    return _z_of(sp, v0, vp, vm, alt_exponent)
+    ep, em = _z_exponents(sp.kappa0, alt_exponent)
+    return min(v0_value(sp.P, x), hong_value(g, sp.kappa0, x) ** ep, hong_value(g, -sp.kappa0, x) ** em)
 
 
-def _z_of(sp: SwitchParams, v0: float, vp: float, vm: float, alt_exponent: bool = False) -> float:
-    a = alpha_of(sp.kappa0)
-    e_minus = 1.0 + alpha_of(-sp.kappa0) if alt_exponent else 1.0 - a
-    return min(v0, vp ** (1.0 + a), vm**e_minus)
+def _z_exponents(kappa0: float, alt_exponent: bool = False) -> tuple:
+    """The exponents (1+a, 1-a) of Z's level-set terms; alt_exponent makes the second 1+alpha(-kappa0)."""
+    a = alpha_of(kappa0)
+    return 1.0 + a, (1.0 + alpha_of(-kappa0) if alt_exponent else 1.0 - a)
 
 
-def switch_diagnostics(g: HongGainSet, sp: SwitchParams, x, vm: float | None = None) -> dict:
-    """{V0, Vkp, Vkm, kappa, Z} at x, each level set evaluated once.
+def bind_diagnostics(g: HongGainSet, sp: SwitchParams):
+    """The function (x, vm=None) -> {V0, Vkp, Vkm, kappa, Z} at x, each level set evaluated once.
 
-    ``vm`` supplies V_{-kappa0}(x) when the caller already has it.
+    ``vm`` supplies V_{-kappa0}(x) when the caller already has it; x is a
+    float list or array.  kappa0 is checked once, and ell, the +-kappa0
+    exponents, the band and Z's exponents are bound once.
     """
-    v0 = v0_value(sp.P, x)
-    vp = hong_value(g, sp.kappa0, x)
-    if vm is None:
-        vm = hong_value(g, -sp.kappa0, x)
-    return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": _kappa_of_v0(sp, v0), "Z": _z_of(sp, v0, vp, vm)}
+    g.check_kappa(sp.kappa0)
+    ell, P = g.ell.tolist(), sp.P
+    plus, minus = _exponents(g.n, sp.kappa0), _exponents(g.n, -sp.kappa0)
+    kappa_of_v0 = _kappa_law(sp)
+    ep, em = _z_exponents(sp.kappa0)
+
+    def diag(x, vm: float | None = None) -> dict:
+        v0 = v0_value(P, x)
+        vp = _cascade(ell, plus, x)[1]
+        if vm is None:
+            vm = _cascade(ell, minus, x)[1]
+        return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": kappa_of_v0(v0), "Z": min(v0, vp**ep, vm**em)}
+
+    return diag
 
 
 def sample_v0_level(P: np.ndarray, lo: float, hi: float, N: int, seed: int) -> np.ndarray:
@@ -236,7 +279,7 @@ def _band_scan(g: HongGainSet, P: np.ndarray, m: float, b_upper: float, n_sample
     X = sample_v0_level(P, 1.0 - m, 1.0 + m, n_samples, seed)
     lever = 2.0 * np.abs(X @ P[:, g.n - 1]) * b_upper
     v0 = np.einsum("ij,jk,ik->i", X, P, X)
-    # _kappa_of_v0 row by row, divided by kappa0 and before the clip
+    # _kappa_law row by row, divided by kappa0 and before the clip
     frac = 1.0 + (v0 - (1.0 + m)) / m
     blocks = []
     for s in range(0, n_samples, CHUNK):

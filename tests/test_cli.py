@@ -344,6 +344,10 @@ def _one_line_error(capsys, prefix):
         "runs.x0_min = 0",
         "runs.x0_max = -1",
         "sim.rel_tol = -1e-9",
+        "sim.horizon = -1",
+        "sim.horizon = 0",
+        "sim.horizon = inf",
+        "sim.horizon = nan",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):

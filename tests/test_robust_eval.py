@@ -5,11 +5,13 @@ cascade bit for bit, and a run's recorded u and diagnostics, taken from the
 in-loop evaluations, must equal a fresh recomputation at every row.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ptstab import switching
 from ptstab.core import ChainSpec
 from ptstab.hong import (
     HongSynthesisConfig,
@@ -157,3 +159,40 @@ def test_fixed_time_run_records_in_loop_values(design):
     )
     _rows_match_recompute(traj, fixed_time_controller(g, sp), g, sp)
     _iss_matches_recompute(traj, g, sp)
+
+
+def test_one_minus_pass_per_rhs_evaluation(design, monkeypatch):
+    # the step cap and the Vkm diagnostic read V_{-kappa0} from the law's memo, also
+    # after rejected attempts; the only extra pass is the +kappa0 control off {V_- <= 1}
+    g, sp = design
+    passes = []
+
+    def counting_cascade(ell, exps, x, want_value=True, vs=None):
+        out = _cascade(ell, exps, x, want_value, vs)
+        passes.append((exps, want_value, out[1]))
+        return out
+
+    monkeypatch.setattr(switching, "_cascade", counting_cascade)
+    ctrl = robust_controller(g, sp, SPEC, REG_EPS)
+    calls = {"u": 0, "surfaces": 0}
+
+    def u(t, x):
+        calls["u"] += 1
+        return ctrl.u(t, x)
+
+    def surfaces(x):
+        calls["surfaces"] += 1
+        return ctrl.surfaces(x)
+
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), b=BProfile(1.0, 3.0, freq=0.4))
+    traj = integrate(
+        SPEC, dataclasses.replace(ctrl, u=u, surfaces=surfaces), dist, np.array([4.0, -2.0]),
+        SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
+    )
+    plus, minus = _exponents(2, sp.kappa0), _exponents(2, -sp.kappa0)
+    minus_v = [V for exps, _, V in passes if exps == minus]
+    assert len(minus_v) == calls["u"]
+    assert calls["surfaces"] > len(traj.t) - 1  # rejected attempts happened
+    assert sum(1 for exps, value, _ in passes if exps == plus and not value) == sum(v > 1.0 for v in minus_v)
+    assert sum(1 for exps, value, _ in passes if exps == plus and value) == len(traj.t)  # the Vkp column
+    assert 0 < sum(v > 1.0 for v in minus_v) < len(minus_v)

@@ -225,6 +225,25 @@ def test_signals_and_bounds():
     assert np.allclose(v(1.0), [0.0, 0.7])
 
 
+def test_signal_values_equal_literal_formulas():
+    # the precomputed 2*pi*freq, mid and half give the bits of the formulas written out
+    ts = [0.0, 1e-9, 0.3, 1.0 / 3.0, 2.5, 17.125, 1e3 + 0.1] + np.linspace(0.0, 40.0, 997).tolist()
+    amp, freq, phase = 1.3, 0.7, 0.2
+    sine = sine_signal(amp, freq, phase)
+    assert [sine(t) for t in ts] == [amp * math.sin(2.0 * math.pi * freq * t + phase) for t in ts]
+    assert [constant_signal(-0.4)(t) for t in ts] == [-0.4] * len(ts)
+    assert [sim.zero_signal()(t) for t in ts] == [0.0] * len(ts)
+    table = np.random.default_rng(5).uniform(-0.5, 0.5, sim.NOISE_TABLE)
+    noise = noise_signal(0.5, seed=5, period=1e-3)
+    assert [noise(t) for t in ts] == [float(table[int(t / 1e-3) % sim.NOISE_TABLE]) for t in ts]
+    assert [BProfile(1.5)(t) for t in ts] == [1.5] * len(ts)
+    assert [BProfile(2.0, 2.0, freq=0.4)(t) for t in ts] == [2.0] * len(ts)
+    lo, hi, bfreq, bphase = 1.0, 3.0, 0.4, 0.9
+    b = BProfile(lo, hi, freq=bfreq, phase=bphase)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    assert [b(t) for t in ts] == [mid + half * math.sin(2.0 * math.pi * bfreq * t + bphase) for t in ts]
+
+
 def test_isotonic_fit_pava():
     xs = [0.0, 1.0, 2.0, 3.0]
     ys = [0.0, 0.5, 0.3, 0.9]
@@ -350,8 +369,13 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
     return ts, xs, status, settle_time, fail_time
 
 
-def _oracle_run(f, *args, **kwargs):
-    return _numpy_adaptive_run(lambda t, x: np.asarray(f(t, x), dtype=float), *args, **kwargs)
+def _oracle_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
+    # sim._adaptive_run hands f, h_cap and on_step the state as a float list
+    return _numpy_adaptive_run(
+        lambda t, x: np.asarray(f(t, x.tolist()), dtype=float), t0, x0, t_end, opts,
+        h_cap=h_cap and (lambda t, x: h_cap(t, x.tolist())),
+        on_step=on_step and (lambda t, x: on_step(t, x.tolist())),
+    )
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptstab import hong, sim, switching
+from ptstab import hong, sim
 from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
     HongSynthesisConfig,
@@ -27,7 +27,6 @@ from ptstab.switching import (
     fixed_time_feedback,
     MatchedRobustLaw,
     kappa_of_x,
-    prescribed_time_feedback,
     quadratic_form,
     sample_v0_level,
     sample_vkappa_level,
@@ -57,6 +56,18 @@ def _setup(n=2, seed=0, m=0.5):
         sp = design_switch_params(g, m=m)
         _CACHE[key] = (g, sp)
     return _CACHE[key]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_v0_value_equals_matmul_bits(n):
+    # v0_value's np.dot chain runs the BLAS calls of x @ P @ x, for lists and arrays alike
+    g, sp = _setup(n)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((3000, n)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(3000, 1))
+    X[::7, 0] = 0.0
+    for x in X:
+        want = float(x @ sp.P @ x)
+        assert v0_value(sp.P, x) == want and v0_value(sp.P, x.tolist()) == want
 
 
 def test_kappa_of_x_edges():
@@ -235,14 +246,13 @@ def test_settling_bound_dominates_simulations():
 
 
 def test_prescribed_time_reduces_to_fixed_at_bound():
+    # T_target = T_settle gives mu = 1; the refusal of T_target <= 0 is tested below
     g, sp = _setup()
-    x = np.array([0.8, -1.2])
-    u_fix = fixed_time_feedback(g, sp, x)
-    u_pt = prescribed_time_feedback(g, sp, sp.T_settle, x)
+    x = [0.8, -1.2]
+    u_fix = fixed_time_controller(g, sp).u(0.0, x)
+    u_pt = prescribed_time_controller(g, sp, sp.T_settle).u(0.0, x)
     assert u_pt == pytest.approx(u_fix)
-    assert prescribed_time_feedback(g, sp, 0.5, np.zeros(2)) == 0.0
-    with pytest.raises(ValueError):
-        prescribed_time_feedback(g, sp, -1.0, x)
+    assert prescribed_time_controller(g, sp, 0.5).u(0.0, [0.0, 0.0]) == 0.0
 
 
 def test_prescribed_time_controller_refuses_nonpositive_target():
@@ -256,8 +266,7 @@ def test_prescribed_time_controller_at_mu_one_is_fixed_time(monkeypatch):
     # T_target >= T_settle gives mu = 1: the fixed-time run, bit for bit, with no dilation
     g, sp = _setup()
     dilations = []
-    for mod in (sim, switching):
-        monkeypatch.setattr(mod, "dilate", lambda *a: dilations.append(a) or dilate(*a))
+    monkeypatch.setattr(sim, "dilate", lambda *a: dilations.append(a) or dilate(*a))
     spec = ChainSpec(n=2, T=1.0)
     x0 = np.array([1.5, -2.0])
     opts = SimOptions(rel_tol=1e-8)
