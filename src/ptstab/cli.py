@@ -1,7 +1,7 @@
 """ptstab command line: synthesize gains, verify certificates, run experiments.
 
-Exit codes: 0 success / all checks pass, 1 usage or config error,
-2 synthesis or verification failure.
+Exit codes: 0 success / all checks pass, 1 usage or config error or an
+unwritable output path, 2 synthesis or verification failure.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ from .switching import SwitchDesignError, design_switch_params
 from .timescale import Density, build
 
 
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write: {exc}", file=sys.stderr)
+    return 1
+
+
 def _fmt(v) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return "nan"
@@ -91,6 +96,8 @@ def cmd_synthesize(args) -> int:
             )
         print(msg, file=sys.stderr)
         return 2
+    except OSError as exc:
+        return _cannot_write(exc)
     return 0
 
 
@@ -363,14 +370,17 @@ def cmd_simulate(args) -> int:
     (problem,) = problems
     cfg = problem.cfg
     out_dir = cfg["output.dir"]
-    os.makedirs(out_dir, exist_ok=True)
     summary = ["run,seed,status,settle_time,sup_norm,limsup_Z"]
-    for k in range(cfg["runs.count"]):
-        traj, seed, metrics = problem.run_one(k)
-        _write_run_csv(os.path.join(out_dir, f"run_{k}.csv"), traj, problem.spec.n)
-        summary.append(",".join([str(k), str(seed)] + _result_cells(traj, metrics)))
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(summary) + "\n")
+    try:  # the run CSVs are written as the runs go
+        os.makedirs(out_dir, exist_ok=True)
+        for k in range(cfg["runs.count"]):
+            traj, seed, metrics = problem.run_one(k)
+            _write_run_csv(os.path.join(out_dir, f"run_{k}.csv"), traj, problem.spec.n)
+            summary.append(",".join([str(k), str(seed)] + _result_cells(traj, metrics)))
+        with open(os.path.join(out_dir, "summary.csv"), "w", newline="\n") as fh:
+            fh.write("\n".join(summary) + "\n")
+    except OSError as exc:
+        return _cannot_write(exc)
     print(f"wrote {cfg['runs.count']} runs to {out_dir}")
     return 0
 
@@ -409,7 +419,10 @@ def cmd_sweep(args) -> int:
     if isinstance(problems, int):
         return problems
     out_dir = problems[0].cfg["output.dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(exc)
     rows = ["param,value,run,seed,status,settle_time,sup_norm,limsup_Z"]
     value_stat = []
     for value, problem in zip(values, problems):
@@ -429,8 +442,11 @@ def cmd_sweep(args) -> int:
         f"{format_float(v)}:{format_float(f)}" for v, f in zip(values, fit)
     )
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n" + footer + "\n")
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(rows) + "\n" + footer + "\n")
+    except OSError as exc:
+        return _cannot_write(exc)
     print(f"wrote sweep to {path}")
     return 0
 

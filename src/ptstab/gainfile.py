@@ -258,8 +258,13 @@ def validate_config(kv: dict) -> dict:
         raise ConfigError(f"runs.count must be >= 0, got {cfg['runs.count']}")
     if not (cfg["runs.x0_min"] > 0 and cfg["runs.x0_max"] > 0):
         raise ConfigError("runs.x0_min and runs.x0_max must be > 0")
-    if not cfg["sim.rel_tol"] >= 0:
-        raise ConfigError(f"sim.rel_tol must be >= 0, got {cfg['sim.rel_tol']!r}")
+    for key in ("sim.rel_tol", "sim.abs_tol", "sim.settle_radius", "disturbance.noise_period"):
+        if not 0.0 <= cfg[key] < math.inf:
+            raise ConfigError(f"{key} must be finite and >= 0, got {cfg[key]!r}")
+    if cfg["sim.max_steps"] < 1:
+        raise ConfigError(f"sim.max_steps must be >= 1, got {cfg['sim.max_steps']}")
+    if not 0.0 < cfg["controller.eta"] < math.inf:
+        raise ConfigError(f"controller.eta must be finite and > 0, got {cfg['controller.eta']!r}")
     if not 0.0 < cfg["sim.horizon"] < math.inf:
         raise ConfigError(f"sim.horizon must be finite and > 0, got {cfg['sim.horizon']!r}")
     return cfg

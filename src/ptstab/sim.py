@@ -374,18 +374,19 @@ def _within(x, radius) -> bool:
     return math.sqrt(xa.dot(xa)) <= radius
 
 
-def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
+def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
     """Generic DP54 loop.  Returns (ts, xs, status, settle_time, fail_time).
 
     f(t, x) takes the state as a list of floats and returns the slope as a
     sequence of floats; an attempted step evaluates it 6 times (first same
-    as last), plus once at the start.  h_cap(t, x) bounds the next step.
-    on_step(t, x) is called for every recorded row, the initial one
-    included, right after the RHS evaluation at that row's (t, x), so
-    on_step can read that evaluation's by-products as the row's values.
-    States are float lists that no callee may mutate: an accepted row's
-    list is the one its last RHS evaluation received, on_step and h_cap
-    receive it too, and xs holds it.
+    as last), plus once at the start.  on_row(t, x) runs for every recorded
+    row, the initial one included, right after the RHS evaluation at that
+    row's (t, x), whose by-products it may read, and returns the largest
+    step allowed from the row.  A rejected attempt retries from the same
+    (t, x), so all attempts from a row share that bound and the row's
+    horizon and t_eval limits.  States are float lists that no callee may
+    mutate: an accepted row's list is the one its last RHS evaluation
+    received, on_row receives it too, and xs holds it.
     """
     t = float(t0)
     x0 = np.asarray(x0, dtype=float)
@@ -396,8 +397,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     eval_i = 0
 
     k1 = f(t, x)
-    if on_step is not None:
-        on_step(t, x)
+    cap = on_row(t, x)
     if not _all_finite(k1):
         return ts, xs, "step_failure", None, t
     scale = np.linalg.norm(x0) + 1.0
@@ -409,17 +409,17 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
     streak = 0
     status = "horizon"
     fail_time = None
+    hmax = None  # the bound of the current row, formed at its first attempt
 
     for _ in range(opts.max_steps):
-        if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
-            break
-        hmax = t_end - t
-        if h_cap is not None:
-            hmax = min(hmax, h_cap(t, x))
-        while eval_i < len(evals) and evals[eval_i] <= t + 1e-14 * max(1.0, abs(t)):
-            eval_i += 1
-        if eval_i < len(evals):
-            hmax = min(hmax, evals[eval_i] - t)
+        if hmax is None:
+            if t >= t_end - 1e-14 * max(1.0, abs(t_end)):
+                break
+            hmax = min(t_end - t, cap)
+            while eval_i < len(evals) and evals[eval_i] <= t + 1e-14 * max(1.0, abs(t)):
+                eval_i += 1
+            if eval_i < len(evals):
+                hmax = min(hmax, evals[eval_i] - t)
         h_try = min(h, hmax)
         if h_try < MIN_STEP:
             status = "step_failure"
@@ -442,8 +442,8 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, h_cap=None, on_step=None):
             x, k1 = x_new, k7
             ts.append(t)
             xs.append(x)
-            if on_step is not None:
-                on_step(t, x)
+            cap = on_row(t, x)
+            hmax = None
             if _within(x, opts.settle_radius):
                 if streak == 0:
                     settle_first = t
@@ -479,11 +479,12 @@ def integrate(
     """Integrate dx = J x + (d + b*u) e_n + d2 with u = ctrl.u(t, x + d1).
 
     Stops at min(horizon, ctrl.t_stop), on persistent settling, or on step
-    failure.  Each accepted row records the u of the RHS evaluation at that
-    row's (t, x) and the diagnostics of ctrl.diag at x, both taken in the
-    loop rather than recomputed afterwards.  The state reaches ctrl.u,
-    ctrl.surfaces and ctrl.diag as a list of floats, never mutated, and the
-    measured state x + d1 is a fresh list.
+    failure.  Each row records the u of the RHS evaluation at its (t, x) and
+    ctrl.diag at x, and caps the steps from it near ctrl.t_stop and, by
+    SWITCH_CAP, near a surface of ctrl.surfaces at the measured state x + d1
+    that evaluation built: ctrl.surfaces and ctrl.diag run once per row.
+    The state reaches ctrl.u, ctrl.surfaces and ctrl.diag as a list of
+    floats, never mutated, and the measured state is a fresh list.
     """
     opts = opts or SimOptions()
     n = spec.n
@@ -494,39 +495,32 @@ def integrate(
 
     d, d1, d2, b = dist.d, dist.d1, dist.d2, dist.b
     u_of, t_stop, surfaces, diag = ctrl.u, ctrl.t_stop, ctrl.surfaces, ctrl.diag
-    last_u = [0.0]  # u of the latest RHS evaluation
+    last = [None, 0.0]  # measured state and u of the latest RHS evaluation
 
     def f(t, x):
-        xm = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
-        u = last_u[0] = u_of(t, xm)
+        xm = last[0] = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
+        u = last[1] = u_of(t, xm)
         dx = x[1:]
         dx.append(float(d(t) + b(t) * u))
         if d2 is not None:
             dx = [p + q for p, q in zip(dx, d2(t).tolist())]
         return dx
 
-    def h_cap(t, x):
-        cap = math.inf
-        if t_stop is not None:
-            cap = min(cap, max(0.05 * (t_stop - t), 1e-12))
-        if surfaces is not None:
-            xm = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
-            if min(map(abs, surfaces(xm))) < 0.05:
-                cap = min(cap, SWITCH_CAP)
-        return cap
-
     us = []
     cols = {}
 
-    def on_step(t, x):
-        us.append(last_u[0])
+    def on_row(t, x):
+        xm, u = last
+        us.append(u)
         if diag is not None:
             for k, v in diag(x).items():
                 cols.setdefault(k, []).append(v)
+        cap = math.inf if t_stop is None else max(0.05 * (t_stop - t), 1e-12)
+        if surfaces is not None and min(map(abs, surfaces(xm))) < 0.05:
+            cap = min(cap, SWITCH_CAP)
+        return cap
 
-    ts, xs, status, settle_time, fail_time = _adaptive_run(
-        f, 0.0, x0, t_end, opts, h_cap=h_cap, on_step=on_step
-    )
+    ts, xs, status, settle_time, fail_time = _adaptive_run(f, 0.0, x0, t_end, opts, on_row)
     return Trajectory(
         t=np.array(ts), x=np.array(xs), u=np.array(us),
         diag={k: np.array(v, dtype=float) for k, v in cols.items()}, status=status,
@@ -584,11 +578,12 @@ def integrate_warped(
     t_rows = []
     u_rows = []
 
-    def on_step(s, y):
+    def on_row(s, y):
         t_rows.append(last[0])
         u_rows.append(last[1])
+        return math.inf
 
-    ss, ys, status, settle_s, fail_s = _adaptive_run(f, 0.0, y0, s_max, opts, on_step=on_step)
+    ss, ys, status, settle_s, fail_s = _adaptive_run(f, 0.0, y0, s_max, opts, on_row)
 
     s_arr = np.array(ss)
     y_arr = np.array(ys)

@@ -29,7 +29,6 @@ __all__ = [
     "v0_value",
     "kappa_of_x",
     "fixed_time_law",
-    "fixed_time_feedback",
     "MatchedRobustLaw",
     "settling_bound",
     "design_switch_params",
@@ -129,11 +128,6 @@ def fixed_time_law(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
     return law
 
 
-def fixed_time_feedback(g: HongGainSet, sp: SwitchParams, x, b_lower: float = 1.0) -> float:
-    """u = omega^H_{kappa(x)}(x) / b_lower (v_n is linear in the last gain ell_n)."""
-    return fixed_time_law(g, sp, b_lower)(x)
-
-
 class MatchedRobustLaw:
     """Two-mode sliding feedback (1/b_lower)(omega0 + D*sgn_eps(omega0)).
 
@@ -143,14 +137,14 @@ class MatchedRobustLaw:
     the -kappa0 pass, whose last v is omega0 on the sliding set
     {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.
 
-    The -kappa0 pass yields V_{-kappa0} as a by-product.  v_minus(y) returns
-    it without another pass when y is the state of the last evaluation, or
-    of the last such reuse: a two-entry memo keyed on the state list
-    itself, with an equality fallback for another list or an array of the
-    same values.  So the step-cap surface and the diagnostics at an
-    accepted step reuse the feedback's value there, also after rejected
-    attempts have evaluated other states.  States are float lists, which
-    must not be mutated after a call, or float64 arrays of length n.
+    The -kappa0 pass yields V_{-kappa0} as a by-product, and u keeps the
+    last one with its state: a one-entry memo that only u writes.
+    v_minus(y) returns it without another pass when y is that state list
+    or equals it (another list or an array of the same values), and
+    otherwise runs the pass without storing it.  So the surface and the
+    diagnostics at a recorded row reuse the feedback's value there.  States
+    are float lists, which must not be mutated after a call, or float64
+    arrays of length n.
     """
 
     def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
@@ -163,9 +157,7 @@ class MatchedRobustLaw:
         self._d_bound = spec.d_bound
         self._b_lower = spec.b_lower
         self._eps = reg_eps
-        # (state, V_{-kappa0}) of the last evaluation and of the last v_minus hit,
-        # each replaced in one assignment
-        self._memo = self._held = (None, None)
+        self._memo = (None, None)  # (state, V_{-kappa0}) of the last u call
 
     def __call__(self, y) -> float:
         return self.u(None, y)
@@ -182,22 +174,13 @@ class MatchedRobustLaw:
         return (w0 + self._d_bound * sgn) / self._b_lower
 
     def v_minus(self, y) -> float:
-        """V_{-kappa0}(y), from the memo when y is a state it holds."""
-        memo = self._memo
-        if y is memo[0]:
-            self._held = memo
-            return memo[1]
+        """V_{-kappa0}(y), from the memo when y is the state of the last u call."""
+        key, vm = self._memo
+        if y is key:
+            return vm
         if type(y) is not list:
             y = np.asarray(y, dtype=float).tolist()
-        if y == memo[0]:
-            self._held = memo
-            return memo[1]
-        key, vm = self._held
-        if y is key or y == key:
-            return vm
-        vm = _cascade(self._ell, self._minus, y)[1]
-        self._memo = (y, vm)
-        return vm
+        return vm if y == key else _cascade(self._ell, self._minus, y)[1]
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:

@@ -348,6 +348,18 @@ def _one_line_error(capsys, prefix):
         "sim.horizon = 0",
         "sim.horizon = inf",
         "sim.horizon = nan",
+        "sim.abs_tol = nan",
+        "sim.abs_tol = -1",
+        "sim.abs_tol = inf",
+        "sim.rel_tol = inf",
+        "sim.settle_radius = -1",
+        "sim.settle_radius = nan",
+        "disturbance.d = noise:0.1\ndisturbance.noise_period = nan",
+        "disturbance.d = noise:0.1\ndisturbance.noise_period = -1",
+        "sim.max_steps = 0",
+        "controller.eta = nan",
+        "controller.eta = 0",
+        "controller.eta = inf",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
@@ -356,7 +368,9 @@ def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
     cfg = _write_cfg(tmp_path / "d.cfg", base + [line])
     assert main(["simulate", "--config", cfg]) == 1
     _one_line_error(capsys, "config error: ")
-    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
+    # a sweep over eta would replace a bad controller.eta
+    param = "T_target" if line.startswith("controller.eta") else "eta"
+    assert main(["sweep", "--config", cfg, "--param", param, "--values", "1"]) == 1
     _one_line_error(capsys, "config error: ")
 
 
@@ -395,6 +409,22 @@ def test_negative_run_count_and_zero_target_sweep_are_config_errors(tmp_path, ca
     assert main(["sweep", "--config", cfg, "--param", "T_target", "--values", "1,0"]) == 1
     _one_line_error(capsys, "config error: controller: T_target must be positive")
     assert not out.exists()
+
+
+def test_unwritable_outputs_are_one_line_errors(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(tmp_path / "missing" / "p.gains")
+    assert main(["synthesize", "--kind", "pnf", "--n", "1", "--b-lower", "1", "--out", out]) == 1
+    _one_line_error(capsys, "error: cannot write: ")
+    cfg = _write_cfg(
+        tmp_path / "w.cfg",
+        ["plant.n = 1", "controller.kind = pnf", "sim.horizon = 0.1", f"output.dir = {blocker / 'o'}"],
+    )
+    assert main(["simulate", "--config", cfg]) == 1
+    _one_line_error(capsys, "error: cannot write: ")
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
+    _one_line_error(capsys, "error: cannot write: ")
 
 
 def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):

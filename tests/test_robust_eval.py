@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from ptstab import switching
+from ptstab import sim, switching
 from ptstab.core import ChainSpec
 from ptstab.hong import (
     HongSynthesisConfig,
@@ -25,9 +25,11 @@ from ptstab.sim import (
     BProfile,
     DisturbanceSpec,
     SimOptions,
+    VectorSignal,
     fixed_time_controller,
     integrate,
     iss_metrics,
+    noise_signal,
     robust_controller,
     sine_signal,
 )
@@ -161,20 +163,27 @@ def test_fixed_time_run_records_in_loop_values(design):
     _iss_matches_recompute(traj, g, sp)
 
 
-def test_one_minus_pass_per_rhs_evaluation(design, monkeypatch):
-    # the step cap and the Vkm diagnostic read V_{-kappa0} from the law's memo, also
-    # after rejected attempts; the only extra pass is the +kappa0 control off {V_- <= 1}
+def _counted_robust_run(design, monkeypatch, d1):
+    """The matched-robust example run with its cascade passes, RHS evaluations,
+    surface calls and DP54 attempts counted; surfaces run once per row."""
     g, sp = design
     passes = []
+    calls = {"u": 0, "surfaces": 0, "attempts": 0}
 
     def counting_cascade(ell, exps, x, want_value=True, vs=None):
         out = _cascade(ell, exps, x, want_value, vs)
         passes.append((exps, want_value, out[1]))
         return out
 
+    attempt = sim._dp_attempt
+
+    def counting_attempt(*args):
+        calls["attempts"] += 1
+        return attempt(*args)
+
     monkeypatch.setattr(switching, "_cascade", counting_cascade)
+    monkeypatch.setattr(sim, "_dp_attempt", counting_attempt)
     ctrl = robust_controller(g, sp, SPEC, REG_EPS)
-    calls = {"u": 0, "surfaces": 0}
 
     def u(t, x):
         calls["u"] += 1
@@ -184,15 +193,36 @@ def test_one_minus_pass_per_rhs_evaluation(design, monkeypatch):
         calls["surfaces"] += 1
         return ctrl.surfaces(x)
 
-    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), b=BProfile(1.0, 3.0, freq=0.4))
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=BProfile(1.0, 3.0, freq=0.4))
     traj = integrate(
         SPEC, dataclasses.replace(ctrl, u=u, surfaces=surfaces), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
     )
+    assert calls["surfaces"] == len(traj.t)
+    assert calls["attempts"] > len(traj.t) - 1  # rejected attempts happened
+    assert calls["u"] == 1 + 6 * calls["attempts"]
+    plus = _exponents(2, sp.kappa0)
+    assert sum(1 for exps, value, _ in passes if exps == plus and value) == len(traj.t)  # the Vkp column
+    return traj, calls["u"], passes
+
+
+def test_one_minus_pass_per_rhs_evaluation(design, monkeypatch):
+    # the surface and the Vkm diagnostic at a row read V_{-kappa0} from the law's
+    # memo; the only extra pass is the +kappa0 control off {V_- <= 1}
+    sp = design[1]
+    traj, rhs_evals, passes = _counted_robust_run(design, monkeypatch, None)
     plus, minus = _exponents(2, sp.kappa0), _exponents(2, -sp.kappa0)
     minus_v = [V for exps, _, V in passes if exps == minus]
-    assert len(minus_v) == calls["u"]
-    assert calls["surfaces"] > len(traj.t) - 1  # rejected attempts happened
+    assert len(minus_v) == rhs_evals
     assert sum(1 for exps, value, _ in passes if exps == plus and not value) == sum(v > 1.0 for v in minus_v)
-    assert sum(1 for exps, value, _ in passes if exps == plus and value) == len(traj.t)  # the Vkp column
     assert 0 < sum(v > 1.0 for v in minus_v) < len(minus_v)
+
+
+def test_measurement_noise_adds_one_minus_pass_per_row(design, monkeypatch):
+    # with d1 the law runs at x + d1; the surface reads its memo, and only the
+    # Vkm column at the true state x takes one more -kappa0 pass per row
+    sp = design[1]
+    d1 = VectorSignal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
+    traj, rhs_evals, passes = _counted_robust_run(design, monkeypatch, d1)
+    minus = _exponents(2, -sp.kappa0)
+    assert sum(1 for exps, _, _ in passes if exps == minus) == rhs_evals + len(traj.t)

@@ -369,12 +369,17 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
     return ts, xs, status, settle_time, fail_time
 
 
-def _oracle_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
-    # sim._adaptive_run hands f, h_cap and on_step the state as a float list
+def _oracle_run(f, t0, x0, t_end, opts, on_row):
+    # sim._adaptive_run hands f and on_row the state as a float list; the
+    # bound on_row returns at a row caps every attempt from that row
+    bound = [None]
+
+    def on_step(t, x):
+        bound[0] = on_row(t, x.tolist())
+
     return _numpy_adaptive_run(
         lambda t, x: np.asarray(f(t, x.tolist()), dtype=float), t0, x0, t_end, opts,
-        h_cap=h_cap and (lambda t, x: h_cap(t, x.tolist())),
-        on_step=on_step and (lambda t, x: on_step(t, x.tolist())),
+        h_cap=lambda t, x: bound[0], on_step=on_step,
     )
 
 
@@ -484,21 +489,21 @@ def test_err_norm_matches_numpy_expression():
                 assert got == want or (math.isnan(got) and math.isnan(want)), (x, y, e)
 
 
-def test_six_rhs_evaluations_per_attempted_step():
-    # h_cap reads the controller's surfaces once per attempted step, accepted or not
+def test_six_rhs_evaluations_per_attempted_step(monkeypatch):
     calls = {"u": 0, "attempts": 0}
+    attempt = sim._dp_attempt
+
+    def counting_attempt(*args):
+        calls["attempts"] += 1
+        return attempt(*args)
 
     def u(t, x):
         calls["u"] += 1
         return -x[0] - x[1] + 0.5 * math.copysign(1.0, math.sin(20.0 * t))
 
-    def surfaces(x):
-        calls["attempts"] += 1
-        return (1.0,)
-
-    ctrl = Controller(u=u, surfaces=surfaces)
+    monkeypatch.setattr(sim, "_dp_attempt", counting_attempt)
     traj = integrate(
-        ChainSpec(n=2, T=1.0), ctrl, _dist(), [1.0, 0.0], SimOptions(rel_tol=1e-8), horizon=3.0
+        ChainSpec(n=2, T=1.0), Controller(u=u), _dist(), [1.0, 0.0], SimOptions(rel_tol=1e-8), horizon=3.0
     )
     assert traj.status == "horizon"
     assert calls["attempts"] > len(traj.t) - 1  # the switching term forces rejections

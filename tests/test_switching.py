@@ -24,7 +24,7 @@ from ptstab.switching import (
     SwitchParams,
     band_decay_margin,
     design_switch_params,
-    fixed_time_feedback,
+    fixed_time_law,
     MatchedRobustLaw,
     kappa_of_x,
     quadratic_form,
@@ -106,30 +106,31 @@ def test_fixed_time_feedback_saturation():
     g, sp = _setup()
     x = np.array([5.0, 2.0])  # far outside the band
     assert v0_value(sp.P, x) > 1 + sp.m
-    u_switch = fixed_time_feedback(g, sp, x)
+    u_switch = fixed_time_law(g, sp)(x)
     u_plus, _ = hong_control(g, sp.kappa0, x)
     assert u_switch == pytest.approx(u_plus)
-    assert fixed_time_feedback(g, sp, np.zeros(2)) == 0.0
+    assert fixed_time_law(g, sp)(np.zeros(2)) == 0.0
 
 
 def test_fixed_time_feedback_continuity_probe():
     g, sp = _setup()
     rng = np.random.default_rng(3)
+    law = fixed_time_law(g, sp)
     for level in (1.0 - sp.m, 1.0 + sp.m):
         for _ in range(20):
             z = rng.standard_normal(2)
             xs = z * math.sqrt(level / v0_value(sp.P, z))
             d = rng.standard_normal(2)
             d = 1e-6 * d / np.linalg.norm(d)
-            du = abs(fixed_time_feedback(g, sp, xs + d) - fixed_time_feedback(g, sp, xs - d))
+            du = abs(law(xs + d) - law(xs - d))
             assert du < 1e-3
 
 
 def test_b_lower_adaptation():
     g, sp = _setup()
     x = np.array([5.0, 2.0])
-    u1 = fixed_time_feedback(g, sp, x, b_lower=1.0)
-    u2 = fixed_time_feedback(g, sp, x, b_lower=2.0)
+    u1 = fixed_time_law(g, sp, 1.0)(x)
+    u2 = fixed_time_law(g, sp, 2.0)(x)
     assert u2 == pytest.approx(u1 / 2.0)
 
 
@@ -140,14 +141,16 @@ def test_b_lower_adaptation_matches_the_scaled_last_gain():
 
     g, sp = _setup()
     rng = np.random.default_rng(12)
+    law = fixed_time_law(g, sp)
     for b in (0.25, 1.7, 3.0):
         scaled = replace(g, ell=np.append(g.ell[:-1], g.ell[-1] / b))
+        law_b = fixed_time_law(g, sp, b)
         for _ in range(200):
             x = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0)
             kap = kappa_of_x(sp, x)
             old, _ = hong_control(scaled, kap, x)
-            assert abs(fixed_time_feedback(g, sp, x, b_lower=b) - old) <= math.ulp(old)
-            assert fixed_time_feedback(g, sp, x).hex() == hong_control(g, kap, x)[0].hex()
+            assert abs(law_b(x) - old) <= math.ulp(old)
+            assert law(x).hex() == hong_control(g, kap, x)[0].hex()
 
 
 def test_matched_robust_examples():
@@ -199,12 +202,13 @@ def test_band_decay_and_lyapunov_rate():
     assert worst <= allowed
     # consequence: dV0 <= -C V0 / 2 across the band (sampled)
     rng = np.random.default_rng(5)
+    law = fixed_time_law(g, sp)
     P = sp.P
     for _ in range(300):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
         x = z * math.sqrt(level / v0_value(P, z))
-        u = fixed_time_feedback(g, sp, x)
+        u = law(x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
 
@@ -212,13 +216,14 @@ def test_band_decay_and_lyapunov_rate():
 def test_outer_inner_decay():
     g, sp = _setup()
     rng = np.random.default_rng(6)
+    law = fixed_time_law(g, sp)
     ap = sp.kappa0 / (2 + sp.kappa0)
     am = -sp.kappa0 / (2 - sp.kappa0)
     outer = inner = 0
     while outer < 200 or inner < 200:
         z = rng.standard_normal(2) * rng.uniform(0.05, 4.0)
         V0 = v0_value(sp.P, z)
-        u = fixed_time_feedback(g, sp, z)
+        u = law(z)
         if V0 > 1 + sp.m and outer < 200:
             dV, V = vdot_with_control(g, sp.kappa0, z, u)
             if V <= 10 * sp.r_plus:
@@ -433,11 +438,12 @@ def test_kappa0_formula_reproduces_band_decay():
     # verified at the designed value on fresh samples
     g, sp = _setup()
     rng = np.random.default_rng(8)
+    law = fixed_time_law(g, sp)
     for _ in range(500):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
         x = z * math.sqrt(level / v0_value(sp.P, z))
-        u = fixed_time_feedback(g, sp, x)
+        u = law(x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
 
