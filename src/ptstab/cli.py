@@ -68,8 +68,8 @@ def _fmt(v) -> str:
 
 
 def cmd_synthesize(args) -> int:
-    if args.n < 1 or args.b_lower <= 0:
-        print("error: need --n >= 1 and --b-lower > 0", file=sys.stderr)
+    if args.n < 1 or not 0 < args.b_lower < math.inf or args.seed < 0:
+        print("error: need --n >= 1, a finite --b-lower > 0 and --seed >= 0", file=sys.stderr)
         return 1
     try:
         if args.kind == "pnf":
@@ -149,9 +149,12 @@ _SIGNAL_KINDS = ("zero", "constant", "sine", "noise")
 
 def _numbers(key: str, text: str) -> list:
     try:
-        return [float(v) for v in text.split(",")]
+        vals = [float(v) for v in text.split(",")]
     except ValueError:
         raise ConfigError(f"{key}: non-numeric value in {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{key}: non-finite value in {text!r}")
+    return vals
 
 
 def _spec_values(key: str, spec_str: str) -> tuple:
@@ -238,6 +241,8 @@ class _Problem:
         with _config_values("disturbance.b"):
             self.b = BProfile(*b_args)
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
+        if cfg["runs.x0_min"] > cfg["runs.x0_max"]:
+            raise ConfigError("runs.x0_min must be <= runs.x0_max")
         self.opts = SimOptions(
             rel_tol=cfg["sim.rel_tol"],
             abs_tol=cfg["sim.abs_tol"],

@@ -39,13 +39,13 @@ class ChainSpec:
     n : int
         Plant order (number of states), n >= 1.
     T : float
-        Prescribed horizon in seconds, T > 0.
+        Prescribed horizon in seconds, finite and > 0.
     b_lower : float
         Lower bound on the control gain b(t), > 0.
     b_upper : float
         Upper bound on b(t); may be ``math.inf``.
     d_bound : float
-        Bound on the matched disturbance, >= 0.
+        Bound on the matched disturbance, finite and >= 0.
     """
 
     n: int
@@ -57,14 +57,14 @@ class ChainSpec:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"plant order n must be a positive integer, got {self.n}")
-        if not self.T > 0:
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon T must be finite and positive, got {self.T}")
         if not 0 < self.b_lower <= self.b_upper:
             raise ValueError(
                 f"need 0 < b_lower <= b_upper, got ({self.b_lower}, {self.b_upper})"
             )
-        if self.d_bound < 0:
-            raise ValueError(f"d_bound must be nonnegative, got {self.d_bound}")
+        if not 0 <= self.d_bound < math.inf:
+            raise ValueError(f"d_bound must be finite and nonnegative, got {self.d_bound}")
 
 
 @dataclass(frozen=True)

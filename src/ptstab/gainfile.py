@@ -178,41 +178,53 @@ def read_gains(path: str):
 
 INF = math.inf
 
+# Each key maps to (type, default, range); a default of None marks a required
+# key.  Two type rules hold for every value: a float is finite unless its
+# default is inf, and an int is >= 0.  A range of None leaves the rest to the
+# object the value builds (ChainSpec, Density, BProfile or the controller).
 CONFIG_SCHEMA = {
-    "plant.n": ("int", None),
-    "plant.t": ("float", 1.0),
-    "plant.b_lower": ("float", 1.0),
-    "plant.b_upper": ("float", INF),
-    "plant.d_bound": ("float", 0.0),
-    "controller.kind": ("str", None),
-    "controller.gains": ("str", ""),
-    "controller.eta": ("float", 1.0),
-    "controller.density": ("str", "constant"),
-    "controller.density_param": ("float", 1.0),
-    "controller.t_stop_frac": ("float", 1.0 - 1e-6),
-    "controller.m": ("float", 0.5),
-    "controller.t_target": ("float", 1.0),
-    "controller.reg_eps": ("float", 1e-3),
-    "controller.synth_seed": ("int", 0),
-    "controller.design_seed": ("int", 17),
-    "disturbance.d": ("str", "zero"),
-    "disturbance.d1": ("str", "zero"),
-    "disturbance.d1_direction": ("str", ""),
-    "disturbance.d2": ("str", "zero"),
-    "disturbance.d2_direction": ("str", ""),
-    "disturbance.b": ("str", ""),
-    "disturbance.noise_period": ("float", 0.0),
-    "runs.count": ("int", 1),
-    "runs.seed": ("int", 0),
-    "runs.x0": ("str", ""),
-    "runs.x0_min": ("float", 0.1),
-    "runs.x0_max": ("float", 10.0),
-    "sim.rel_tol": ("float", 1e-9),
-    "sim.abs_tol": ("float", 1e-12),
-    "sim.horizon": ("float", 100.0),
-    "sim.settle_radius": ("float", 1e-9),
-    "sim.max_steps": ("int", 2_000_000),
-    "output.dir": ("str", None),
+    "plant.n": ("int", None, None),
+    "plant.t": ("float", 1.0, None),
+    "plant.b_lower": ("float", 1.0, None),
+    "plant.b_upper": ("float", INF, None),
+    "plant.d_bound": ("float", 0.0, None),
+    "controller.kind": ("str", None, None),
+    "controller.gains": ("str", "", None),
+    "controller.eta": ("float", 1.0, "> 0"),
+    "controller.density": ("str", "constant", None),
+    "controller.density_param": ("float", 1.0, None),
+    "controller.t_stop_frac": ("float", 1.0 - 1e-6, None),
+    "controller.m": ("float", 0.5, "in (0, 1)"),
+    "controller.t_target": ("float", 1.0, None),
+    "controller.reg_eps": ("float", 1e-3, None),
+    "controller.synth_seed": ("int", 0, None),
+    "controller.design_seed": ("int", 17, None),
+    "disturbance.d": ("str", "zero", None),
+    "disturbance.d1": ("str", "zero", None),
+    "disturbance.d1_direction": ("str", "", None),
+    "disturbance.d2": ("str", "zero", None),
+    "disturbance.d2_direction": ("str", "", None),
+    "disturbance.b": ("str", "", None),
+    "disturbance.noise_period": ("float", 0.0, ">= 0"),
+    "runs.count": ("int", 1, None),
+    "runs.seed": ("int", 0, None),
+    "runs.x0": ("str", "", None),
+    "runs.x0_min": ("float", 0.1, "> 0"),
+    "runs.x0_max": ("float", 10.0, "> 0"),
+    "sim.rel_tol": ("float", 1e-9, ">= 0"),
+    "sim.abs_tol": ("float", 1e-12, ">= 0"),
+    "sim.horizon": ("float", 100.0, "> 0"),
+    "sim.settle_radius": ("float", 1e-9, ">= 0"),
+    "sim.max_steps": ("int", 2_000_000, ">= 1"),
+    "output.dir": ("str", None, None),
+}
+
+_TYPES = {"int": int, "float": float, "str": str}
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
 }
 
 _CONTROLLER_KINDS = ("pnf", "fixed_time", "matched_robust", "prescribed_time")
@@ -229,42 +241,25 @@ def validate_config(kv: dict) -> dict:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     cfg = {}
     errors = []
-    for key, (typ, default) in CONFIG_SCHEMA.items():
-        if key in kv:
-            raw = kv[key]
-            try:
-                if typ == "int":
-                    cfg[key] = int(raw)
-                elif typ == "float":
-                    cfg[key] = float(raw)
-                else:
-                    cfg[key] = raw
-            except ValueError:
-                errors.append(f"{key}: expected {typ}, got {raw!r}")
-        else:
+    for key, (typ, default, rng) in CONFIG_SCHEMA.items():
+        if key not in kv:
             if default is None:
                 errors.append(f"{key}: required key missing")
-            else:
-                cfg[key] = default
+            cfg[key] = default
+            continue
+        try:
+            val = cfg[key] = _TYPES[typ](kv[key])
+        except ValueError:
+            errors.append(f"{key}: expected {typ}, got {kv[key]!r}")
+            continue
+        if typ == "float" and default != INF and not math.isfinite(val):
+            errors.append(f"{key} must be finite, got {val!r}")
+        elif typ == "int" and val < 0:
+            errors.append(f"{key} must be >= 0, got {val!r}")
+        elif rng is not None and not _RANGES[rng](val):
+            errors.append(f"{key} must be {rng}, got {val!r}")
     if errors:
         raise ConfigError("; ".join(errors))
     if cfg["controller.kind"] not in _CONTROLLER_KINDS:
         raise ConfigError(f"controller.kind must be one of {_CONTROLLER_KINDS}")
-    if cfg["plant.n"] < 1 or cfg["plant.t"] <= 0:
-        raise ConfigError("plant.n must be >= 1 and plant.t > 0")
-    if not 0.0 < cfg["controller.m"] < 1.0:
-        raise ConfigError("controller.m must lie in (0, 1)")
-    if cfg["runs.count"] < 0:
-        raise ConfigError(f"runs.count must be >= 0, got {cfg['runs.count']}")
-    if not (cfg["runs.x0_min"] > 0 and cfg["runs.x0_max"] > 0):
-        raise ConfigError("runs.x0_min and runs.x0_max must be > 0")
-    for key in ("sim.rel_tol", "sim.abs_tol", "sim.settle_radius", "disturbance.noise_period"):
-        if not 0.0 <= cfg[key] < math.inf:
-            raise ConfigError(f"{key} must be finite and >= 0, got {cfg[key]!r}")
-    if cfg["sim.max_steps"] < 1:
-        raise ConfigError(f"sim.max_steps must be >= 1, got {cfg['sim.max_steps']}")
-    if not 0.0 < cfg["controller.eta"] < math.inf:
-        raise ConfigError(f"controller.eta must be finite and > 0, got {cfg['controller.eta']!r}")
-    if not 0.0 < cfg["sim.horizon"] < math.inf:
-        raise ConfigError(f"sim.horizon must be finite and > 0, got {cfg['sim.horizon']!r}")
     return cfg

@@ -51,6 +51,8 @@ class Density:
     tag "constant": a(t) = c                       (param = c > 0)
     tag "power":    a(t) = (T-t)^(m-1)             (param = m >= 1 integer)
     tag "expflat":  a(t) = exp(-1/(T-t))/(T-t)^2   (param unused)
+
+    TimeScale evaluates constant and power as a(t) = c (T-t)^(m-1).
     """
 
     tag: str
@@ -231,8 +233,13 @@ class TimeScale:
             raise ValueError("T must be positive")
         self.T = float(T)
         self.density = density
+        self._clock = None
         if density.tag == "expflat":
             self._clock = _ExpflatClock(1.0 / self.T)
+        elif density.tag == "constant":
+            self._c, self._m = density.param, 1.0
+        else:
+            self._c, self._m = 1.0, density.param
 
     def _check_t(self, t: float) -> float:
         t = float(t)
@@ -242,21 +249,16 @@ class TimeScale:
 
     def a(self, t: float) -> float:
         t = self._check_t(t)
-        T, p = self.T, self.density.param
-        if self.density.tag == "constant":
-            return p
-        if self.density.tag == "power":
-            return (T - t) ** (p - 1.0)
-        u = T - t
+        u = self.T - t
+        if self._clock is None:
+            return self._c * u ** (self._m - 1.0)
         return math.exp(-1.0 / u) / u**2
 
     def a_sup(self) -> float:
         """max of a over [0, T] (the perturbation size C_a seen by the LMI)."""
-        T, p = self.T, self.density.param
-        if self.density.tag == "constant":
-            return p
-        if self.density.tag == "power":
-            return T ** (p - 1.0)
+        T = self.T
+        if self._clock is None:
+            return self._c * T ** (self._m - 1.0)
         # expflat: maximized at T-t = 1/2 when reachable, else at t = 0
         if T >= 0.5:
             return 4.0 * math.exp(-2.0)
@@ -264,15 +266,12 @@ class TimeScale:
 
     def A(self, t: float) -> float:
         t = self._check_t(t)
-        T, p = self.T, self.density.param
-        if self.density.tag == "constant":
-            return p * (T - t)
-        if self.density.tag == "power":
-            return (T - t) ** p / p
-        return math.exp(-1.0 / (T - t))
+        if self._clock is None:
+            return self._c * (self.T - t) ** self._m / self._m
+        return math.exp(-1.0 / (self.T - t))
 
     def lam(self, t: float) -> float:
-        if self.density.tag != "expflat":
+        if self._clock is None:
             return 1.0 / self.A(t)
         t = self._check_t(t)
         try:
@@ -282,13 +281,12 @@ class TimeScale:
 
     def s(self, t: float) -> float:
         t = self._check_t(t)
-        T, p = self.T, self.density.param
-        if self.density.tag == "constant":
-            return math.log(T / (T - t)) / p
-        if self.density.tag == "power":
-            if p == 1:
-                return math.log(T / (T - t))
-            return p / (p - 1.0) * ((T - t) ** (1.0 - p) - T ** (1.0 - p))
+        T = self.T
+        if self._clock is None:
+            m = self._m
+            if m == 1.0:
+                return math.log(T / (T - t)) / self._c
+            return m / (m - 1.0) * ((T - t) ** (1.0 - m) - T ** (1.0 - m)) / self._c
         E, M = self._clock.scaled(t / (T * (T - t)))
         val = _exp_times(E, M)
         if val == math.inf:
@@ -300,14 +298,13 @@ class TimeScale:
             raise ValueError("warped time must be nonnegative")
         if sig == 0.0:
             return 0.0
-        T, p = self.T, self.density.param
-        if self.density.tag == "constant":
-            return T * (1.0 - math.exp(-p * sig))
-        if self.density.tag == "power":
-            if p == 1:
-                return T * (1.0 - math.exp(-sig))
-            base = T ** (1.0 - p) + sig * (p - 1.0) / p
-            return T - base ** (-1.0 / (p - 1.0))
+        T = self.T
+        if self._clock is None:
+            m, cs = self._m, self._c * sig
+            if m == 1.0:
+                return T * (1.0 - math.exp(-cs))
+            base = T ** (1.0 - m) + cs * (m - 1.0) / m
+            return T - base ** (-1.0 / (m - 1.0))
         if not math.isfinite(sig):
             raise ValueError("warped time must be finite")
         h = self._clock.solve(sig)

@@ -5,7 +5,7 @@ output.  Every tolerance is fixed here; nothing is calibrated at run time.
 """
 
 import math
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,7 +459,7 @@ def test_criterion_12_determinism(tmp_path):
             assert cli_main(
                 ["synthesize", "--kind", kind, "--n", "2", "--b-lower", "1", "--seed", "5", "--out", p]
             ) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
     gains = str(tmp_path / "hong_a.gains")
     outs = []
     for tag in ("r1", "r2"):
@@ -485,7 +485,7 @@ def test_criterion_12_determinism(tmp_path):
         assert cli_main(["simulate", "--config", str(cfg)]) == 0
         outs.append(out)
     for name in ("summary.csv", "run_0.csv", "run_1.csv"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
+        b1 = Path(outs[0], name).read_bytes()
+        b2 = Path(outs[1], name).read_bytes()
         assert b1 == b2
     _ok(12, "gain files and CSVs byte-identical across repeated seeded invocations")

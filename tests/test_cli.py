@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 from ptstab import cli
 from ptstab.cli import main
-from ptstab.gainfile import ConfigError, read_config, read_gains, validate_config, write_gains
+from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
 from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 
@@ -34,6 +35,17 @@ def test_synthesize_rejects_bad_n(tmp_path):
     out = str(tmp_path / "x.gains")
     assert main(["synthesize", "--kind", "pnf", "--n", "0", "--b-lower", "1", "--out", out]) == 1
     assert main(["synthesize", "--kind", "pnf", "--n", "2", "--out", out]) == 1  # missing flag
+
+
+@pytest.mark.parametrize(
+    "kind, b_lower, seed", [("hong", "1", "-1000"), ("hong", "nan", "0"), ("pnf", "nan", "0"), ("pnf", "inf", "0")]
+)
+def test_synthesize_rejects_negative_seed_and_non_finite_b_lower(tmp_path, capsys, kind, b_lower, seed):
+    out = tmp_path / "g.gains"
+    argv = ["synthesize", "--kind", kind, "--n", "2", "--b-lower", b_lower, "--seed", seed, "--out", str(out)]
+    assert main(argv) == 1
+    _one_line_error(capsys, "error: need --n >= 1, a finite --b-lower > 0 and --seed >= 0")
+    assert not out.exists()
 
 
 def test_gain_roundtrip_full_precision(tmp_path):
@@ -60,14 +72,14 @@ def test_verify_fresh_and_corrupted(tmp_path):
     assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "1", "--out", out]) == 0
     assert main(["verify", "--gains", out]) == 0
     # flip one sign in S -> LMI must fail with exit 2
-    text = open(out).read()
+    text = Path(out).read_text()
     lines = text.splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("S ="):
             parts = ln.split("=", 1)[1].strip()
             first = parts.split(";")[0]
             lines[i] = "S = " + parts.replace(first, str(-float(first)), 1)
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     assert main(["verify", "--gains", out]) == 2
     # unreadable file is a usage error
     assert main(["verify", "--gains", str(tmp_path / "missing.gains")]) == 1
@@ -89,11 +101,11 @@ def test_verify_rejects_indefinite_s_and_inflated_c0(tmp_path, capsys):
     out = str(tmp_path / "p2.gains")
     assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "1", "--out", out]) == 0
     assert main(["verify", "--gains", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     for i, ln in enumerate(lines):
         if ln.startswith("C0 ="):
             lines[i] = f"C0 = {2.0 * float(ln.split('=', 1)[1])!r}"
-    open(out, "w").write("\n".join(lines) + "\n")
+    Path(out).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", "--gains", out]) == 2
     assert _failing_rows(capsys.readouterr().out) == ["perturbed endpoints + rho0"]
@@ -221,12 +233,13 @@ def test_simulate_deterministic_outputs(tmp_path):
     assert main(["simulate", "--config", cfg1]) == 0
     assert main(["simulate", "--config", cfg2]) == 0
     for name in ("summary.csv", "run_0.csv", "run_1.csv"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2
-    header = open(os.path.join(out1, "run_0.csv")).readline().strip()
+    with open(os.path.join(out1, "run_0.csv")) as fh:
+        header = fh.readline().strip()
     assert header == "t,x1,x2,u,V0,Vkp,Vkm,kappa,Z"
-    summary = open(os.path.join(out1, "summary.csv")).read().splitlines()
+    summary = Path(out1, "summary.csv").read_text().splitlines()
     assert summary[0] == "run,seed,status,settle_time,sup_norm,limsup_Z"
     assert len(summary) == 3
     assert "SettledAt" in summary[1]
@@ -248,7 +261,7 @@ def test_simulate_pnf_halts_at_horizon(tmp_path):
         ],
     )
     assert main(["simulate", "--config", cfg]) == 0
-    summary = open(os.path.join(out, "summary.csv")).read()
+    summary = Path(out, "summary.csv").read_text()
     assert "ReachedHorizon" in summary
 
 
@@ -272,7 +285,7 @@ def test_csv_format_rules(tmp_path):
         ],
     )
     assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0,0.5"]) == 0
-    raw = open(os.path.join(out, "sweep.csv"), "rb").read()
+    raw = Path(out, "sweep.csv").read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
     assert lines[0].startswith("param,value,run")
@@ -304,7 +317,7 @@ def test_eta_sweep_settle_proxy_monotone(tmp_path):
     )
     assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "4,6,8"]) == 0
     lines = [
-        ln for ln in open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+        ln for ln in Path(out, "sweep.csv").read_text().splitlines()[1:]
         if not ln.startswith("#")
     ]
     settle = [float(ln.split(",")[5]) for ln in lines]
@@ -343,6 +356,7 @@ def _one_line_error(capsys, prefix):
         "runs.count = -3",
         "runs.x0_min = 0",
         "runs.x0_max = -1",
+        "runs.x0_min = 5\nruns.x0_max = 1",
         "sim.rel_tol = -1e-9",
         "sim.horizon = -1",
         "sim.horizon = 0",
@@ -360,6 +374,20 @@ def _one_line_error(capsys, prefix):
         "controller.eta = nan",
         "controller.eta = 0",
         "controller.eta = inf",
+        "runs.seed = -3",
+        "controller.design_seed = -5",
+        "controller.synth_seed = -5",
+        "runs.x0_max = inf",
+        "runs.x0 = nan,1",
+        "runs.x0 = inf,1",
+        "plant.t = inf",
+        "plant.d_bound = nan",
+        "plant.d_bound = inf",
+        "plant.b_lower = inf",
+        "controller.density_param = inf",
+        "controller.reg_eps = inf",
+        "disturbance.d = sine:nan",
+        "disturbance.d1 = constant:inf",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
@@ -393,6 +421,34 @@ def test_bad_controller_values_are_config_errors(tmp_path, capsys, gain_paths, k
     _one_line_error(capsys, "config error: controller: ")
     assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
     _one_line_error(capsys, "config error: controller: ")
+
+
+@pytest.mark.parametrize("param", ["d1_amp", "d2_amp"])
+def test_non_finite_swept_amplitudes_are_config_errors(tmp_path, capsys, param):
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path / "a.cfg", ["plant.n = 2", "controller.kind = pnf", f"output.dir = {out}"])
+    for values in ("nan", "1,inf"):
+        assert main(["sweep", "--config", cfg, "--param", param, "--values", values]) == 1
+        _one_line_error(capsys, f"config error: disturbance.{param[:2]}: non-finite value")
+    assert not out.exists()
+
+
+def test_every_schema_default_passes_its_own_rule():
+    given = {key: str(default) for key, (_, default, _) in CONFIG_SCHEMA.items() if default is not None}
+    required = {"plant.n": "1", "controller.kind": "pnf", "output.dir": "o"}
+    cfg = validate_config({**given, **required})
+    assert all(cfg[key] == CONFIG_SCHEMA[key][1] for key in given)
+    assert cfg["plant.b_upper"] == math.inf
+    ranges = {rng for *_, rng in CONFIG_SCHEMA.values()}
+    assert ranges == {None, ">= 0", "> 0", ">= 1", "in (0, 1)"}
+
+
+def test_readme_config_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+\.\w+)` \| [^|]* \| (.*) \|$", readme, re.M))
+    assert rows.keys() == CONFIG_SCHEMA.keys()
+    for key, (_, _, rng) in CONFIG_SCHEMA.items():
+        assert rng is None or f"`{rng}`" in rows[key], key
 
 
 def test_negative_run_count_and_zero_target_sweep_are_config_errors(tmp_path, capsys, gain_paths):

@@ -27,6 +27,12 @@ def test_chain_spec_validation():
         ChainSpec(n=2, T=1.0, b_lower=2.0, b_upper=1.0)
     with pytest.raises(ValueError):
         ChainSpec(n=2, T=1.0, d_bound=-0.1)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon T"):
+            ChainSpec(n=2, T=T)
+    for d_bound in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d_bound"):
+            ChainSpec(n=2, T=1.0, d_bound=d_bound)
 
 
 def test_pnf_weights_values():

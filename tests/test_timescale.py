@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from ptstab.core import dilate, pnf_weights
 from ptstab.timescale import (
+    Density,
     _exp_times,
     build,
     constant_density,
@@ -49,6 +50,53 @@ def _raw_density(T, dens):
     if dens.tag == "power":
         return lambda xi: (T - xi) ** (dens.param - 1.0)
     return lambda xi: math.exp(-1.0 / (T - xi)) / (T - xi) ** 2
+
+
+def _per_density_forms(tag, p, T):
+    """The constant and power closed forms written out density by density."""
+    if tag == "constant":
+        return {
+            "a": lambda t: p,
+            "A": lambda t: p * (T - t),
+            "lam": lambda t: 1.0 / (p * (T - t)),
+            "s": lambda t: math.log(T / (T - t)) / p,
+            "t_of_s": lambda sig: T * (1.0 - math.exp(-p * sig)),
+            "a_sup": p,
+        }
+    return {
+        "a": lambda t: (T - t) ** (p - 1.0),
+        "A": lambda t: (T - t) ** p / p,
+        "lam": lambda t: 1.0 / ((T - t) ** p / p),
+        "s": lambda t: (
+            math.log(T / (T - t)) if p == 1 else p / (p - 1.0) * ((T - t) ** (1.0 - p) - T ** (1.0 - p))
+        ),
+        "t_of_s": lambda sig: (
+            T * (1.0 - math.exp(-sig))
+            if p == 1
+            else T - (T ** (1.0 - p) + sig * (p - 1.0) / p) ** (-1.0 / (p - 1.0))
+        ),
+        "a_sup": T ** (p - 1.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "tag, params",
+    [("constant", (0.3, 0.5, 1.0, 1.7, 3.3, 7.0)), ("power", (1.0, 2.0, 3.0, 4.0, 5.0, 8.0))],
+)
+def test_power_family_matches_per_density_forms_bit_for_bit(tag, params):
+    # the constant density c is evaluated as the m = 1 member of a = c (T-t)^(m-1)
+    fracs = np.concatenate([np.linspace(0.0, 1.0, 61), 1.0 - np.logspace(-9, -1, 40)]).tolist()
+    sigmas = np.concatenate([np.logspace(-12, 6, 80), [math.inf]]).tolist()
+    for p in params:
+        for T in (0.25, 1.0, 3.7, 10.0):
+            ts = build(T, Density(tag, p))
+            forms = _per_density_forms(tag, p, T)
+            assert ts.a_sup() == forms["a_sup"]
+            for t in (T * f for f in fracs if T * f <= T * (1.0 - 1e-9)):
+                for name in ("a", "A", "lam", "s"):
+                    assert getattr(ts, name)(t) == forms[name](t), (name, p, T, t)
+            for sig in sigmas:
+                assert ts.t_of_s(sig) == forms["t_of_s"](sig), (p, T, sig)
 
 
 @pytest.mark.parametrize("T,dens", ALL_DENSITIES)
