@@ -243,12 +243,13 @@ class _Problem:
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
         if cfg["runs.x0_min"] > cfg["runs.x0_max"]:
             raise ConfigError("runs.x0_min must be <= runs.x0_max")
-        self.opts = SimOptions(
-            rel_tol=cfg["sim.rel_tol"],
-            abs_tol=cfg["sim.abs_tol"],
-            settle_radius=cfg["sim.settle_radius"],
-            max_steps=cfg["sim.max_steps"],
-        )
+        with _config_values("sim"):
+            self.opts = SimOptions(
+                rel_tol=cfg["sim.rel_tol"],
+                abs_tol=cfg["sim.abs_tol"],
+                settle_radius=cfg["sim.settle_radius"],
+                max_steps=cfg["sim.max_steps"],
+            )
         kind = cfg["controller.kind"]
         if kind == "pnf":
             with _config_values("controller.density"):

@@ -41,7 +41,7 @@ class ChainSpec:
     T : float
         Prescribed horizon in seconds, finite and > 0.
     b_lower : float
-        Lower bound on the control gain b(t), > 0.
+        Lower bound on the control gain b(t), finite and > 0.
     b_upper : float
         Upper bound on b(t); may be ``math.inf``.
     d_bound : float
@@ -59,9 +59,9 @@ class ChainSpec:
             raise ValueError(f"plant order n must be a positive integer, got {self.n}")
         if not 0 < self.T < math.inf:
             raise ValueError(f"horizon T must be finite and positive, got {self.T}")
-        if not 0 < self.b_lower <= self.b_upper:
+        if not (0 < self.b_lower <= self.b_upper and self.b_lower < math.inf):
             raise ValueError(
-                f"need 0 < b_lower <= b_upper, got ({self.b_lower}, {self.b_upper})"
+                f"need 0 < b_lower <= b_upper with b_lower finite, got ({self.b_lower}, {self.b_upper})"
             )
         if not 0 <= self.d_bound < math.inf:
             raise ValueError(f"d_bound must be finite and nonnegative, got {self.d_bound}")

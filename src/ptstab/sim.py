@@ -218,11 +218,23 @@ def prescribed_time_controller(
 
 @dataclass
 class SimOptions:
+    """Integrator settings; t_eval holds the output times the steps land on.
+
+    The tolerances must be nonnegative and not both 0: with both 0 every
+    error norm is inf and each step is forced through at 10*MIN_STEP.
+    """
+
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     settle_radius: float = 1e-9
     max_steps: int = 2_000_000
     t_eval: tuple = ()
+
+    def __post_init__(self):
+        if not (self.rel_tol >= 0 and self.abs_tol >= 0 and (self.rel_tol > 0 or self.abs_tol > 0)):
+            raise ValueError(
+                f"need rel_tol >= 0 and abs_tol >= 0, not both 0, got ({self.rel_tol}, {self.abs_tol})"
+            )
 
 
 @dataclass
@@ -387,21 +399,27 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
     horizon and t_eval limits.  States are float lists that no callee may
     mutate: an accepted row's list is the one its last RHS evaluation
     received, on_row receives it too, and xs holds it.
+
+    Every t and state component handed to f and on_row is a Python float:
+    t0, t_end, the t_eval entries and the first step are made floats here,
+    once, so no numpy scalar enters the stage arithmetic.  f must return
+    float slopes and on_row a float (or inf) bound to keep it so.
     """
-    t = float(t0)
+    t0, t_end = float(t0), float(t_end)
+    t = t0
     x0 = np.asarray(x0, dtype=float)
     x = x0.tolist()
     ts = [t]
     xs = [x]
-    evals = sorted(v for v in opts.t_eval if t0 < v <= t_end)
+    evals = sorted(v for v in map(float, opts.t_eval) if t0 < v <= t_end)
     eval_i = 0
 
     k1 = f(t, x)
     cap = on_row(t, x)
     if not _all_finite(k1):
         return ts, xs, "step_failure", None, t
-    scale = np.linalg.norm(x0) + 1.0
-    rate = np.linalg.norm(k1) + 1e-12
+    scale = float(np.linalg.norm(x0)) + 1.0
+    rate = float(np.linalg.norm(k1)) + 1e-12
     h = min((t_end - t0) * 1e-3, 0.01 * scale / rate)
     h = max(h, MIN_STEP * 10)
 
@@ -491,10 +509,11 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
-    t_end = min(horizon, ctrl.t_stop) if ctrl.t_stop is not None else horizon
+    t_stop = None if ctrl.t_stop is None else float(ctrl.t_stop)  # so the row caps are floats
+    t_end = horizon if t_stop is None else min(horizon, t_stop)
 
     d, d1, d2, b = dist.d, dist.d1, dist.d2, dist.b
-    u_of, t_stop, surfaces, diag = ctrl.u, ctrl.t_stop, ctrl.surfaces, ctrl.diag
+    u_of, surfaces, diag = ctrl.u, ctrl.surfaces, ctrl.diag
     last = [None, 0.0]  # measured state and u of the latest RHS evaluation
 
     def f(t, x):

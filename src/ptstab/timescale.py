@@ -48,7 +48,7 @@ _E64 = math.exp(64.0)
 class Density:
     """One of the closed catalog of densities.
 
-    tag "constant": a(t) = c                       (param = c > 0)
+    tag "constant": a(t) = c                       (param = c, finite and > 0)
     tag "power":    a(t) = (T-t)^(m-1)             (param = m >= 1 integer)
     tag "expflat":  a(t) = exp(-1/(T-t))/(T-t)^2   (param unused)
 
@@ -60,8 +60,8 @@ class Density:
 
     def __post_init__(self):
         if self.tag == "constant":
-            if not self.param > 0:
-                raise ValueError("constant density needs c > 0")
+            if not 0 < self.param < math.inf:
+                raise ValueError(f"constant density needs a finite c > 0, got {self.param}")
         elif self.tag == "power":
             m = self.param
             if not (m >= 1 and float(m).is_integer()):

@@ -358,6 +358,7 @@ def _one_line_error(capsys, prefix):
         "runs.x0_max = -1",
         "runs.x0_min = 5\nruns.x0_max = 1",
         "sim.rel_tol = -1e-9",
+        "sim.rel_tol = 0\nsim.abs_tol = 0",
         "sim.horizon = -1",
         "sim.horizon = 0",
         "sim.horizon = inf",
@@ -400,6 +401,24 @@ def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
     param = "T_target" if line.startswith("controller.eta") else "eta"
     assert main(["sweep", "--config", cfg, "--param", param, "--values", "1"]) == 1
     _one_line_error(capsys, "config error: ")
+
+
+def test_zero_tolerance_pair_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # both tolerances 0 used to grind through sim.max_steps forced steps; now nothing is synthesized or run
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached synthesis or integration")
+
+    for name in ("synthesize_linear_gain", "synthesize_hong_gains", "integrate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "o"
+    for kind in ("pnf", "matched_robust"):
+        lines = ["plant.n = 2", f"controller.kind = {kind}", "sim.rel_tol = 0", "sim.abs_tol = 0.0", f"output.dir = {out}"]
+        cfg = _write_cfg(tmp_path / "z.cfg", lines)
+        assert main(["simulate", "--config", cfg]) == 1
+        _one_line_error(capsys, "config error: sim: need rel_tol >= 0 and abs_tol >= 0, not both 0")
+        assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1,2"]) == 1
+        _one_line_error(capsys, "config error: sim: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

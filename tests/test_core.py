@@ -33,6 +33,11 @@ def test_chain_spec_validation():
     for d_bound in (math.inf, math.nan):
         with pytest.raises(ValueError, match="d_bound"):
             ChainSpec(n=2, T=1.0, d_bound=d_bound)
+    # an infinite lower gain bound makes every feedback u/b_lower vanish; the upper one may be inf
+    for b_lower in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="b_lower finite"):
+            ChainSpec(n=2, T=1.0, b_lower=b_lower)
+    assert ChainSpec(n=2, T=1.0, b_lower=2.0, b_upper=math.inf).b_upper == math.inf
 
 
 def test_pnf_weights_values():

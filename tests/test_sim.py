@@ -205,6 +205,18 @@ def test_settles_and_reports_metrics():
     assert {"V0", "Vkp", "Vkm", "kappa", "Z"} <= set(traj.diag.keys())
 
 
+def test_zero_tolerance_pair_is_refused():
+    # both 0 would make every error norm inf and force each step through at 10*MIN_STEP
+    for rel_tol, abs_tol in ((0.0, 0.0), (-1e-9, 1e-12), (1e-9, -1e-12), (math.nan, 1e-12)):
+        with pytest.raises(ValueError, match="not both 0"):
+            SimOptions(rel_tol=rel_tol, abs_tol=abs_tol)
+    spec = ChainSpec(n=1, T=1.0)
+    ctrl = Controller(u=lambda t, x: -x[0])
+    for rel_tol, abs_tol in ((0.0, 1e-12), (1e-9, 0.0)):
+        traj = integrate(spec, ctrl, _dist(), [1.0], SimOptions(rel_tol=rel_tol, abs_tol=abs_tol), horizon=1.0)
+        assert traj.status == "horizon" and len(traj.t) < 1000
+
+
 def test_step_failure_on_nonfinite_controller():
     spec = ChainSpec(n=1, T=1.0)
     ctrl = Controller(u=lambda t, x: math.nan)
@@ -399,14 +411,14 @@ def _robust_run(hong_design, d1):
     )
 
 
-def _pnf3_run():
+def _pnf3_run(t_eval=(0.25, 0.5)):
     gain = synthesize_linear_gain(3, 1.0)
     certify_perturbation(gain)
     ts = build(1.0, constant_density(1.0))
     eta = max(1.0, ts.a_sup() / gain.C0)
     return integrate(
         ChainSpec(n=3, T=1.0), pnf_controller(gain, ts, eta), DisturbanceSpec(d=sine_signal(0.5, 1.3)),
-        [1.0, -0.5, 0.25], SimOptions(rel_tol=1e-8, t_eval=(0.25, 0.5)), horizon=1.0,
+        [1.0, -0.5, 0.25], SimOptions(rel_tol=1e-8, t_eval=t_eval), horizon=1.0,
     )
 
 
@@ -452,6 +464,13 @@ ORACLE_CASES = {
     "nonfinite_feedback": lambda hd: _blowup_run(),
     "chain9": lambda hd: _chain9_run(2_000_000),
     "chain9_max_steps": lambda hd: _chain9_run(40),
+    # output times as an ndarray: the loop lands on float copies of its entries
+    "pnf_n3_ndarray_t_eval": lambda hd: _pnf3_run(np.linspace(0.05, 0.95, 7)),
+    # settle_time is the loop's own t at the first row of the settling streak
+    "fixed_time_settles": lambda hd: integrate(
+        ChainSpec(n=2, T=1.0), fixed_time_controller(*hd), _dist(), [3.0, 1.0],
+        SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=400.0,
+    ),
 }
 
 
@@ -468,6 +487,8 @@ def test_float_loop_matches_numpy_oracle(case, hong_design, monkeypatch):
     for key in new.diag:
         assert new.diag[key].tobytes() == old.diag[key].tobytes(), key
     assert len(new.t) > 10
+    if case == "fixed_time_settles":
+        assert new.status == "settled"
 
 
 def test_err_norm_matches_numpy_expression():
@@ -522,3 +543,94 @@ def test_warped_rejects_unreachable_s_max():
     assert calls == []
     traj = integrate_warped(ChainSpec(n=2, T=1.0), gain, ts, 12.0, dist, [1.0, 0.5], s_max=20.7)
     assert traj.status in ("horizon", "settled") and calls
+
+
+# --- the loop's scalar contract: Python floats, never numpy scalars ---------
+
+
+def _float_checked_loop(seen, numpy_bounds):
+    """sim._adaptive_run recording the type of every t and state component that f and on_row get.
+
+    With numpy_bounds the loop is handed t0 and t_end as numpy scalars.
+    """
+    run = sim._adaptive_run
+
+    def record(t, x):
+        seen.add(type(t))
+        seen.update(map(type, x))
+
+    def checked(f, t0, x0, t_end, opts, on_row):
+        def f_checked(t, x):
+            record(t, x)
+            return f(t, x)
+
+        def on_row_checked(t, x):
+            record(t, x)
+            return on_row(t, x)
+
+        if numpy_bounds:
+            t0, t_end = np.float64(t0), np.float64(t_end)
+        return run(f_checked, t0, x0, t_end, opts, on_row_checked)
+
+    return checked
+
+
+def _short_band_run(ctrl, dist=None):
+    return integrate(
+        ChainSpec(n=2, T=1.0), ctrl, dist or _dist(), [3.0, 1.0],
+        SimOptions(rel_tol=1e-7, abs_tol=1e-10, t_eval=np.array([0.1, 0.2])), horizon=np.float64(0.3),
+    )
+
+
+def _short_robust_run(hong_design, d1=None, d2=None):
+    g, sp = hong_design
+    spec = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, d2=d2, b=BProfile(1.0, 3.0, freq=0.4))
+    return integrate(
+        spec, robust_controller(g, sp, spec, 5e-3), dist, np.array([4.0, -2.0]),
+        SimOptions(rel_tol=1e-7, abs_tol=1e-10, max_steps=300), horizon=15.0,
+    )
+
+
+def _short_warped_run(density):
+    gain = synthesize_linear_gain(2, 1.0)
+    certify_perturbation(gain)
+    ts = build(1.0, density)
+    eta = max(1.0, ts.a_sup() / gain.C0)
+    return integrate_warped(
+        ChainSpec(n=2, T=1.0), gain, ts, eta, DisturbanceSpec(d=sine_signal(0.5, 1.3)), [0.5, -0.5],
+        SimOptions(rel_tol=1e-10, abs_tol=1e-13, t_eval=np.array([0.5, 1.0])), s_max=np.float64(2.0),
+    )
+
+
+FLOAT_CASES = {
+    "pnf_n3": lambda hd: _pnf3_run(),
+    "pnf_n3_ndarray_t_eval": lambda hd: _pnf3_run(np.linspace(0.05, 0.95, 7)),
+    "fixed_time": lambda hd: _short_band_run(fixed_time_controller(*hd)),
+    "prescribed_time": lambda hd: _short_band_run(
+        sim.prescribed_time_controller(*hd, T_target=1.0), DisturbanceSpec(d=sine_signal(0.3, 1.0))
+    ),
+    "matched_robust": lambda hd: _short_robust_run(hd),
+    "matched_robust_d1": lambda hd: _short_robust_run(
+        hd, d1=VectorSignal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
+    ),
+    "matched_robust_d2": lambda hd: _short_robust_run(hd, d2=VectorSignal([0.5, 1.0], sine_signal(0.2, 2.0))),
+    # the t_stop cap of every row is formed from a float copy of t_stop
+    "numpy_t_stop": lambda hd: integrate(
+        ChainSpec(n=2, T=1.0), Controller(u=lambda t, x: -x[0] - 2.0 * x[1], t_stop=np.float64(0.9)),
+        _dist(), [1.0, 0.0], SimOptions(), horizon=1.0,
+    ),
+    "warped_constant": lambda hd: _short_warped_run(constant_density(1.0)),
+    "warped_power": lambda hd: _short_warped_run(power_density(2)),
+    "warped_expflat": lambda hd: _short_warped_run(expflat_density()),
+}
+
+
+@pytest.mark.parametrize("numpy_bounds", [False, True], ids=["float_bounds", "numpy_bounds"])
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_loop_hands_f_and_on_row_python_floats(case, numpy_bounds, hong_design, monkeypatch):
+    seen = set()
+    monkeypatch.setattr(sim, "_adaptive_run", _float_checked_loop(seen, numpy_bounds))
+    traj = FLOAT_CASES[case](hong_design)
+    assert len(traj.t) > 10
+    assert seen == {float}

@@ -35,6 +35,19 @@ def test_constant_closed_forms():
         assert ts.s(t) == pytest.approx(math.log(1.0 / (1.0 - t)))
 
 
+def test_density_catalog_refuses_meaningless_parameters():
+    # c = inf would give A = inf and lambda = 0: no clock at all
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="constant density needs a finite c > 0"):
+            Density("constant", c)
+    for m in (0.0, 1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power density needs integer m >= 1"):
+            Density("power", m)
+    with pytest.raises(ValueError, match="unknown density tag"):
+        Density("linear", 1.0)
+    assert build(1.0, Density("constant", 1e300)).lam(0.5) > 0
+
+
 def test_power_law_example():
     ts = build(2.0, power_density(2))
     for t in np.linspace(0.0, 1.9, 12):
