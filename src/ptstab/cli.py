@@ -172,6 +172,14 @@ def _parse_signal(key: str, spec_str: str) -> tuple:
     return kind, vals
 
 
+def _sine_freq(parsed: tuple) -> float:
+    """The frequency of a parsed sine signal (default 1), 0 for the other kinds."""
+    kind, vals = parsed
+    if kind != "sine":
+        return 0.0
+    return vals[1] if len(vals) > 1 else 1.0
+
+
 def _make_signal(parsed: tuple, seed: int, period: float) -> Signal:
     kind, vals = parsed
     if kind == "zero":
@@ -179,9 +187,8 @@ def _make_signal(parsed: tuple, seed: int, period: float) -> Signal:
     if kind == "constant":
         return Signal("constant", amp=vals[0])
     if kind == "sine":
-        freq = vals[1] if len(vals) > 1 else 1.0
         phase = vals[2] if len(vals) > 2 else 0.0
-        return Signal("sine", amp=vals[0], freq=freq, phase=phase)
+        return Signal("sine", amp=vals[0], freq=_sine_freq(parsed), phase=phase)
     return Signal("noise", amp=vals[0], seed=seed, period=period)
 
 
@@ -238,6 +245,16 @@ class _Problem:
                 text = cfg[f"disturbance.{key}_direction"]
                 self.directions[key] = _vector(f"disturbance.{key}_direction", text, n) if text else default
         b_args = _bprofile_args(cfg["disturbance.b"], spec.b_lower)
+        # a step per cycle is the least a run must take to follow a sine
+        freqs = {f"disturbance.{k}": _sine_freq(parsed) for k, parsed in self.signals.items()}
+        freqs["disturbance.b"] = b_args[2] if len(b_args) > 2 else 0.0
+        for key, freq in freqs.items():
+            cycles = abs(freq) * cfg["sim.horizon"]
+            if cycles > cfg["sim.max_steps"]:
+                raise ConfigError(
+                    f"{key}: sine frequency {freq!r} makes {cycles:.3g} cycles over sim.horizon,"
+                    f" more than sim.max_steps = {cfg['sim.max_steps']}"
+                )
         with _config_values("disturbance.b"):
             self.b = BProfile(*b_args)
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None

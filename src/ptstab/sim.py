@@ -353,16 +353,19 @@ def _err_norm(x, x_new, err, abs_tol, rel_tol) -> float:
     """RMS of err / (abs_tol + rel_tol * max(|x|, |x_new|)) over the components.
 
     Bit-equal to the numpy expression sqrt(((err / tol) ** 2).sum() / n) with
-    tol built by np.maximum: a NaN in x_i is also in x_new_i, and the
-    comparison below then picks it, as np.maximum does; a zero tol gives the
-    inf or NaN of numpy's division; and numpy's add.reduce sums fewer than 8
-    terms in index order, so only longer vectors go back to it.
+    tol built by np.maximum, except that a zero error over a zero tol counts
+    as 0, not numpy's NaN: with abs_tol = 0, a component at exactly 0 has
+    nothing to resolve, and NaN would reject every step there.  A NaN in x_i
+    is also in x_new_i, and the comparison below then picks it, as
+    np.maximum does; any other error over a zero tol gives numpy's inf or
+    NaN; and numpy's add.reduce sums fewer than 8 terms in index order, so
+    only longer vectors go back to it.
     """
     sq = []
     for xi, yi, e in zip(x, x_new, err):
         ax, ay = abs(xi), abs(yi)
         tol = abs_tol + rel_tol * (ax if ax >= ay else ay)
-        q = e / tol if tol else e * math.inf
+        q = e / tol if tol else (e * math.inf if e else 0.0)
         sq.append(q * q)
     if len(sq) < 8:
         total = 0.0

@@ -5,14 +5,16 @@ blow-up gain lambda(t) = 1/A(t) and the warped clock s(t) = int_0^t lambda.
 The state map y = D^r_{lambda(t)} x turns the prescribed-time problem on
 [0, T) into an ordinary stabilization problem on s in [0, inf).
 
-Only the expflat clock needs scipy (scipy.special.expi); each _ExpflatClock
-imports it once, when it is built, so the constant and power densities do
-not load scipy.
+The constant and power clocks are closed forms.  The expflat clock is a
+table of Gauss-Legendre panels built once per time scale, continued by the
+asymptotic series of its antiderivative (see _ExpflatClock); no density
+needs scipy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +33,18 @@ __all__ = [
 
 # evaluations are refused this close to the horizon; lambda overflows at T
 HORIZON_GUARD = 1e-9
-# the expflat clock uses the asymptotic series of G above this u; scipy's
-# expi loses up to 3e-14 relative between 40 and 45, where the series is good
-# to 3e-15 and better beyond
+# the expflat clock sums panels up to this u and uses the asymptotic series
+# of its antiderivative beyond: the series' smallest term, which bounds its
+# error, is 3e-15 relative at 40 and falls like e^-u; each unit of u below
+# costs one panel
 ASYMPTOTIC_U = 40.0
 # the inverse expflat clock stops once |ln(s/sigma)| is this small, or once
 # no double lies strictly inside its bracket
 CLOCK_RESID_TOL = 2.0**-46
-# 8-point Gauss-Legendre rule on [0, 1] for short clock spans (3e-15 relative)
+# 8-point Gauss-Legendre rule on [0, 1] for the clock's panels (3e-15
+# relative): its nodes x < 1/2 with their weights, mirrored at 1 - x
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_GL_RULE = tuple(zip((0.5 * (1.0 + _GL_X)).tolist(), (0.5 * _GL_W).tolist()))
+_GL_HALF = tuple(zip((0.5 * (1.0 + _GL_X[:4])).tolist(), (0.5 * _GL_W[:4]).tolist()))
 _E64 = math.exp(64.0)
 
 
@@ -107,91 +111,118 @@ def _exp_times(e: float, m: float) -> float:
         return math.inf
 
 
+def _gl_panel(u: float, d: float) -> float:
+    """int_u^{u+d} e^(v-u)/v^2 dv by the 8-point Gauss-Legendre rule.
+
+    The node pair v, d - v shares one exp: e^(d-v) = e^d / e^v.
+    """
+    exp = math.exp
+    e_d = exp(d)
+    acc = 0.0
+    for x, w in _GL_HALF:
+        v = d * x
+        e_v = exp(v)
+        q = u + v
+        r = u + (d - v)
+        acc += w * (e_v / q / q + e_d / e_v / r / r)
+    return d * acc
+
+
 class _ExpflatClock:
-    """The expflat clock s = int_{u0}^{u0+h} e^u/u^2 du and its inverse in h.
+    """The expflat clock s = int_{u0}^{u0+h} e^v/v^2 dv and its inverse in h.
 
     The substitution u = 1/(T - xi) turns s(t) = int_0^t exp(1/(T - xi)) dxi
     into that integral with u0 = 1/T and h = 1/(T - t) - 1/T.  Values are
     returned as a pair (E, M) with s = e^E * M, so that neither the clock nor
-    its logarithm overflows before s does:
+    its logarithm overflows before s does.
 
-    - h <= min(1, u0/2): Gauss-Legendre on the span (E = u0), where the
-      difference of antiderivatives would cancel;
-    - u0 + h <= ASYMPTOTIC_U: G(u0 + h) - G(u0) (E = 0);
-    - beyond: G(U) = e^U/U^2 * _g_scaled(U) (E = U).
+    The build lays panels from h_0 = 0, each of span min(1, (u0 + h_k)/2),
+    where the 8-point Gauss-Legendre rule holds to 3e-15, up to the first
+    node h_K with u0 + h_K >= ASYMPTOTIC_U (a single panel of span 1 when u0
+    is past it already), and stores the sums P_k = e^-u0 int_{u0}^{u0+h_k}:
+
+    - h <= h_K: P_k plus one Gauss-Legendre panel from h_k to h (E = u0), a
+      sum of positive terms;
+    - beyond: G(U) - G(u0) for the antiderivative G(u) = e^u/u^2 *
+      _g_scaled(u) (E = U), with G(u0) = G(u0 + h_K) - e^u0 P_K; the last
+      panel spans 1, so G(u0) < 0.4 G(U) and the difference loses under a
+      bit.
     """
 
     def __init__(self, u0: float):
-        from scipy.special import expi
-
-        self._expi = expi
         self.u0 = u0
-        self.short = min(1.0, 0.5 * u0)
-        if u0 <= ASYMPTOTIC_U:
-            self.g0 = self._g(u0)
-            self.log_g0 = math.log(self.g0) if self.g0 > 0 else None
-        else:
-            self.m0 = _g_scaled(u0) / (u0 * u0)  # G(u0) = e^u0 * m0
-            self.log_g0 = u0 + math.log(self.m0)
+        # per node: h_k, u0 + h_k, e^h_k and P_k
+        hs, us, es, ps = [0.0], [u0], [1.0], [0.0]
+        while len(hs) == 1 or us[-1] < ASYMPTOTIC_U:
+            h = hs[-1] + min(1.0, 0.5 * us[-1])
+            ps.append(ps[-1] + es[-1] * _gl_panel(us[-1], h - hs[-1]))
+            hs.append(h)
+            us.append(u0 + h)
+            es.append(math.exp(h))
+        self._h, self._u, self._e, self._p = hs, us, es, ps
+        self._last = len(hs) - 1
+        self.m0 = es[-1] * _g_scaled(us[-1]) / (us[-1] * us[-1]) - ps[-1]  # G(u0) = e^u0 * m0
 
-    def _g(self, u: float) -> float:
-        """G(u) = Ei(u) - e^u/u, an antiderivative of e^u/u^2 (A&S 5.1)."""
-        return float(self._expi(u)) - math.exp(u) / u
+    def _at(self, k: int, h: float):
+        """scaled(h) for h in panel k, [h_k, h_(k+1)], or beyond h_K for k = K."""
+        if k < self._last:
+            return self.u0, self._p[k] + self._e[k] * _gl_panel(self._u[k], h - self._h[k])
+        U = self.u0 + h
+        return U, _g_scaled(U) / (U * U) - math.exp(self.u0 - U) * self.m0
 
     def scaled(self, h: float):
         """(E, M) with s(h) = e^E * M and M > 0 for h > 0."""
-        u0 = self.u0
-        if h <= self.short:
-            acc = 0.0
-            for x, w in _GL_RULE:
-                v = h * x
-                acc += w * math.exp(v) / (u0 + v) ** 2
-            return u0, h * acc
-        U = u0 + h
-        if U <= ASYMPTOTIC_U:
-            return 0.0, self._g(U) - self.g0
-        if u0 <= ASYMPTOTIC_U:
-            tail = self.g0 * math.exp(-U)
-        else:
-            tail = math.exp(u0 - U) * self.m0
-        return U, _g_scaled(U) / (U * U) - tail
+        hs = self._h
+        if h > hs[-1]:
+            return self._at(self._last, h)
+        return self._at(max(bisect_left(hs, h) - 1, 0), h)
 
-    def _guess(self, ln_sig: float) -> float:
-        """Starting h: the tangent at h = 0 for short spans, else G(U) ~ e^U/U^2 (1 + 2/U)."""
-        u0 = self.u0
-        lin = ln_sig + 2.0 * math.log(u0) - u0
-        if lin <= math.log(self.short):
-            return max(math.exp(lin), math.ulp(0.0))
-        target = ln_sig  # ln(sigma + G(u0)) when G(u0) > 0
-        if self.log_g0 is not None:
-            big, small = max(target, self.log_g0), min(target, self.log_g0)
-            target = big + math.log1p(math.exp(small - big))
+    def _start(self, q: float):
+        """Panel k, first iterate and bracket [lo, hi] for e^-u0 s(h) = q.
+
+        Below P_K, k is the panel whose sums enclose the target and the
+        iterate the root of the Taylor quadratic at its left node (s'' =
+        s'(1 - 2/u)); above, k = K and G(U) ~ e^U/U^2 (1 + 2/U) is solved
+        for U from the end of the table.
+        """
+        hs = self._h
+        k = bisect_right(self._p, q) - 1
+        if k < self._last:
+            lo, hi = hs[k], hs[k + 1]
+            uk = self._u[k]
+            gap = (q - self._p[k]) * (uk * uk) / self._e[k]
+            disc = 1.0 + 2.0 * (1.0 - 2.0 / uk) * gap
+            h = lo + (2.0 * gap / (1.0 + math.sqrt(disc)) if disc > 0 else gap)
+            if not lo < h < hi:
+                h = math.nextafter(lo, hi) if h <= lo else 0.5 * (lo + hi)
+            return k, h, lo, hi
+        target = self.u0 + math.log(q + self.m0)  # ln(sigma + G(u0))
         U = max(target, 2.0)
         for _ in range(4):
             U = max(2.0, target + 2.0 * math.log(U) - math.log1p(2.0 / U))
-        return max(U - u0, self.short)
+        return k, max(U - self.u0, hs[-1]), hs[-1], math.inf
 
     def solve(self, sig: float) -> float:
         """The h with s(h) = sig for finite sig > 0.
 
         Safeguarded Newton on phi(h) = ln(s(h)/sig), with phi' = s'/s and
         s' = e^U/U^2 and Halley's curvature term (phi'' = phi'(1 - 2/U -
-        phi')): each iterate narrows a bracket [lo, hi], a step
-        that leaves it bisects (or doubles while hi is unknown), and a step
-        below the resolution of h moves one double towards the root.  Stops
-        on the residual |phi| <= CLOCK_RESID_TOL, or when no double lies
-        inside the bracket, returning the iterate of least residual.
+        phi')), started in the panel that _start picks: each iterate
+        narrows the bracket [lo, hi], a step that leaves it bisects (or
+        doubles while hi is unknown), and a step below the resolution of h
+        moves one double towards the root.  Stops on the residual |phi| <=
+        CLOCK_RESID_TOL, or when no double lies inside the bracket,
+        returning the iterate of least residual.
         """
         u0 = self.u0
         ln_sig = math.log(sig)
         # phi = (E - c) + ln M - ln(sig e^-c) keeps every term small near the root
         c = min(max(ln_sig, -700.0), 700.0)
         lq = math.log(sig / math.exp(c))
-        h = self._guess(ln_sig)
-        lo, hi = 0.0, math.inf
+        k, h, lo, hi = self._start(math.exp(ln_sig - u0))
         best_h, best_r = h, math.inf
-        for _ in range(100):  # each pass narrows the bracket; 2-8 passes are typical
-            E, M = self.scaled(h)
+        for _ in range(100):  # each pass narrows the bracket; 2-4 passes are typical
+            E, M = self._at(k, h)
             r = (E - c) + math.log(M) - lq if M > 0 else -math.inf
             if abs(r) < abs(best_r):
                 best_h, best_r = h, r
@@ -219,13 +250,13 @@ class _ExpflatClock:
 class TimeScale:
     """Bundle (a, A, lambda, s) with the inverse clock map t_of_s.
 
-    Closed forms are used for all three densities.  For expflat the clock
-    is s(t) = G(1/(T-t)) - G(1/T) with G(u) = Ei(u) - e^u/u (see
-    _ExpflatClock); it raises OverflowError where s exceeds the double
-    range, and t_of_s inverts it by a safeguarded Newton solve in
-    u = 1/(T-t), returning t < T for every finite warped time; lambda =
-    exp(1/(T-t)) is inf once it leaves the double range.  All evaluations
-    require t <= T*(1 - 1e-9).
+    Closed forms are used for the constant and power densities.  For
+    expflat the clock s(t) = int_{1/T}^{1/(T-t)} e^u/u^2 du comes from a
+    panel table and an asymptotic series (see _ExpflatClock); it raises
+    OverflowError where s exceeds the double range, and t_of_s inverts it
+    by a safeguarded Newton solve in u = 1/(T-t), returning t < T for every
+    finite warped time; lambda = exp(1/(T-t)) is inf once it leaves the
+    double range.  All evaluations require t <= T*(1 - 1e-9).
     """
 
     def __init__(self, T: float, density: Density):

@@ -389,6 +389,13 @@ def _one_line_error(capsys, prefix):
         "controller.reg_eps = inf",
         "disturbance.d = sine:nan",
         "disturbance.d1 = constant:inf",
+        # more cycles over sim.horizon than sim.max_steps: no run could follow the sine
+        "disturbance.d = sine:1,1e300",
+        "disturbance.d1 = sine:0.1,-1e7",
+        "disturbance.d2 = sine:0.1,1e5\nsim.horizon = 30",
+        "disturbance.b = sine:1,3,1e300",
+        "disturbance.d = sine:1,2e4\nsim.max_steps = 1000",
+        "disturbance.d = sine:1\nsim.horizon = 1e7",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
@@ -614,12 +621,19 @@ def _main_code(argv) -> str:
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_optimize():
-    # ptstab.cli imports no scipy module at all; only PNF synthesis and the
-    # expflat clock load scipy, inside the code that calls it
+    # ptstab.cli imports no scipy module at all; only PNF synthesis loads
+    # scipy, inside the code that calls it
     assert _scipy_loaded_by("import ptstab.cli") == []
 
 
-@pytest.mark.parametrize("command", ["synthesize hong", "verify hong", "verify pnf", "simulate matched_robust"])
+def test_expflat_time_scale_loads_no_scipy():
+    code = "from ptstab.timescale import build, expflat_density\nts = build(1.0, expflat_density())\nts.t_of_s(ts.s(0.5))"
+    assert _scipy_loaded_by(code) == []
+
+
+@pytest.mark.parametrize(
+    "command", ["synthesize hong", "verify hong", "verify pnf", "simulate matched_robust", "simulate pnf expflat"]
+)
 def test_commands_off_the_scipy_paths_load_no_scipy(tmp_path, gain_paths, command):
     if command == "synthesize hong":
         argv = ["synthesize", "--kind", "hong", "--n", "2", "--b-lower", "1", "--out", tmp_path / "h2.gains"]
@@ -628,9 +642,10 @@ def test_commands_off_the_scipy_paths_load_no_scipy(tmp_path, gain_paths, comman
     elif command == "verify pnf":
         argv = ["verify", "--gains", gain_paths["pnf", 2]]
     else:
-        lines = [ln for ln in _run_configs(gain_paths)["matched_robust"] if not ln.startswith("runs.count")]
+        kind = command.split()[1]  # the pnf config runs the expflat density
+        lines = [ln for ln in _run_configs(gain_paths)[kind] if not ln.startswith("runs.count")]
         lines += ["runs.count = 1", f"output.dir = {tmp_path / 'out'}"]
-        argv = ["simulate", "--config", _write_cfg(tmp_path / "robust.cfg", lines)]
+        argv = ["simulate", "--config", _write_cfg(tmp_path / f"{kind}.cfg", lines)]
     assert _scipy_loaded_by(_main_code(argv)) == []
 
 

@@ -217,6 +217,15 @@ def test_zero_tolerance_pair_is_refused():
         assert traj.status == "horizon" and len(traj.t) < 1000
 
 
+def test_zero_abs_tol_at_the_origin_does_not_stall():
+    # with abs_tol = 0 the tolerance at the origin is 0; the error there is 0 too, which
+    # used to read as NaN and reject every attempt until max_steps ran out
+    ctrl = Controller(u=lambda t, x: -x[0] - x[1])
+    traj = integrate(ChainSpec(2, 1.0), ctrl, _dist(), [0.0, 0.0], SimOptions(abs_tol=0.0, max_steps=2000), horizon=1.0)
+    assert traj.status in ("settled", "horizon") and len(traj.t) < 300
+    assert np.all(traj.x == 0.0)
+
+
 def test_step_failure_on_nonfinite_controller():
     spec = ChainSpec(n=1, T=1.0)
     ctrl = Controller(u=lambda t, x: math.nan)
@@ -274,7 +283,8 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
     It evaluates the RHS 7 times per attempted step (its last stage and k7 are
     the same point).  Stage sums, the error vector, np.maximum in the
     tolerance and the error-norm sum are the arithmetic sim._adaptive_run
-    must reproduce bit for bit.
+    must reproduce bit for bit.  A zero error over a zero tolerance counts
+    as 0, numpy's NaN aside, as in sim._err_norm.
     """
     t = float(t0)
     x = np.asarray(x0, dtype=float).copy()
@@ -346,7 +356,9 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
             if e != 0.0:
                 err += h_try * e * (ks[idx] if idx < 6 else k7)
         tol = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err_norm = math.sqrt(float(((err / tol) ** 2).sum()) / len(x))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where((err == 0) & (tol == 0), 0.0, err / tol)
+        err_norm = math.sqrt(float((ratio**2).sum()) / len(x))
 
         if err_norm <= 1.0 or h_try <= sim.MIN_STEP * 10:
             t += h_try
@@ -492,7 +504,8 @@ def test_float_loop_matches_numpy_oracle(case, hong_design, monkeypatch):
 
 
 def test_err_norm_matches_numpy_expression():
-    # random vectors with zeros, infinities and NaNs; a NaN in x is also in x_new, as in the loop
+    # random vectors with zeros, infinities and NaNs; a NaN in x is also in x_new, as in the loop;
+    # a zero error over a zero tolerance counts as 0 where numpy gives NaN
     rng = np.random.default_rng(7)
     special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300])
     for n in range(1, 13):
@@ -505,7 +518,8 @@ def test_err_norm_matches_numpy_expression():
             for abs_tol, rel_tol in ((1e-12, 1e-9), (0.0, 1e-7), (0.0, 0.0)):
                 with np.errstate(all="ignore"):
                     tol = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
-                    want = math.sqrt(float(((e / tol) ** 2).sum()) / n)
+                    ratio = np.where((e == 0) & (tol == 0), 0.0, e / tol)
+                    want = math.sqrt(float((ratio**2).sum()) / n)
                 got = sim._err_norm(x.tolist(), y.tolist(), e.tolist(), abs_tol, rel_tol)
                 assert got == want or (math.isnan(got) and math.isnan(want)), (x, y, e)
 

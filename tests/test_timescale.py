@@ -2,6 +2,7 @@ import builtins
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -221,7 +222,7 @@ def test_xy_roundtrip():
 DBL_MAX = float(np.finfo(float).max)
 
 
-def _mp_expflat_clock(mp, T, t):
+def _mp_expflat_clock(T, t):
     """s(t) = G(1/(T-t)) - G(1/T), G(u) = Ei(u) - e^u/u, at the double t."""
     T, t = mp.mpf(T), mp.mpf(t)
 
@@ -231,15 +232,15 @@ def _mp_expflat_clock(mp, T, t):
     return G(1 / (T - t)) - G(1 / T)
 
 
-# T = 0.02 starts the clock at u0 = 50 > ASYMPTOTIC_U, where G(u0) comes from the series
-@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 0.02])
+# T = 0.02 starts the clock at u0 = 50 > ASYMPTOTIC_U, on a table of one panel;
+# T = 10, 100 and 1e4 start it at u0 <= 0.1, on the short panels at the start of the table
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0, 0.02, 10.0, 100.0, 1e4])
 def test_expflat_clock_matches_mpmath(T):
-    mp = pytest.importorskip("mpmath")
     ts = build(T, expflat_density())
     u0 = 1.0 / T
     with mp.workdps(50):
         # u where the clock reaches the largest double
-        u_lim = mp.findroot(lambda u: mp.log(_mp_expflat_clock(mp, T, T - 1 / u) / DBL_MAX), 720)
+        u_lim = mp.findroot(lambda u: mp.log(_mp_expflat_clock(T, T - 1 / u) / DBL_MAX), 720)
         us = [u0 + h for h in np.geomspace(1e-15, 1.0, 80)]
         us += list(np.linspace(u0 + 1.0, float(u_lim) - 0.01, 300))
         us += [float(u_lim) - d for d in (1e-3, 1e-5, 1e-7)] + [float(u_lim) + d for d in (1e-3, 1.0, 50.0)]
@@ -248,7 +249,7 @@ def test_expflat_clock_matches_mpmath(T):
             warnings.simplefilter("error")
             for u in us:
                 t = T - 1.0 / u
-                exact = _mp_expflat_clock(mp, T, t)
+                exact = _mp_expflat_clock(T, t)
                 if exact > DBL_MAX:
                     with pytest.raises(OverflowError):
                         ts.s(t)
@@ -320,8 +321,8 @@ def test_expflat_lambda_past_the_double_range():
 
 
 def test_expflat_clock_runs_no_import_per_evaluation(monkeypatch):
-    # scipy.special.expi is bound when the clock is built; s and t_of_s run
-    # once per RHS evaluation and must not execute an import statement
+    # s and t_of_s run once per RHS evaluation of a warped run and must not
+    # execute an import statement
     ts = build(1.0, expflat_density())
     imports = []
     real_import = builtins.__import__
@@ -331,8 +332,8 @@ def test_expflat_clock_runs_no_import_per_evaluation(monkeypatch):
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", counting_import)
-    # t in (1/3, 39/40) puts u = 1/(1-t) on the Ei branch of the clock
-    for t in np.linspace(0.4, 0.97, 20):
+    # u = 1/(1-t) runs from 1.7 to 50: over the panel table, then past u = 40 the series
+    for t in np.linspace(0.4, 0.98, 21):
         ts.t_of_s(ts.s(float(t)))
         ts.lam(float(t))
     monkeypatch.undo()
