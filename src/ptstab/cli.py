@@ -39,13 +39,17 @@ from .sim import (
     SimOptions,
     Signal,
     VectorSignal,
+    constant_signal,
     fixed_time_controller,
     integrate,
     isotonic_fit,
     iss_metrics,
+    noise_signal,
     pnf_controller,
     prescribed_time_controller,
     robust_controller,
+    sine_signal,
+    zero_signal,
 )
 from .switching import SwitchDesignError, design_switch_params
 from .timescale import Density, build
@@ -180,18 +184,6 @@ def _sine_freq(parsed: tuple) -> float:
     return vals[1] if len(vals) > 1 else 1.0
 
 
-def _make_signal(parsed: tuple, seed: int, period: float) -> Signal:
-    kind, vals = parsed
-    if kind == "zero":
-        return Signal("zero")
-    if kind == "constant":
-        return Signal("constant", amp=vals[0])
-    if kind == "sine":
-        phase = vals[2] if len(vals) > 2 else 0.0
-        return Signal("sine", amp=vals[0], freq=_sine_freq(parsed), phase=phase)
-    return Signal("noise", amp=vals[0], seed=seed, period=period)
-
-
 def _bprofile_args(spec_str: str, b_lower: float) -> tuple:
     """BProfile arguments (lo[, hi, freq, phase]) of a disturbance.b spec."""
     if not spec_str:
@@ -279,11 +271,9 @@ class _Problem:
             g = synthesize_linear_gain(n, spec.b_lower)
         else:
             g = synthesize_hong_gains(n, HongSynthesisConfig(seed=cfg["controller.synth_seed"]))
-        self.gains = g
-        self.switch = sp = None
         if kind != "pnf":
             b_up = spec.b_upper if math.isfinite(spec.b_upper) else spec.b_lower
-            sp = self.switch = design_switch_params(
+            sp = design_switch_params(
                 g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"]
             )
         with _config_values("controller"):
@@ -298,14 +288,23 @@ class _Problem:
                     g, sp, cfg["controller.t_target"], b_lower=spec.b_lower
                 )
 
+    def _signal(self, key: str, seed: int) -> Signal:
+        """The disturbance.<key> signal of a run; noise draws its table from seed."""
+        kind, vals = parsed = self.signals[key]
+        if kind == "zero":
+            return zero_signal()
+        if kind == "constant":
+            return constant_signal(vals[0])
+        if kind == "sine":
+            return sine_signal(vals[0], _sine_freq(parsed), vals[2] if len(vals) > 2 else 0.0)
+        return noise_signal(vals[0], seed, self.period)
+
     def disturbances(self, run_seed: int) -> DisturbanceSpec:
-        d = _make_signal(self.signals["d"], 4 * run_seed + 1, self.period)
         vec = {}
         for offset, key in ((2, "d1"), (3, "d2")):
             if key in self.directions:
-                sig = _make_signal(self.signals[key], 4 * run_seed + offset, self.period)
-                vec[key] = VectorSignal(self.directions[key], sig)
-        return DisturbanceSpec(d=d, d1=vec.get("d1"), d2=vec.get("d2"), b=self.b)
+                vec[key] = VectorSignal(self.directions[key], self._signal(key, 4 * run_seed + offset))
+        return DisturbanceSpec(d=self._signal("d", 4 * run_seed + 1), d1=vec.get("d1"), d2=vec.get("d2"), b=self.b)
 
     def initial_state(self, run_seed: int) -> np.ndarray:
         cfg = self.cfg
@@ -328,11 +327,7 @@ class _Problem:
             self.opts,
             horizon=cfg["sim.horizon"],
         )
-        if self.switch is not None:
-            metrics = iss_metrics(traj, self.gains, self.switch)
-        else:
-            metrics = {"limsup_Z": math.nan, "sup_norm": traj.sup_norm, "settle_time": traj.settle_time}
-        return traj, seed, metrics
+        return traj, seed, iss_metrics(traj)
 
 
 # inline gain synthesis or switch design that cannot produce a certificate (exit 2)

@@ -1,4 +1,4 @@
-"""Foundational numerics: weight vectors, dilations, signed powers, sphere sampling.
+"""Foundational numerics: weight vectors, dilations, degree grids, sphere sampling.
 
 Everything here is pure and deterministic; higher modules build gain
 synthesis, certificates and simulations on top of these primitives.
@@ -22,7 +22,6 @@ __all__ = [
     "dilate",
     "dilation_matrix",
     "dilate_rows",
-    "signed_power",
     "kappa_grid",
     "onto_sphere",
     "sample_sphere",
@@ -133,22 +132,6 @@ def dilation_matrix(w: WeightVector, lam: float) -> np.ndarray:
 def dilate_rows(w: WeightVector, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row k of X dilated by diag(lam[k]^{r_i}); numpy powers, unlike dilate."""
     return X * lam[:, None] ** np.array(w.r)[None, :]
-
-
-def signed_power(x, alpha: float):
-    """Sign-preserving power sign(x)*|x|^alpha; odd and strictly increasing.
-
-    Works on scalars and numpy arrays.
-    """
-    if not alpha > 0:
-        raise ValueError(f"exponent must be positive, got {alpha}")
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if xf == 0.0:
-            return 0.0
-        return math.copysign(abs(xf) ** alpha, xf)
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.abs(x) ** alpha
 
 
 def kappa_grid(n: int, points: int = 11, hi: float | None = None) -> np.ndarray:

@@ -153,12 +153,16 @@ def read_gains(path: str):
                         raise ValueError(f"certificate.{sub} = {val} is below 1")
                 else:
                     cert[sub] = _finite(val)
+            # HongGainSet reads kappa_pos = 0 as kappa_pos_certified(n): only a missing key asks for that
+            kappa_pos = _finite(kv.get("kappa_pos", "0"))
+            if "kappa_pos" in kv and not kappa_pos > 0:
+                raise ValueError(f"kappa_pos = {kv['kappa_pos']} is not positive")
             g = HongGainSet(
                 n=int(kv["n"]),
                 ell=_parse_vector(kv["ell"]),
                 C=_finite(kv["C"]),
                 kappa_bound=_finite(kv["kappa_bound"]),
-                kappa_pos=_finite(kv.get("kappa_pos", "0")),
+                kappa_pos=kappa_pos,
                 certificate=cert,
             )
             if g.ell.shape != (g.n,):
@@ -166,8 +170,8 @@ def read_gains(path: str):
             # the cascade is defined for |kappa| <= 1/(2n); kappa_pos has its default by now
             if not 0 < g.kappa_bound <= 1.0 / (2 * g.n):
                 raise ValueError(f"kappa_bound = {kv['kappa_bound']} outside (0, 1/(2n)] for n = {g.n}")
-            if not 0 <= g.kappa_pos <= g.kappa_bound:
-                raise ValueError(f"kappa_pos = {g.kappa_pos!r} outside [0, kappa_bound]")
+            if not g.kappa_pos <= g.kappa_bound:
+                raise ValueError(f"kappa_pos = {g.kappa_pos!r} outside (0, kappa_bound]")
             return g, _finite(kv["b_lower"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc

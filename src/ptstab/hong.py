@@ -104,7 +104,9 @@ def kappa_pos_certified(n: int) -> float:
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
 
 
-@lru_cache(maxsize=32)  # bounded: the fixed-time feedback passes continuous kappa values
+# bounded, since the public hong_* functions take any kappa; the fixed-time
+# law sends its in-band degrees to _level_exponents, past this cache
+@lru_cache(maxsize=32)
 def _exponents(n: int, kappa: float) -> tuple:
     """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the cascade, unchecked."""
     return _level_exponents(n, float(kappa))

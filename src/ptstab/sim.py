@@ -23,9 +23,8 @@ from .switching import (
     bind_diagnostics,
     fixed_time_law,
     v0_value,
-    z_value,
 )
-from .timescale import HORIZON_GUARD, TimeScale
+from .timescale import HORIZON_GUARD, TimeScale, x_to_y
 
 __all__ = [
     "Signal",
@@ -582,7 +581,7 @@ def integrate_warped(
     opts = opts or SimOptions(rel_tol=1e-10, abs_tol=1e-13)
     n = spec.n
     w = pnf_weights(n)
-    y0 = dilate(w, ts.lam(0.0), np.asarray(x0, dtype=float))
+    y0 = x_to_y(ts, w, 1.0, 0.0, x0)
     r = np.array(w.r)
     eta_pow = eta**r
     K = np.asarray(gain.K, dtype=float)
@@ -621,23 +620,16 @@ def integrate_warped(
     )
 
 
-def iss_metrics(
-    traj: Trajectory,
-    g: HongGainSet,
-    sp: SwitchParams,
-    alt_exponent: bool = False,
-) -> dict:
-    """{limsup_Z, sup_norm, settle_time} with Z evaluated on the last TAIL_FRAC of the rows.
+def iss_metrics(traj: Trajectory) -> dict:
+    """{limsup_Z, sup_norm, settle_time} of a run, from its recorded rows.
 
-    Z is read from traj.diag["Z"] when the controller recorded it (the
-    switching controllers do, with their own g and sp); alt_exponent
-    recomputes it.
+    limsup_Z is the largest recorded Z over the last TAIL_FRAC of the rows,
+    and nan when the controller records no Z (the PNF law).
     """
-    n_tail = max(1, int(math.ceil(TAIL_FRAC * len(traj.t))))
-    if not alt_exponent and "Z" in traj.diag:
+    limsup = math.nan
+    if "Z" in traj.diag:
+        n_tail = max(1, int(math.ceil(TAIL_FRAC * len(traj.t))))
         limsup = max(traj.diag["Z"][-n_tail:].tolist())
-    else:
-        limsup = max(z_value(g, sp, x, alt_exponent=alt_exponent) for x in traj.x[-n_tail:])
     return {
         "limsup_Z": float(limsup),
         "sup_norm": traj.sup_norm,

@@ -133,18 +133,18 @@ class MatchedRobustLaw:
 
     omega0 switches between the +kappa0 and -kappa0 cascades on the surface
     V_{-kappa0} = 1; the set-valued sign is regularized as z/max(|z|, eps).
-    The per-level exponents of both cascades are computed once.  A call runs
-    the -kappa0 pass, whose last v is omega0 on the sliding set
+    The per-level exponents of both cascades are computed once.  A call of
+    u runs the -kappa0 pass, whose last v is omega0 on the sliding set
     {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.
 
     The -kappa0 pass yields V_{-kappa0} as a by-product, and u keeps the
     last one with its state: a one-entry memo that only u writes.
-    v_minus(y) returns it without another pass when y is that state list
-    or equals it (another list or an array of the same values), and
-    otherwise runs the pass without storing it.  So the surface and the
-    diagnostics at a recorded row reuse the feedback's value there.  States
-    are float lists, which must not be mutated after a call, or float64
-    arrays of length n.
+    v_minus(y) returns it without another pass when y is that very state
+    object, and otherwise runs the pass without storing it.  The integrator
+    hands the state list of its last u call to the surface and the
+    diagnostics of a row, so they reuse the feedback's value there.  A state
+    is a float list or array of length n and must not be mutated after a
+    call.
     """
 
     def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
@@ -159,13 +159,8 @@ class MatchedRobustLaw:
         self._eps = reg_eps
         self._memo = (None, None)  # (state, V_{-kappa0}) of the last u call
 
-    def __call__(self, y) -> float:
-        return self.u(None, y)
-
     def u(self, t, y) -> float:
         """The feedback at state y as a Controller.u (the law does not read t)."""
-        if type(y) is not list:
-            y = np.asarray(y, dtype=float).tolist()
         w0, vm = _cascade(self._ell, self._minus, y)
         self._memo = (y, vm)
         if vm > 1.0:
@@ -176,11 +171,7 @@ class MatchedRobustLaw:
     def v_minus(self, y) -> float:
         """V_{-kappa0}(y), from the memo when y is the state of the last u call."""
         key, vm = self._memo
-        if y is key:
-            return vm
-        if type(y) is not list:
-            y = np.asarray(y, dtype=float).tolist()
-        return vm if y == key else _cascade(self._ell, self._minus, y)[1]
+        return vm if y is key else _cascade(self._ell, self._minus, y)[1]
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:
@@ -194,19 +185,16 @@ def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: fl
     return (r_plus ** (-ap) / ap - 2.0 * math.log(2.0 * m) + r_minus ** (-am) / (-am)) / C
 
 
-def z_value(g: HongGainSet, sp: SwitchParams, x, alt_exponent: bool = False) -> float:
-    """Residual metric Z = min(V0, V_{+k0}^{1+a}, V_{-k0}^{1-a}), a = alpha(kappa0).
-
-    alt_exponent uses 1+alpha(-kappa0) on the third term instead of 1-a.
-    """
-    ep, em = _z_exponents(sp.kappa0, alt_exponent)
+def z_value(g: HongGainSet, sp: SwitchParams, x) -> float:
+    """Residual metric Z = min(V0, V_{+k0}^{1+a}, V_{-k0}^{1-a}), a = alpha(kappa0)."""
+    ep, em = _z_exponents(sp.kappa0)
     return min(v0_value(sp.P, x), hong_value(g, sp.kappa0, x) ** ep, hong_value(g, -sp.kappa0, x) ** em)
 
 
-def _z_exponents(kappa0: float, alt_exponent: bool = False) -> tuple:
-    """The exponents (1+a, 1-a) of Z's level-set terms; alt_exponent makes the second 1+alpha(-kappa0)."""
+def _z_exponents(kappa0: float) -> tuple:
+    """The exponents (1+a, 1-a) of Z's level-set terms, a = alpha(kappa0)."""
     a = alpha_of(kappa0)
-    return 1.0 + a, (1.0 + alpha_of(-kappa0) if alt_exponent else 1.0 - a)
+    return 1.0 + a, 1.0 - a
 
 
 def bind_diagnostics(g: HongGainSet, sp: SwitchParams):

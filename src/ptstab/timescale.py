@@ -14,6 +14,7 @@ needs scipy.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ CLOCK_RESID_TOL = 2.0**-46
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_HALF = tuple(zip((0.5 * (1.0 + _GL_X[:4])).tolist(), (0.5 * _GL_W[:4]).tolist()))
 _E64 = math.exp(64.0)
+# the horizons T of an expflat time scale: lambda(0) = e^(1/T) and the peak
+# 2T^2 of a pair of panel nodes near v = 1/T must stay finite
+EXPFLAT_T_RANGE = (1.0 / math.log(sys.float_info.max), math.sqrt(0.5 * sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,8 @@ class TimeScale:
     OverflowError where s exceeds the double range, and t_of_s inverts it
     by a safeguarded Newton solve in u = 1/(T-t), returning t < T for every
     finite warped time; lambda = exp(1/(T-t)) is inf once it leaves the
-    double range.  All evaluations require t <= T*(1 - 1e-9).
+    double range.  An expflat T outside EXPFLAT_T_RANGE raises ValueError.
+    All evaluations require t <= T*(1 - 1e-9).
     """
 
     def __init__(self, T: float, density: Density):
@@ -266,6 +271,9 @@ class TimeScale:
         self.density = density
         self._clock = None
         if density.tag == "expflat":
+            lo, hi = EXPFLAT_T_RANGE
+            if not lo <= self.T <= hi:
+                raise ValueError(f"expflat density needs T in [{lo!r}, {hi!r}], got {T!r}")
             self._clock = _ExpflatClock(1.0 / self.T)
         elif density.tag == "constant":
             self._c, self._m = density.param, 1.0

@@ -15,7 +15,7 @@ import pytest
 from ptstab import cli
 from ptstab.cli import main
 from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
-from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
+from ptstab.hong import HongSynthesisConfig, kappa_pos_certified, synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 
 
@@ -353,6 +353,9 @@ def _one_line_error(capsys, prefix):
         "controller.m = 1.5",
         "controller.m = 0",
         "controller.density = power\ncontroller.density_param = 0.5",
+        # outside the horizons an expflat clock can represent
+        "controller.density = expflat\nplant.t = 1e-3",
+        "controller.density = expflat\nplant.t = 1e155",
         "runs.count = -3",
         "runs.x0_min = 0",
         "runs.x0_max = -1",
@@ -582,6 +585,7 @@ def fresh_gain_files(gain_paths):
         ("hong", "kappa_bound", "0.45", 1, None),
         ("hong", "kappa_bound", "0", 1, None),
         ("hong", "kappa_pos", "-0.2", 1, None),
+        ("hong", "kappa_pos", "0", 1, None),
         ("hong", "kappa_pos", "0.3", 1, None),
         ("hong", "certificate.seed", "1\ncertificate.sead = 1", 1, None),
         # vacuous certificates: one failing row, exit 2
@@ -604,6 +608,16 @@ def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_f
         _one_line_error(capsys, "error: ")
     else:
         assert _failing_rows(capsys.readouterr().out) == [failing]
+
+
+def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, fresh_gain_files):
+    # a missing key, unlike an explicit kappa_pos = 0, takes kappa_pos_certified(n)
+    lines = [ln for ln in fresh_gain_files["hong"].splitlines() if not ln.startswith("kappa_pos")]
+    path = tmp_path / "no_kappa_pos.gains"
+    path.write_text("\n".join(lines) + "\n")
+    g, _ = read_gains(str(path))
+    assert g.kappa_pos == kappa_pos_certified(2) > 0
+    assert main(["verify", "--gains", str(path)]) == 0
 
 
 def _scipy_loaded_by(code: str) -> list:

@@ -12,7 +12,6 @@ from ptstab.core import (
     kappa_grid,
     pnf_weights,
     sample_sphere,
-    signed_power,
     sphere_residual,
 )
 
@@ -94,29 +93,6 @@ def test_conjugation_identity():
             lhs = D @ J @ np.linalg.inv(D)
             assert np.max(np.abs(lhs - lam * J)) < 1e-12 * max(1.0, lam)
             assert np.allclose(D @ en, lam * en, rtol=1e-12)
-
-
-def test_signed_power_examples():
-    assert signed_power(-8.0, 1.0 / 3.0) == pytest.approx(-2.0)
-    assert signed_power(0.0, 0.7) == 0.0
-    assert signed_power(4.0, 1.5) == pytest.approx(8.0)
-    assert signed_power(2.5, 1.0) == 2.5
-
-
-def test_signed_power_inverse_property():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        x = rng.uniform(-10.0, 10.0)
-        a = rng.uniform(0.3, 3.0)
-        back = signed_power(signed_power(x, a), 1.0 / a)
-        assert back == pytest.approx(x, rel=1e-10, abs=1e-12)
-
-
-def test_signed_power_domain_error():
-    with pytest.raises(ValueError):
-        signed_power(1.0, 0.0)
-    with pytest.raises(ValueError):
-        signed_power(1.0, -2.0)
 
 
 def test_sample_sphere_dim1():

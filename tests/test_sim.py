@@ -199,10 +199,26 @@ def test_settles_and_reports_metrics():
     traj = integrate(spec, ctrl, _dist(), [3.0, 0.0], SimOptions(rel_tol=1e-8), horizon=400.0)
     assert traj.status == "settled"
     assert traj.settle_time is not None and traj.settle_time < 400.0
-    m = iss_metrics(traj, g, sp)
+    m = iss_metrics(traj)
     assert m["limsup_Z"] < 1e-12
     assert m["sup_norm"] >= 3.0
     assert {"V0", "Vkp", "Vkm", "kappa", "Z"} <= set(traj.diag.keys())
+
+
+def test_pnf_metrics_come_from_the_rows():
+    # a PNF run records no Z column: limsup_Z is nan, and the other metrics
+    # are the trajectory's own
+    spec = ChainSpec(n=2, T=1.0)
+    gain = synthesize_linear_gain(2, 1.0)
+    ts = build(1.0, expflat_density())
+    ctrl = pnf_controller(gain, ts, max(1.0, ts.a_sup() / gain.C0))
+    for horizon in (1.0, 0.5):  # settles at about 0.9, or stops before
+        traj = integrate(spec, ctrl, DisturbanceSpec(d=sine_signal(1.0, 0.9, 0.3)), [2.0, -1.0], horizon=horizon)
+        assert traj.diag == {} and (traj.settle_time is None) == (horizon == 0.5)
+        m = iss_metrics(traj)
+        assert math.isnan(m.pop("limsup_Z"))
+        assert m == {"sup_norm": traj.sup_norm, "settle_time": traj.settle_time}
+        assert m["sup_norm"] == float(np.max(np.linalg.norm(traj.x, axis=1)))
 
 
 def test_zero_tolerance_pair_is_refused():

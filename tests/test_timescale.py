@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from ptstab.core import dilate, pnf_weights
 from ptstab.timescale import (
+    EXPFLAT_T_RANGE,
     Density,
     _exp_times,
     build,
@@ -318,6 +319,22 @@ def test_expflat_lambda_past_the_double_range():
     assert ts.lam(t) == pytest.approx(1.0 / ts.A(t), rel=1e-15)
     for u in (720.0, 750.0, 1e8):
         assert ts.lam(1.0 - 1.0 / u) == math.inf
+
+
+def test_expflat_horizon_range():
+    # below the range lambda(0) = e^(1/T) overflows, and above it the panel
+    # sums do; t_of_s(1e-12) used to return 1.6e-36 at T = 1e-3 and 4.9e-4 at T = 1e160
+    lo, hi = EXPFLAT_T_RANGE
+    assert math.isfinite(math.exp(1.0 / lo)) and math.isfinite(2.0 * hi * hi)
+    for T in (math.nextafter(lo, 0.0), 1e-3, math.nextafter(hi, math.inf), 1e155, 1e160):
+        with pytest.raises(ValueError, match=r"expflat density needs T in \[0\.0014088.*, 9\.4807.*e\+153\]"):
+            build(T, expflat_density())
+    # at the edges and just inside them the clock is finite and inverts itself
+    for T in (lo, math.nextafter(lo, 1.0), hi, math.nextafter(hi, 0.0)):
+        ts = build(T, expflat_density())
+        assert math.isfinite(ts.lam(0.0))
+        for sig in (1.0, 1e150, 1e300) if T < 1.0 else (1.0, 1e100, 0.5 * T):
+            assert ts.s(ts.t_of_s(sig)) == pytest.approx(sig, rel=1e-13)
 
 
 def test_expflat_clock_runs_no_import_per_evaluation(monkeypatch):
