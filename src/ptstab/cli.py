@@ -34,11 +34,9 @@ from .hong import (
 )
 from .pnf import SynthesisError, certificate_checks, synthesize_linear_gain
 from .sim import (
-    BProfile,
     DisturbanceSpec,
     SimOptions,
-    Signal,
-    VectorSignal,
+    b_profile,
     constant_signal,
     fixed_time_controller,
     integrate,
@@ -49,6 +47,7 @@ from .sim import (
     prescribed_time_controller,
     robust_controller,
     sine_signal,
+    vector_signal,
     zero_signal,
 )
 from .switching import SwitchDesignError, design_switch_params
@@ -148,7 +147,21 @@ def cmd_verify(args) -> int:
 # --- simulate / sweep -------------------------------------------------------
 
 
-_SIGNAL_KINDS = ("zero", "constant", "sine", "noise")
+# The disturbance catalog.  Each kind maps to the defaults of its values, in
+# spec order (a default of None marks a required value, and required values
+# come first), and its builder (values, seed, period) -> signal; only noise
+# reads the run's seed and the resampling period.
+_SIGNALS = {
+    "zero": ({}, lambda v, seed, period: zero_signal()),
+    "constant": ({"c": None}, lambda v, seed, period: constant_signal(**v)),
+    "sine": ({"amp": None, "freq": 1.0, "phase": 0.0}, lambda v, seed, period: sine_signal(**v)),
+    "noise": ({"amp": None}, lambda v, seed, period: noise_signal(v["amp"], seed, period)),
+}
+# the disturbance.b kinds, each with its builder values -> profile
+_B_PROFILES = {
+    "constant": ({"v": None}, lambda v: b_profile(v["v"])),
+    "sine": ({"lo": None, "hi": None, "freq": 1.0, "phase": 0.0}, lambda v: b_profile(**v)),
+}
 
 
 def _numbers(key: str, text: str) -> list:
@@ -161,39 +174,27 @@ def _numbers(key: str, text: str) -> list:
     return vals
 
 
-def _spec_values(key: str, spec_str: str) -> tuple:
-    """(kind, values) of a `kind[:v1,v2,...]` spec."""
-    parts = spec_str.strip().split(":")
-    return parts[0], (_numbers(key, parts[1]) if len(parts) > 1 else [])
+def _spec_form(kind: str, defaults: dict) -> str:
+    """The documented form of a catalog kind, such as sine:amp[,freq[,phase]]."""
+    if not defaults:
+        return kind
+    required = [name for name, v in defaults.items() if v is None]
+    optional = list(defaults)[len(required):]
+    return f"{kind}:" + ",".join(required) + "".join(f"[,{name}" for name in optional) + "]" * len(optional)
 
 
-def _parse_signal(key: str, spec_str: str) -> tuple:
-    kind, vals = _spec_values(key, spec_str)
-    if kind not in _SIGNAL_KINDS:
-        raise ConfigError(f"{key}: unknown signal spec {spec_str!r}")
-    if kind != "zero" and not vals:
-        raise ConfigError(f"{key}: {kind} needs an amplitude, got {spec_str!r}")
-    return kind, vals
-
-
-def _sine_freq(parsed: tuple) -> float:
-    """The frequency of a parsed sine signal (default 1), 0 for the other kinds."""
-    kind, vals = parsed
-    if kind != "sine":
-        return 0.0
-    return vals[1] if len(vals) > 1 else 1.0
-
-
-def _bprofile_args(spec_str: str, b_lower: float) -> tuple:
-    """BProfile arguments (lo[, hi, freq, phase]) of a disturbance.b spec."""
-    if not spec_str:
-        return (b_lower,)
-    kind, vals = _spec_values("disturbance.b", spec_str)
-    if kind == "constant" and vals:
-        return (vals[0],)
-    if kind == "sine" and len(vals) >= 2:
-        return (vals[0], vals[1], vals[2] if len(vals) > 2 else 1.0, vals[3] if len(vals) > 3 else 0.0)
-    raise ConfigError(f"disturbance.b: expected constant:v or sine:lo,hi[,freq[,phase]], got {spec_str!r}")
+def _parse_spec(key: str, text: str, catalog: dict) -> tuple:
+    """(kind, values) of a `kind[:v1,v2,...]` spec, the values named and their defaults filled in."""
+    kind, colon, rest = text.strip().partition(":")
+    if kind not in catalog:
+        forms = " | ".join(_spec_form(k, d) for k, (d, _) in catalog.items())
+        raise ConfigError(f"{key}: unknown kind in {text!r}; expected {forms}")
+    defaults = catalog[kind][0]
+    given = _numbers(key, rest) if colon else []
+    n_required = sum(v is None for v in defaults.values())
+    if not n_required <= len(given) <= len(defaults):
+        raise ConfigError(f"{key}: expected {_spec_form(kind, defaults)}, got {text!r}")
+    return kind, dict(zip(defaults, given + list(defaults.values())[len(given):]))
 
 
 def _vector(key: str, text: str, n: int) -> np.ndarray:
@@ -228,7 +229,9 @@ class _Problem:
             )
         # disturbance specs are parsed here, once; runs differ only in their noise seeds
         self.period = cfg["disturbance.noise_period"] or spec.T / 1e4
-        self.signals = {k: _parse_signal(f"disturbance.{k}", cfg[f"disturbance.{k}"]) for k in ("d", "d1", "d2")}
+        self.signals = {
+            k: _parse_spec(f"disturbance.{k}", cfg[f"disturbance.{k}"], _SIGNALS) for k in ("d", "d1", "d2")
+        }
         e_n = np.zeros(n)
         e_n[-1] = 1.0
         self.directions = {}
@@ -236,19 +239,22 @@ class _Problem:
             if self.signals[key][0] != "zero":
                 text = cfg[f"disturbance.{key}_direction"]
                 self.directions[key] = _vector(f"disturbance.{key}_direction", text, n) if text else default
-        b_args = _bprofile_args(cfg["disturbance.b"], spec.b_lower)
+        specs = {f"disturbance.{k}": parsed for k, parsed in self.signals.items()}
+        # an empty disturbance.b is the constant plant.b_lower
+        b_text = cfg["disturbance.b"] or f"constant:{spec.b_lower!r}"
+        specs["disturbance.b"] = _parse_spec("disturbance.b", b_text, _B_PROFILES)
         # a step per cycle is the least a run must take to follow a sine
-        freqs = {f"disturbance.{k}": _sine_freq(parsed) for k, parsed in self.signals.items()}
-        freqs["disturbance.b"] = b_args[2] if len(b_args) > 2 else 0.0
-        for key, freq in freqs.items():
+        for key, (_, values) in specs.items():
+            freq = values.get("freq", 0.0)
             cycles = abs(freq) * cfg["sim.horizon"]
             if cycles > cfg["sim.max_steps"]:
                 raise ConfigError(
                     f"{key}: sine frequency {freq!r} makes {cycles:.3g} cycles over sim.horizon,"
                     f" more than sim.max_steps = {cfg['sim.max_steps']}"
                 )
+        kind, values = specs["disturbance.b"]
         with _config_values("disturbance.b"):
-            self.b = BProfile(*b_args)
+            self.b = _B_PROFILES[kind][1](values)
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
         if cfg["runs.x0_min"] > cfg["runs.x0_max"]:
             raise ConfigError("runs.x0_min must be <= runs.x0_max")
@@ -288,22 +294,16 @@ class _Problem:
                     g, sp, cfg["controller.t_target"], b_lower=spec.b_lower
                 )
 
-    def _signal(self, key: str, seed: int) -> Signal:
+    def _signal(self, key: str, seed: int):
         """The disturbance.<key> signal of a run; noise draws its table from seed."""
-        kind, vals = parsed = self.signals[key]
-        if kind == "zero":
-            return zero_signal()
-        if kind == "constant":
-            return constant_signal(vals[0])
-        if kind == "sine":
-            return sine_signal(vals[0], _sine_freq(parsed), vals[2] if len(vals) > 2 else 0.0)
-        return noise_signal(vals[0], seed, self.period)
+        kind, values = self.signals[key]
+        return _SIGNALS[kind][1](values, seed, self.period)
 
     def disturbances(self, run_seed: int) -> DisturbanceSpec:
         vec = {}
         for offset, key in ((2, "d1"), (3, "d2")):
             if key in self.directions:
-                vec[key] = VectorSignal(self.directions[key], self._signal(key, 4 * run_seed + offset))
+                vec[key] = vector_signal(self.directions[key], self._signal(key, 4 * run_seed + offset))
         return DisturbanceSpec(d=self._signal("d", 4 * run_seed + 1), d1=vec.get("d1"), d2=vec.get("d2"), b=self.b)
 
     def initial_state(self, run_seed: int) -> np.ndarray:
@@ -445,16 +445,17 @@ def cmd_sweep(args) -> int:
     value_stat = []
     for value, problem in zip(values, problems):
         cfg = problem.cfg
-        worst = -math.inf
+        stats = []
         for k in range(cfg["runs.count"]):
             traj, seed, metrics = problem.run_one(k)
             cells = [args.param, format_float(value), str(k), str(seed)] + _result_cells(traj, metrics)
             rows.append(",".join(cells))
             stat = metrics["limsup_Z"]
-            if stat is None or math.isnan(stat):
-                stat = metrics["settle_time"] if metrics["settle_time"] is not None else math.nan
-            worst = max(worst, stat)
-        value_stat.append(worst)
+            if math.isnan(stat):
+                stat = math.nan if metrics["settle_time"] is None else metrics["settle_time"]
+            stats.append(stat)
+        # a value with a run that has no statistic has none either
+        value_stat.append(math.nan if not stats or any(map(math.isnan, stats)) else max(stats))
     fit = isotonic_fit(values, value_stat)
     footer = "# isotonic_envelope: " + " ".join(
         f"{format_float(v)}:{format_float(f)}" for v, f in zip(values, fit)

@@ -77,7 +77,7 @@ class WeightVector:
         return len(self.r)
 
 
-@lru_cache(maxsize=64)  # immutable result, shared by the per-step PNF feedback
+@lru_cache(maxsize=64)  # immutable result; the envelopes ask for it at every sample time
 def pnf_weights(n: int) -> WeightVector:
     """Weights (n, n-1, ..., 1) used by the time-varying linear feedback."""
     if n < 1:

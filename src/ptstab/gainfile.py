@@ -185,7 +185,7 @@ INF = math.inf
 # Each key maps to (type, default, range); a default of None marks a required
 # key.  Two type rules hold for every value: a float is finite unless its
 # default is inf, and an int is >= 0.  A range of None leaves the rest to the
-# object the value builds (ChainSpec, Density, BProfile or the controller).
+# object the value builds (ChainSpec, Density, b_profile or the controller).
 CONFIG_SCHEMA = {
     "plant.n": ("int", None, None),
     "plant.t": ("float", 1.0, None),

@@ -27,13 +27,12 @@ from .switching import (
 from .timescale import HORIZON_GUARD, TimeScale, x_to_y
 
 __all__ = [
-    "Signal",
     "zero_signal",
     "constant_signal",
     "sine_signal",
     "noise_signal",
-    "VectorSignal",
-    "BProfile",
+    "vector_signal",
+    "b_profile",
     "DisturbanceSpec",
     "Controller",
     "pnf_controller",
@@ -59,93 +58,70 @@ MIN_STEP = 1e-15
 TAIL_FRAC = 0.25
 
 
-class Signal:
-    """Scalar signal from the closed catalog; value(t).
+def zero_signal():
+    return lambda t: 0.0
+
+
+def constant_signal(c: float):
+    c = float(c)
+    return lambda t: c
+
+
+def sine_signal(amp: float, freq: float, phase: float = 0.0):
+    """t -> amp*sin(2*pi*freq*t + phase).
 
     The angular frequency 2*pi*freq is formed once: 2.0*math.pi*freq*t
     evaluates left to right, so w*t has the same bits.
     """
-
-    def __init__(self, kind, amp=0.0, freq=1.0, phase=0.0, seed=0, period=1e-4):
-        self.kind = kind
-        self.amp = float(amp)
-        self.freq = float(freq)
-        self.phase = float(phase)
-        self.seed = int(seed)
-        self.period = float(period)
-        self._w = 2.0 * math.pi * self.freq
-        if kind == "noise":
-            rng = np.random.default_rng(seed)
-            self._table = rng.uniform(-self.amp, self.amp, NOISE_TABLE).tolist()
-
-    def __call__(self, t: float) -> float:
-        kind = self.kind
-        if kind == "sine":
-            return self.amp * math.sin(self._w * t + self.phase)
-        if kind == "zero":
-            return 0.0
-        if kind == "constant":
-            return self.amp
-        return self._table[int(t / self.period) % NOISE_TABLE]
+    amp, phase = float(amp), float(phase)
+    w = 2.0 * math.pi * float(freq)
+    sin = math.sin
+    return lambda t: amp * sin(w * t + phase)
 
 
-def zero_signal() -> Signal:
-    return Signal("zero")
-
-
-def constant_signal(c: float) -> Signal:
-    return Signal("constant", amp=c)
-
-
-def sine_signal(amp: float, freq: float, phase: float = 0.0) -> Signal:
-    return Signal("sine", amp=amp, freq=freq, phase=phase)
-
-
-def noise_signal(amp: float, seed: int, period: float = 1e-4) -> Signal:
+def noise_signal(amp: float, seed: int, period: float = 1e-4):
     """Piecewise-constant seeded noise, resampled every `period` seconds."""
-    return Signal("noise", amp=amp, seed=seed, period=period)
+    table = np.random.default_rng(int(seed)).uniform(-float(amp), float(amp), NOISE_TABLE).tolist()
+    period = float(period)
+    return lambda t: table[int(t / period) % NOISE_TABLE]
 
 
-class VectorSignal:
-    """direction * scalar signal; the n-vector disturbance channels."""
+def vector_signal(direction, signal):
+    """t -> direction * signal(t) as a float list; the n-vector disturbance channels."""
+    direction = np.asarray(direction, dtype=float).tolist()
 
-    def __init__(self, direction, signal: Signal):
-        self.direction = np.asarray(direction, dtype=float)
-        self.signal = signal
+    def value(t):
+        v = signal(t)
+        return [di * v for di in direction]
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.direction * self.signal(t)
+    return value
 
 
-class BProfile:
+def b_profile(lo: float, hi: float | None = None, freq: float = 0.0, phase: float = 0.0):
     """Control-gain profile with declared bounds [lo, hi].
 
-    mid, half and 2*pi*freq are formed once, with the bits of the literal
-    mid + half*math.sin(2.0*math.pi*freq*t + phase).
+    A varying profile forms mid, half and 2*pi*freq once, with the bits of
+    the literal mid + half*math.sin(2.0*math.pi*freq*t + phase); a constant
+    one (lo == hi or freq == 0) is constant_signal(lo).
     """
-
-    def __init__(self, lo: float, hi: float | None = None, freq: float = 0.0, phase: float = 0.0):
-        hi = lo if hi is None else hi
-        if not 0 < lo <= hi:
-            raise ValueError("need 0 < lo <= hi")
-        self.lo, self.hi, self.freq, self.phase = lo, hi, freq, phase
-        self._varies = not (lo == hi or freq == 0.0)
-        self._mid = 0.5 * (lo + hi)
-        self._half = 0.5 * (hi - lo)
-        self._w = 2.0 * math.pi * freq
-
-    def __call__(self, t: float) -> float:
-        if not self._varies:
-            return self.lo
-        return self._mid + self._half * math.sin(self._w * t + self.phase)
+    lo = float(lo)
+    hi = lo if hi is None else float(hi)
+    if not 0 < lo <= hi:
+        raise ValueError("need 0 < lo <= hi")
+    if lo == hi or freq == 0.0:
+        return constant_signal(lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    w, phase = 2.0 * math.pi * float(freq), float(phase)
+    sin = math.sin
+    return lambda t: mid + half * sin(w * t + phase)
 
 
 @dataclass
 class DisturbanceSpec:
-    d: Signal = field(default_factory=zero_signal)
-    d1: VectorSignal | None = None
-    d2: VectorSignal | None = None
-    b: BProfile = field(default_factory=lambda: BProfile(1.0))
+    d: object = field(default_factory=zero_signal)  # callable t -> float
+    d1: object | None = None  # callable t -> list of n floats
+    d2: object | None = None  # callable t -> list of n floats
+    b: object = field(default_factory=lambda: constant_signal(1.0))  # callable t -> float
 
 
 @dataclass
@@ -504,7 +480,10 @@ def integrate(
     SWITCH_CAP, near a surface of ctrl.surfaces at the measured state x + d1
     that evaluation built: ctrl.surfaces and ctrl.diag run once per row.
     The state reaches ctrl.u, ctrl.surfaces and ctrl.diag as a list of
-    floats, never mutated, and the measured state is a fresh list.
+    floats, never mutated, and the measured state is a fresh list.  The
+    channels of dist must return Python floats, as the signal factories
+    do: d(t) and b(t) a float, d1(t) and d2(t) a float list of length n.
+    Their values enter the slope as they are, unconverted.
     """
     opts = opts or SimOptions()
     n = spec.n
@@ -519,12 +498,12 @@ def integrate(
     last = [None, 0.0]  # measured state and u of the latest RHS evaluation
 
     def f(t, x):
-        xm = last[0] = [p + q for p, q in zip(x, d1(t).tolist())] if d1 is not None else x
+        xm = last[0] = [p + q for p, q in zip(x, d1(t))] if d1 is not None else x
         u = last[1] = u_of(t, xm)
         dx = x[1:]
-        dx.append(float(d(t) + b(t) * u))
+        dx.append(d(t) + b(t) * u)
         if d2 is not None:
-            dx = [p + q for p, q in zip(dx, d2(t).tolist())]
+            dx = [p + q for p, q in zip(dx, d2(t))]
         return dx
 
     us = []
@@ -638,13 +617,17 @@ def iss_metrics(traj: Trajectory) -> dict:
 
 
 def isotonic_fit(xs, ys):
-    """Nondecreasing least-squares fit by pool-adjacent-violators."""
-    order = np.argsort(np.asarray(xs, dtype=float))
-    y = list(np.asarray(ys, dtype=float)[order])
+    """Nondecreasing least-squares fit by pool-adjacent-violators.
+
+    Only the finite ys are fitted; a nan (or an inf) is left in place.
+    """
+    out = np.array(ys, dtype=float)
+    keep = np.flatnonzero(np.isfinite(out))
+    order = keep[np.argsort(np.asarray(xs, dtype=float)[keep])]
     level = []
     weight = []
     members = []
-    for v in y:
+    for v in out[order]:
         level.append(v)
         weight.append(1.0)
         members.append(1)
@@ -654,7 +637,5 @@ def isotonic_fit(xs, ys):
             level[-2:] = [lv]
             weight[-2:] = [wv]
             members[-2:] = [members[-2] + members[-1]]
-    fit_sorted = np.repeat(level, members)
-    out = np.empty(len(y))
-    out[order] = fit_sorted
+    out[order] = np.repeat(level, members)
     return out

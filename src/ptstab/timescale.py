@@ -42,6 +42,9 @@ ASYMPTOTIC_U = 40.0
 # the inverse expflat clock stops once |ln(s/sigma)| is this small, or once
 # no double lies strictly inside its bracket
 CLOCK_RESID_TOL = 2.0**-46
+# the expflat clock refuses an h = t/(T(T-t)), or for T < 1 a t (about T^2 h), below
+# this: a smaller subnormal keeps fewer than the 46 bits that CLOCK_RESID_TOL resolves
+CLOCK_TINY = 2.0**-1028
 # 8-point Gauss-Legendre rule on [0, 1] for the clock's panels (3e-15
 # relative): its nodes x < 1/2 with their weights, mirrored at 1 - x
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
@@ -166,6 +169,10 @@ class _ExpflatClock:
         self._h, self._u, self._e, self._p = hs, us, es, ps
         self._last = len(hs) - 1
         self.m0 = es[-1] * _g_scaled(us[-1]) / (us[-1] * us[-1]) - ps[-1]  # G(u0) = e^u0 * m0
+        # from h_min on, h and the panel sum e^-u0 s (about h/u0^2) are at least CLOCK_TINY;
+        # s_min = s(2*h_min) leaves room for rounding, so t_of_s returns no h below h_min
+        self.h_min = CLOCK_TINY * max(1.0, u0 * u0)
+        self.s_min = _exp_times(*self.scaled(2.0 * self.h_min))
 
     def _at(self, k: int, h: float):
         """scaled(h) for h in panel k, [h_k, h_(k+1)], or beyond h_K for k = K."""
@@ -260,7 +267,9 @@ class TimeScale:
     OverflowError where s exceeds the double range, and t_of_s inverts it
     by a safeguarded Newton solve in u = 1/(T-t), returning t < T for every
     finite warped time; lambda = exp(1/(T-t)) is inf once it leaves the
-    double range.  An expflat T outside EXPFLAT_T_RANGE raises ValueError.
+    double range.  Below the clock's resolution s raises ValueError for
+    h = t/(T(T-t)) < h_min, and t_of_s for a warped time < s_min.  An
+    expflat T outside EXPFLAT_T_RANGE raises ValueError.
     All evaluations require t <= T*(1 - 1e-9).
     """
 
@@ -326,7 +335,12 @@ class TimeScale:
             if m == 1.0:
                 return math.log(T / (T - t)) / self._c
             return m / (m - 1.0) * ((T - t) ** (1.0 - m) - T ** (1.0 - m)) / self._c
-        E, M = self._clock.scaled(t / (T * (T - t)))
+        h = t / (T * (T - t))
+        if t > 0.0 and h < self._clock.h_min:
+            raise ValueError(
+                f"expflat clock s({t!r}) with T={T!r}: h = t/(T(T-t)) = {h!r} is below h_min = {self._clock.h_min!r}"
+            )
+        E, M = self._clock.scaled(h)
         val = _exp_times(E, M)
         if val == math.inf:
             raise OverflowError(f"expflat clock s({t!r}) exceeds the double range with T={T!r}")
@@ -346,6 +360,8 @@ class TimeScale:
             return T - base ** (-1.0 / (m - 1.0))
         if not math.isfinite(sig):
             raise ValueError("warped time must be finite")
+        if sig < self._clock.s_min:
+            raise ValueError(f"expflat t_of_s({sig!r}) with T={T!r}: below s_min = {self._clock.s_min!r}")
         h = self._clock.solve(sig)
         U = self._clock.u0 + h
         # T*h/U keeps the relative precision of small t, T - 1/U that of t near T

@@ -30,11 +30,11 @@ from ptstab.pnf import (
     verify_lmi,
 )
 from ptstab.sim import (
-    BProfile,
+    b_profile,
     Controller,
     DisturbanceSpec,
     SimOptions,
-    VectorSignal,
+    vector_signal,
     constant_signal,
     fixed_time_controller,
     integrate,
@@ -260,7 +260,7 @@ def test_criterion_07_noise_blowup_fixture(pnf_certified):
     peak2 = float(np.max(np.abs(clean.x[:, 1])))
     best_ratio, best_d1, best_traj = 0.0, None, None
     for d1 in ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (0.5, 0.5), (0.0, 0.5)):
-        dist = DisturbanceSpec(d1=VectorSignal(np.array(d1), constant_signal(1.0)))
+        dist = DisturbanceSpec(d1=vector_signal(np.array(d1), constant_signal(1.0)))
         traj = integrate(spec, ctrl, dist, x0, opts, horizon=1.0)
         i = int(np.argmin(np.abs(traj.t - 0.99)))
         ratio = abs(traj.x[i, 1]) / peak2
@@ -297,7 +297,7 @@ def test_warped_time_sinusoid_realizes_lambda_growth(pnf_certified):
 
         bound = 1.0
 
-    dist = DisturbanceSpec(d1=VectorSignal(np.array([1.0, 0.0]), WarpedSine()))
+    dist = DisturbanceSpec(d1=vector_signal(np.array([1.0, 0.0]), WarpedSine()))
     traj = integrate(
         spec, pnf_controller(gain, ts, eta, 0.99), dist, np.array([0.01, 0.0]),
         SimOptions(rel_tol=1e-9, abs_tol=1e-12, t_eval=(0.9, 0.99)), horizon=1.0,
@@ -382,7 +382,7 @@ def test_criterion_10_matched_robust_invariance(hong2):
         x0 = r * d / np.linalg.norm(d)
         dist = DisturbanceSpec(
             d=sine_signal(1.0, rng.uniform(0.3, 1.5), rng.uniform(0, 6.28)),
-            b=BProfile(1.0, 3.0, freq=rng.uniform(0.2, 0.8)),
+            b=b_profile(1.0, 3.0, freq=rng.uniform(0.2, 0.8)),
         )
         traj = integrate(
             spec, ctrl, dist, x0, SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=15.0
@@ -409,8 +409,8 @@ def test_criterion_11_iss_battery(hong2, switch2):
             d = rng.standard_normal(2)
             x0 = 3.0 * d / np.linalg.norm(d)
             dist = DisturbanceSpec(
-                d1=VectorSignal(np.ones(2), sine_signal(amp, 0.8 + 0.2 * j, 0.3 * j)),
-                d2=VectorSignal(np.array([0.0, 1.0]), sine_signal(amp, 1.1 + 0.3 * j, 0.1 * j)),
+                d1=vector_signal(np.ones(2), sine_signal(amp, 0.8 + 0.2 * j, 0.3 * j)),
+                d2=vector_signal(np.array([0.0, 1.0]), sine_signal(amp, 1.1 + 0.3 * j, 0.1 * j)),
             )
             horizon = 150.0 if amp == 0.0 else 30.0
             traj = integrate(
@@ -435,7 +435,7 @@ def test_criterion_11_iss_battery(hong2, switch2):
         d = rng.standard_normal(2)
         x0 = r * d / np.linalg.norm(d)
         dist = DisturbanceSpec(
-            d2=VectorSignal(np.array([0.0, 1.0]), sine_signal(1.0, 0.9, 0.1))
+            d2=vector_signal(np.array([0.0, 1.0]), sine_signal(1.0, 0.9, 0.1))
         )
         traj = integrate(
             spec_m, ctrl_m, dist, x0,

@@ -399,6 +399,15 @@ def _one_line_error(capsys, prefix):
         "disturbance.b = sine:1,3,1e300",
         "disturbance.d = sine:1,2e4\nsim.max_steps = 1000",
         "disturbance.d = sine:1\nsim.horizon = 1e7",
+        # more values than the kind takes
+        "disturbance.d = zero:5",
+        "disturbance.d = noise:0.1,7",
+        "disturbance.d = sine:1,0.7,0.2,9",
+        "disturbance.d1 = constant:0.1,2",
+        "disturbance.b = sine:1,3,0.4,0,7",
+        "disturbance.b = noise:1",
+        # a second colon used to drop what followed it
+        "disturbance.d = sine:1:2",
     ],
 )
 def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
@@ -478,6 +487,59 @@ def test_readme_config_table_matches_schema():
     assert rows.keys() == CONFIG_SCHEMA.keys()
     for key, (_, _, rng) in CONFIG_SCHEMA.items():
         assert rng is None or f"`{rng}`" in rows[key], key
+
+
+def _spec_examples(form: str) -> list:
+    """A spec of every value count that a documented form such as sine:amp[,freq[,phase]] allows."""
+    kind, _, layout = form.partition(":")
+    n_required = len(re.findall(r"\w+", layout.split("[")[0]))
+    n_all = len(re.findall(r"\w+", layout))
+    return [kind] if not n_all else [f"{kind}:" + ",".join(["0.5"] * k) for k in range(n_required, n_all + 1)]
+
+
+def test_readme_documents_the_disturbance_catalog():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(disturbance\.\w+)` \| [^|]* \| (.*) \|$", readme, re.M))
+    for key, catalog in (("disturbance.d", cli._SIGNALS), ("disturbance.b", cli._B_PROFILES)):
+        forms = re.findall(r"`([a-z]+(?::[^`]*)?)`", rows[key])
+        # every catalog kind is documented, with the layout its parser takes
+        assert sorted(forms) == sorted(cli._spec_form(kind, defaults) for kind, (defaults, _) in catalog.items())
+        for form in forms:
+            examples = _spec_examples(form)
+            for spec in examples:
+                kind, values = cli._parse_spec(key, spec, catalog)
+                assert kind == form.partition(":")[0] and len(values) == len(catalog[kind][0])
+            # and one value more is an error
+            too_many = examples[-1] + (",0.5" if ":" in form else ":0.5")
+            with pytest.raises(ConfigError, match="expected "):
+                cli._parse_spec(key, too_many, catalog)
+    for key in ("disturbance.d1", "disturbance.d2"):
+        assert rows[key].startswith("same catalog")
+
+
+def test_sweep_footer_is_nan_for_a_value_with_a_run_without_statistic(tmp_path, monkeypatch):
+    from ptstab.gainfile import format_float
+
+    # pnf records no Z, and no run settles within 0.5: the footer read 2:-inf 3:-inf
+    out = tmp_path / "o"
+    lines = ["plant.n = 2", "controller.kind = pnf", "runs.count = 2", "sim.horizon = 0.5", f"output.dir = {out}"]
+    cfg = _write_cfg(tmp_path / "s.cfg", lines)
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "2,3"]) == 0
+    assert Path(out, "sweep.csv").read_text().splitlines()[-1] == "# isotonic_envelope: 2:nan 3:nan"
+    # n=1 pnf settles at every eta; with its first run unsettled, eta = 4 used to report the other run
+    real, seen = cli.iss_metrics, []
+
+    def first_run_unsettled(traj):
+        seen.append(real(traj))
+        return dict(seen[-1], settle_time=None) if len(seen) == 1 else seen[-1]
+
+    monkeypatch.setattr(cli, "iss_metrics", first_run_unsettled)
+    lines = ["plant.n = 1", "controller.kind = pnf", "runs.count = 2", "runs.x0 = 1.0", "sim.settle_radius = 1e-6",
+             f"output.dir = {out}"]
+    cfg = _write_cfg(tmp_path / "m.cfg", lines)
+    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "4,6"]) == 0
+    settle_6 = max(m["settle_time"] for m in seen[2:])
+    assert Path(out, "sweep.csv").read_text().splitlines()[-1] == f"# isotonic_envelope: 4:nan 6:{format_float(settle_6)}"
 
 
 def test_negative_run_count_and_zero_target_sweep_are_config_errors(tmp_path, capsys, gain_paths):

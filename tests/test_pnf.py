@@ -353,7 +353,7 @@ def test_semiglobal_noise_bound():
     from ptstab.sim import (
         DisturbanceSpec,
         SimOptions,
-        VectorSignal,
+        vector_signal,
         constant_signal,
         integrate,
         pnf_controller,
@@ -367,7 +367,7 @@ def test_semiglobal_noise_bound():
     for _ in range(5):
         x0 = rng.standard_normal(2)
         d1 = rng.uniform(-0.3, 0.3, size=2)
-        dist = DisturbanceSpec(d1=VectorSignal(d1, constant_signal(1.0)))
+        dist = DisturbanceSpec(d1=vector_signal(d1, constant_signal(1.0)))
         traj = integrate(
             spec, pnf_controller(g, ts, eta, 0.9), dist, x0,
             SimOptions(rel_tol=1e-8, abs_tol=1e-11), horizon=1.0,

@@ -22,10 +22,10 @@ from ptstab.hong import (
     synthesize_hong_gains,
 )
 from ptstab.sim import (
-    BProfile,
+    b_profile,
     DisturbanceSpec,
     SimOptions,
-    VectorSignal,
+    vector_signal,
     fixed_time_controller,
     integrate,
     iss_metrics,
@@ -159,7 +159,7 @@ def _iss_matches_recompute(traj, g, sp):
 
 def test_matched_robust_run_records_in_loop_values(design):
     g, sp = design
-    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), b=BProfile(1.0, 3.0, freq=0.4))
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), b=b_profile(1.0, 3.0, freq=0.4))
     traj = integrate(
         SPEC, robust_controller(g, sp, SPEC, REG_EPS), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
@@ -211,7 +211,7 @@ def _counted_robust_run(design, monkeypatch, d1):
         calls["surfaces"] += 1
         return ctrl.surfaces(x)
 
-    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=BProfile(1.0, 3.0, freq=0.4))
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=b_profile(1.0, 3.0, freq=0.4))
     traj = integrate(
         SPEC, dataclasses.replace(ctrl, u=u, surfaces=surfaces), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
@@ -240,7 +240,7 @@ def test_measurement_noise_adds_one_minus_pass_per_row(design, monkeypatch):
     # with d1 the law runs at x + d1; the surface reads its memo, and only the
     # Vkm column at the true state x takes one more -kappa0 pass per row
     sp = design[1]
-    d1 = VectorSignal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
+    d1 = vector_signal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
     traj, rhs_evals, passes = _counted_robust_run(design, monkeypatch, d1)
     minus = _exponents(2, -sp.kappa0)
     assert sum(1 for exps, _, _ in passes if exps == minus) == rhs_evals + len(traj.t)

@@ -9,7 +9,7 @@ from ptstab.core import ChainSpec, pnf_weights
 from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
 from ptstab.pnf import certify_perturbation, synthesize_linear_gain
 from ptstab.sim import (
-    BProfile,
+    b_profile,
     Controller,
     DisturbanceSpec,
     SimOptions,
@@ -23,7 +23,7 @@ from ptstab.sim import (
     pnf_controller,
     robust_controller,
     sine_signal,
-    VectorSignal,
+    vector_signal,
 )
 from ptstab.switching import design_switch_params
 from ptstab.timescale import build, constant_density, expflat_density, power_density
@@ -256,9 +256,9 @@ def test_signals_and_bounds():
     vals = [nz(t) for t in np.linspace(0, 1, 1000)]
     assert max(abs(v) for v in vals) <= 0.5
     assert noise_signal(0.5, seed=3)(0.123) == nz(0.123)
-    b = BProfile(1.0, 3.0, freq=0.25)
+    b = b_profile(1.0, 3.0, freq=0.25)
     assert all(1.0 <= b(t) <= 3.0 for t in np.linspace(0, 10, 100))
-    v = VectorSignal([0.0, 1.0], constant_signal(0.7))
+    v = vector_signal([0.0, 1.0], constant_signal(0.7))
     assert np.allclose(v(1.0), [0.0, 0.7])
 
 
@@ -273,12 +273,32 @@ def test_signal_values_equal_literal_formulas():
     table = np.random.default_rng(5).uniform(-0.5, 0.5, sim.NOISE_TABLE)
     noise = noise_signal(0.5, seed=5, period=1e-3)
     assert [noise(t) for t in ts] == [float(table[int(t / 1e-3) % sim.NOISE_TABLE]) for t in ts]
-    assert [BProfile(1.5)(t) for t in ts] == [1.5] * len(ts)
-    assert [BProfile(2.0, 2.0, freq=0.4)(t) for t in ts] == [2.0] * len(ts)
+    assert [b_profile(1.5)(t) for t in ts] == [1.5] * len(ts)
+    assert [b_profile(2.0, 2.0, freq=0.4)(t) for t in ts] == [2.0] * len(ts)
     lo, hi, bfreq, bphase = 1.0, 3.0, 0.4, 0.9
-    b = BProfile(lo, hi, freq=bfreq, phase=bphase)
+    b = b_profile(lo, hi, freq=bfreq, phase=bphase)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     assert [b(t) for t in ts] == [mid + half * math.sin(2.0 * math.pi * bfreq * t + bphase) for t in ts]
+
+
+def test_signal_factories_return_python_floats():
+    # integrate hands the channel values to the slope unconverted, so each must be a float already
+    scalars = [
+        sim.zero_signal(), constant_signal(1), sine_signal(1, 2, 1), noise_signal(1, seed=3, period=1e-2),
+        b_profile(2), b_profile(1, 3, freq=1, phase=0), constant_signal(np.float64(0.5)),
+    ]
+    vectors = [vector_signal([0, 1], constant_signal(2)), vector_signal(np.array([1.0, 0.5]), sine_signal(1, 1))]
+    for t in (0.0, 0.3, 2.5):
+        assert all(type(sig(t)) is float for sig in scalars)
+        assert all(type(v) is float for vec in vectors for v in vec(t))
+        assert all(type(vec(t)) is list for vec in vectors)
+
+
+def test_isotonic_fit_leaves_nan_in_place():
+    # a sweep value whose runs have no statistic is nan, and only the others are fitted
+    assert np.isnan(isotonic_fit([0.0, 1.0], [math.nan, math.nan])).all()
+    fit = isotonic_fit([3.0, 0.0, 1.0, 2.0], [0.3, 0.0, 0.5, math.nan])
+    assert fit[:3].tolist() == pytest.approx([0.4, 0.0, 0.4]) and math.isnan(fit[3])
 
 
 def test_isotonic_fit_pava():
@@ -432,7 +452,7 @@ def hong_design():
 def _robust_run(hong_design, d1):
     g, sp = hong_design
     spec = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
-    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=BProfile(1.0, 3.0, freq=0.4))
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=b_profile(1.0, 3.0, freq=0.4))
     return integrate(
         spec, robust_controller(g, sp, spec, 5e-3), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
@@ -479,7 +499,7 @@ def _chain9_run(max_steps):
 ORACLE_CASES = {
     "matched_robust": lambda hd: _robust_run(hd, None),
     "matched_robust_d1": lambda hd: _robust_run(
-        hd, VectorSignal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
+        hd, vector_signal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
     ),
     "fixed_time": lambda hd: integrate(
         ChainSpec(n=2, T=1.0), fixed_time_controller(*hd), DisturbanceSpec(d=sine_signal(0.3, 1.0)),
@@ -615,7 +635,7 @@ def _short_band_run(ctrl, dist=None):
 def _short_robust_run(hong_design, d1=None, d2=None):
     g, sp = hong_design
     spec = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
-    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, d2=d2, b=BProfile(1.0, 3.0, freq=0.4))
+    dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, d2=d2, b=b_profile(1.0, 3.0, freq=0.4))
     return integrate(
         spec, robust_controller(g, sp, spec, 5e-3), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10, max_steps=300), horizon=15.0,
@@ -642,9 +662,9 @@ FLOAT_CASES = {
     ),
     "matched_robust": lambda hd: _short_robust_run(hd),
     "matched_robust_d1": lambda hd: _short_robust_run(
-        hd, d1=VectorSignal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
+        hd, d1=vector_signal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
     ),
-    "matched_robust_d2": lambda hd: _short_robust_run(hd, d2=VectorSignal([0.5, 1.0], sine_signal(0.2, 2.0))),
+    "matched_robust_d2": lambda hd: _short_robust_run(hd, d2=vector_signal([0.5, 1.0], sine_signal(0.2, 2.0))),
     # the t_stop cap of every row is formed from a float copy of t_stop
     "numpy_t_stop": lambda hd: integrate(
         ChainSpec(n=2, T=1.0), Controller(u=lambda t, x: -x[0] - 2.0 * x[1], t_stop=np.float64(0.9)),

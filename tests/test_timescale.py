@@ -337,6 +337,32 @@ def test_expflat_horizon_range():
             assert ts.s(ts.t_of_s(sig)) == pytest.approx(sig, rel=1e-13)
 
 
+def test_expflat_clock_refuses_arguments_below_its_resolution():
+    # there h = t/(T(T-t)) (or, for T < 1, t itself) is a subnormal with too few bits: at sig = 1e-12
+    # both range edges returned a t whose clock was 8.9e-5 relative off, and at T = 1e100
+    # t_of_s(1e-300) returned 4.9e-124, whose clock was off by a factor of 4.9e176
+    lo, hi = EXPFLAT_T_RANGE
+    for T, sig in ((lo, 1e-12), (lo, 1e-20), (hi, 1e-12), (1e100, 1e-300)):
+        with pytest.raises(ValueError, match=r"t_of_s\(.*\) with T=.*: below s_min = "):
+            build(T, expflat_density()).t_of_s(sig)
+    for T, t in ((lo, 5.563e-321), (hi, 1e-12), (1e100, 4.9e-124)):
+        with pytest.raises(ValueError, match=r"h = t/\(T\(T-t\)\) = .* is below h_min"):
+            build(T, expflat_density()).s(t)
+    # from s_min on the clock inverts itself
+    for T in (lo, 0.01, 1.0, 1e100, hi):
+        ts = build(T, expflat_density())
+        s_min = ts._clock.s_min
+        for sig in (s_min, 1.5 * s_min, 1e3 * s_min):
+            assert ts.s(ts.t_of_s(sig)) == pytest.approx(sig, rel=1e-13)
+        with pytest.raises(ValueError):
+            ts.t_of_s(0.5 * s_min)
+    # at T = 1 every normal t keeps its clock, and time 0 stays exact
+    ts = build(1.0, expflat_density())
+    assert ts.s(0.0) == 0.0 and ts.t_of_s(0.0) == 0.0
+    t = float(np.finfo(float).tiny)
+    assert ts.s(t) == pytest.approx(t * math.e, rel=1e-13)
+
+
 def test_expflat_clock_runs_no_import_per_evaluation(monkeypatch):
     # s and t_of_s run once per RHS evaluation of a warped run and must not
     # execute an import statement
