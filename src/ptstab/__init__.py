@@ -1,8 +1,8 @@
 """Prescribed-time stabilization toolkit for perturbed integrator chains."""
 
-from .core import ChainSpec, WeightVector, dilate, hong_weights, pnf_weights, sample_sphere
+from .core import ChainSpec, dilate, hong_weights, pnf_weights, sample_sphere
 from .hong import HongGainSet, HongSynthesisConfig, hong_control, hong_lyapunov, synthesize_hong_gains, verify_decay
-from .pnf import LinearGain, certify_perturbation, pnf_feedback, synthesize_linear_gain, verify_lmi
+from .pnf import LinearGain, certify_perturbation, pnf_feedback, synthesize_linear_gain
 from .switching import SwitchParams, design_switch_params
 from .timescale import Density, TimeScale, build
 

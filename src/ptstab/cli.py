@@ -236,9 +236,11 @@ class _Problem:
         e_n[-1] = 1.0
         self.directions = {}
         for key, default in (("d1", np.ones(n)), ("d2", e_n)):
+            # a direction list is checked even when its channel is zero
+            text = cfg[f"disturbance.{key}_direction"]
+            direction = _vector(f"disturbance.{key}_direction", text, n) if text else default
             if self.signals[key][0] != "zero":
-                text = cfg[f"disturbance.{key}_direction"]
-                self.directions[key] = _vector(f"disturbance.{key}_direction", text, n) if text else default
+                self.directions[key] = direction
         specs = {f"disturbance.{k}": parsed for k, parsed in self.signals.items()}
         # an empty disturbance.b is the constant plant.b_lower
         b_text = cfg["disturbance.b"] or f"constant:{spec.b_lower!r}"
@@ -403,27 +405,35 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_SWEEP_PARAMS = ("d1_amp", "d2_amp", "eta", "T_target")
+# each sweep parameter: the config key it sets, and the controller kinds that read it (None: every kind)
+_SWEEP_PARAMS = {
+    "d1_amp": ("disturbance.d1", None),
+    "d2_amp": ("disturbance.d2", None),
+    "eta": ("controller.eta", ("pnf",)),
+    "T_target": ("controller.t_target", ("prescribed_time",)),
+}
 
 
 def _apply_sweep(kv: dict, param: str, value: float) -> dict:
+    """The config kv with param set to value; an amplitude replaces the first value of its spec."""
+    key, kinds = _SWEEP_PARAMS[param]
+    kind = kv.get("controller.kind")
+    if kinds is not None and kind is not None and kind not in kinds:
+        raise ConfigError(f"--param {param} sets {key}, which controller.kind = {kind} does not read")
     kv = dict(kv)
-    if param == "eta":
-        kv["controller.eta"] = repr(value)
-    elif param == "T_target":
-        kv["controller.t_target"] = repr(value)
+    if kinds is not None:
+        kv[key] = repr(value)
     else:
-        key = "disturbance.d1" if param == "d1_amp" else "disturbance.d2"
-        template = kv.get(key, "zero").split(":")
-        kind = template[0] if template[0] != "zero" else "constant"
-        rest = template[1].split(",")[1:] if len(template) > 1 else []
-        kv[key] = "zero" if value == 0 else ":".join([kind, ",".join([repr(value)] + rest)])
+        signal, values = _parse_spec(key, kv.get(key, "zero"), _SIGNALS)
+        rest = list(values.values())[1:]
+        signal = "constant" if signal == "zero" else signal
+        kv[key] = "zero" if value == 0 else f"{signal}:" + ",".join(map(repr, [value] + rest))
     return kv
 
 
 def cmd_sweep(args) -> int:
     if args.param not in _SWEEP_PARAMS:
-        print(f"error: --param must be one of {_SWEEP_PARAMS}", file=sys.stderr)
+        print(f"error: --param must be one of {tuple(_SWEEP_PARAMS)}", file=sys.stderr)
         return 1
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]

@@ -1,4 +1,7 @@
-"""Foundational numerics: weight vectors, dilations, degree grids, sphere sampling.
+"""Foundational numerics: weights, dilations, degree grids, sphere sampling.
+
+A weight vector r = (r_1, ..., r_n) of a dilation D^r_lam = diag(lam^{r_i})
+is a plain tuple of floats.
 
 Everything here is pure and deterministic; higher modules build gain
 synthesis, certificates and simulations on top of these primitives.
@@ -14,18 +17,14 @@ import numpy as np
 
 __all__ = [
     "ChainSpec",
-    "WeightVector",
     "pnf_weights",
     "hong_weights",
-    "check_kappa",
     "jordan_block",
     "dilate",
-    "dilation_matrix",
     "dilate_rows",
     "kappa_grid",
     "onto_sphere",
     "sample_sphere",
-    "sphere_residual",
 ]
 
 
@@ -66,29 +65,12 @@ class ChainSpec:
             raise ValueError(f"d_bound must be finite and nonnegative, got {self.d_bound}")
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Homogeneity weights r = (r_1, ..., r_n) of a dilation D^r_lam = diag(lam^{r_i})."""
-
-    r: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-
 @lru_cache(maxsize=64)  # immutable result; the envelopes ask for it at every sample time
-def pnf_weights(n: int) -> WeightVector:
+def pnf_weights(n: int) -> tuple:
     """Weights (n, n-1, ..., 1) used by the time-varying linear feedback."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return WeightVector(r=tuple(float(n - i) for i in range(n)))
-
-
-def check_kappa(n: int, kappa: float):
-    """Raise ValueError unless |kappa| <= 1/(2n), the degree range of the n-level cascade."""
-    if abs(kappa) > 1.0 / (2 * n) + 1e-12:
-        raise ValueError(f"kappa={kappa} outside [-1/(2n), 1/(2n)] for n={n}")
+    return tuple(float(n - i) for i in range(n))
 
 
 def _hong_r(count: int, kappa: float) -> tuple:
@@ -100,12 +82,13 @@ def _hong_r(count: int, kappa: float) -> tuple:
     return tuple(1.0 + j * kappa for j in range(count))
 
 
-def hong_weights(n: int, kappa: float) -> WeightVector:
-    """Weights r_j = 1 + (j-1)*kappa for the homogeneous cascade controller."""
+def hong_weights(n: int, kappa: float) -> tuple:
+    """Weights r_j = 1 + (j-1)*kappa of the n-level cascade, for |kappa| <= 1/(2n) only."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_kappa(n, kappa)
-    return WeightVector(r=_hong_r(n, kappa))
+    if abs(kappa) > 1.0 / (2 * n) + 1e-12:
+        raise ValueError(f"kappa={kappa} outside [-1/(2n), 1/(2n)] for n={n}")
+    return _hong_r(n, kappa)
 
 
 def jordan_block(n: int) -> np.ndarray:
@@ -116,22 +99,17 @@ def jordan_block(n: int) -> np.ndarray:
     return J
 
 
-def dilate(w: WeightVector, lam: float, x) -> np.ndarray:
+def dilate(r: tuple, lam: float, x) -> np.ndarray:
     """Apply the dilation D^r_lam = diag(lam^{r_i}) to x (last axis is the state)."""
     if not lam > 0:
         raise ValueError(f"dilation parameter must be positive, got {lam}")
-    scales = np.asarray([lam**ri for ri in w.r])
+    scales = np.asarray([lam**ri for ri in r])
     return np.asarray(x, dtype=float) * scales
 
 
-def dilation_matrix(w: WeightVector, lam: float) -> np.ndarray:
-    """Dense diag(lam^{r_i}); D^r_1 is the identity."""
-    return np.diag(dilate(w, lam, np.ones(w.n)))
-
-
-def dilate_rows(w: WeightVector, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
+def dilate_rows(r: tuple, lam: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row k of X dilated by diag(lam[k]^{r_i}); numpy powers, unlike dilate."""
-    return X * lam[:, None] ** np.array(w.r)[None, :]
+    return X * lam[:, None] ** np.array(r)[None, :]
 
 
 def kappa_grid(n: int, points: int = 11, hi: float | None = None) -> np.ndarray:
@@ -150,20 +128,13 @@ def _sphere_sum(r: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(X) ** (2.0 / r), axis=-1)
 
 
-def sphere_residual(x, kappa: float) -> float:
-    """|sum_i |x_i|^{2/r_i} - 1| for the kappa-weighted unit sphere in R^j."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    val = _sphere_sum(np.array(_hong_r(x.shape[-1], kappa)), x)
-    return float(np.max(np.abs(val - 1.0)))
-
-
-def onto_sphere(w: WeightVector, Z: np.ndarray) -> np.ndarray:
-    """Rows of Z (none zero) dilated exactly onto the weighted unit sphere of w.
+def onto_sphere(r: tuple, Z: np.ndarray) -> np.ndarray:
+    """Rows of Z (none zero) dilated exactly onto the unit sphere of the weights r.
 
     The defining map scales as lam^2 under the dilation, so the placing
     parameter is lam = nu(z)^{-1/2}.
     """
-    return dilate_rows(w, _sphere_sum(np.array(w.r), Z) ** -0.5, Z)
+    return dilate_rows(r, _sphere_sum(np.array(r), Z) ** -0.5, Z)
 
 
 def _sphere_directions(j: int, count: int, N: int, seed: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .hong import HongGainSet
+from .hong import HongGainSet, kappa_pos_certified
 from .pnf import LinearGain
 
 __all__ = [
@@ -153,25 +153,20 @@ def read_gains(path: str):
                         raise ValueError(f"certificate.{sub} = {val} is below 1")
                 else:
                     cert[sub] = _finite(val)
-            # HongGainSet reads kappa_pos = 0 as kappa_pos_certified(n): only a missing key asks for that
-            kappa_pos = _finite(kv.get("kappa_pos", "0"))
-            if "kappa_pos" in kv and not kappa_pos > 0:
-                raise ValueError(f"kappa_pos = {kv['kappa_pos']} is not positive")
-            g = HongGainSet(
-                n=int(kv["n"]),
-                ell=_parse_vector(kv["ell"]),
-                C=_finite(kv["C"]),
-                kappa_bound=_finite(kv["kappa_bound"]),
-                kappa_pos=kappa_pos,
-                certificate=cert,
-            )
-            if g.ell.shape != (g.n,):
+            n = int(kv["n"])
+            ell = _parse_vector(kv["ell"])
+            if ell.shape != (n,):
                 raise ConfigError(f"{path}: inconsistent dimensions")
-            # the cascade is defined for |kappa| <= 1/(2n); kappa_pos has its default by now
-            if not 0 < g.kappa_bound <= 1.0 / (2 * g.n):
-                raise ValueError(f"kappa_bound = {kv['kappa_bound']} outside (0, 1/(2n)] for n = {g.n}")
-            if not g.kappa_pos <= g.kappa_bound:
-                raise ValueError(f"kappa_pos = {g.kappa_pos!r} outside (0, kappa_bound]")
+            # the cascade is defined for |kappa| <= 1/(2n); without kappa_pos a file takes the certified extent
+            kappa_bound = _finite(kv["kappa_bound"])
+            if not 0 < kappa_bound <= 1.0 / (2 * n):
+                raise ValueError(f"kappa_bound = {kv['kappa_bound']} outside (0, 1/(2n)] for n = {n}")
+            kappa_pos = _finite(kv["kappa_pos"]) if "kappa_pos" in kv else kappa_pos_certified(n)
+            if not 0 < kappa_pos <= kappa_bound:
+                raise ValueError(f"kappa_pos = {kappa_pos!r} outside (0, kappa_bound]")
+            g = HongGainSet(
+                n=n, ell=ell, C=_finite(kv["C"]), kappa_bound=kappa_bound, kappa_pos=kappa_pos, certificate=cert
+            )
             return g, _finite(kv["b_lower"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc

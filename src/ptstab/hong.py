@@ -220,12 +220,8 @@ class HongGainSet:
     ell: np.ndarray
     C: float
     kappa_bound: float
-    kappa_pos: float = 0.0
+    kappa_pos: float
     certificate: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kappa_pos == 0.0:
-            self.kappa_pos = kappa_pos_certified(self.n)
 
     def check_kappa(self, kappa: float):
         if abs(kappa) > self.kappa_bound + 1e-12:

@@ -38,7 +38,6 @@ __all__ = [
     "LinearGain",
     "SynthesisError",
     "synthesize_linear_gain",
-    "verify_lmi",
     "certificate_checks",
     "certify_perturbation",
     "pnf_law",
@@ -104,7 +103,14 @@ def _max_eig(M: np.ndarray) -> float:
 
 
 def _lmi_checks(g: LinearGain) -> list:
-    """(name, value, passed) of the S > 0, endpoint and slope checks."""
+    """(name, value, passed) of the exact one-sided-in-b checks: S > 0, endpoint and slope.
+
+    The endpoint value is max-eig of the LMI matrix at b_lower plus rho
+    (pass requires <= EIG_TOL), the slope value the least eigenvalue of the
+    b-slope matrix (pass requires >= -EIG_TOL).  Affinity in b makes the
+    endpoint and slope checks equivalent to validity on all of
+    [b_lower, inf).
+    """
     s_min = float(np.min(np.linalg.eigvalsh(g.S)))
     endpoint = _max_eig(_lmi_matrix(g, g.b_lower) + g.rho * np.eye(g.n))
     slope = float(np.min(np.linalg.eigvalsh(_slope_matrix(g))))
@@ -115,23 +121,9 @@ def _lmi_checks(g: LinearGain) -> list:
     ]
 
 
-def verify_lmi(g: LinearGain):
-    """Exact one-sided-in-b check: S > 0, endpoint eigenvalues and slope PSD.
-
-    Returns (passed, endpoint_margin, slope_min_eig) where endpoint_margin is
-    max-eig of the LMI matrix at b_lower plus rho (pass requires <= EIG_TOL)
-    and slope_min_eig is the smallest eigenvalue of the b-slope matrix (pass
-    requires >= -EIG_TOL); passing also requires min-eig(S) > 0.  Affinity
-    in b makes the endpoint and slope checks equivalent to validity on all
-    of [b_lower, inf).
-    """
-    checks = _lmi_checks(g)
-    return all(ok for _, _, ok in checks), checks[1][1], checks[2][1]
-
-
 def _perturbed_pencil(g: LinearGain, rho0: float):
     """(M + rho0 I, D_r S + S D_r), M the LMI matrix at b_lower."""
-    Dr = np.diag(pnf_weights(g.n).r)
+    Dr = np.diag(pnf_weights(g.n))
     return _lmi_matrix(g, g.b_lower) + rho0 * np.eye(g.n), Dr @ g.S + g.S @ Dr
 
 
@@ -144,7 +136,7 @@ def _perturbed_margin(pencil, c: float) -> float:
 def certificate_checks(g: LinearGain) -> list:
     """(name, value, passed) of every check of a certificate.
 
-    The checks of verify_lmi and rho >= RHO_FLOOR * max_eig(S) (a margin
+    The checks of _lmi_checks and rho >= RHO_FLOOR * max_eig(S) (a margin
     that small certifies no decay the eigenvalue checks can resolve), then,
     once C0 > 0, rho0 >= RHO_FLOOR/2 * max_eig(S) (synthesis sets
     rho0 = rho/2) and the perturbed endpoints a = +/-C0 at margin rho0 (pass
@@ -175,9 +167,8 @@ def certify_perturbation(g: LinearGain):
     """
     from scipy.linalg import eigh
 
-    ok, _, _ = verify_lmi(g)
-    if not ok:
-        raise ValueError("gain fails verify_lmi; cannot certify perturbation")
+    if not all(ok for _, _, ok in _lmi_checks(g)):
+        raise ValueError("gain fails its LMI checks; cannot certify perturbation")
     rho0 = g.rho / 2.0
     pencil = _perturbed_pencil(g, rho0)
     M0, H = pencil
@@ -238,7 +229,7 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
         if not g.rho >= RHO_FLOOR:
             continue
         certify_perturbation(g)
-        r = np.array(pnf_weights(n).r)
+        r = np.array(pnf_weights(n))
         score = g.C0 / float(np.max((b_lower * g.K) ** (1.0 / r)))
         if score > best_score:
             best, best_score = g, score
@@ -255,7 +246,7 @@ def pnf_law(g: LinearGain, ts: TimeScale, eta: float):
     sequence.
     """
     K = np.asarray(g.K, dtype=float)
-    r = np.array(pnf_weights(g.n).r)
+    r = np.array(pnf_weights(g.n))
 
     def u(t, x):
         return -float(K.dot((eta * ts.lam(t)) ** r * x))
@@ -326,7 +317,7 @@ def convergence_envelope(
     amp += c["c_dist"] * d_sup
     # near T a power of eta*lambda leaves the double range; its coordinate's bound is then 0
     with np.errstate(over="ignore"):
-        return amp / el ** np.array(pnf_weights(g.n).r)
+        return amp / el ** np.array(pnf_weights(g.n))
 
 
 def noise_envelope(
@@ -350,7 +341,7 @@ def noise_envelope(
     if b_sup is None:
         b_sup = g.b_lower
     gain = c["c_dist"] * b_sup * float(np.sum(np.abs(g.K)))
-    r = np.array(pnf_weights(g.n).r)
+    r = np.array(pnf_weights(g.n))
     try:
         total = amp + gain * max(el, el**g.n) * d1_sup
     except OverflowError:

@@ -561,7 +561,7 @@ def integrate_warped(
     n = spec.n
     w = pnf_weights(n)
     y0 = x_to_y(ts, w, 1.0, 0.0, x0)
-    r = np.array(w.r)
+    r = np.array(w)
     eta_pow = eta**r
     K = np.asarray(gain.K, dtype=float)
     d, b = dist.d, dist.b
@@ -573,7 +573,7 @@ def integrate_warped(
         dy = y[1:]
         dy.append(b(t) * u + d(t))
         a = ts.a(t)
-        return [p + a * ri * yi for p, ri, yi in zip(dy, w.r, y)]
+        return [p + a * ri * yi for p, ri, yi in zip(dy, w, y)]
 
     t_rows = []
     u_rows = []

@@ -19,27 +19,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec, dilate_rows, hong_weights
-from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, _level_exponents, alpha_of, hong_value
+from .core import ChainSpec
+from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, _level_exponents, alpha_of
 
 __all__ = [
     "SwitchDesignError",
     "SwitchParams",
     "quadratic_form",
     "v0_value",
-    "kappa_of_x",
     "fixed_time_law",
     "MatchedRobustLaw",
     "settling_bound",
     "design_switch_params",
     "sample_v0_level",
-    "sample_vkappa_level",
-    "band_decay_margin",
     "bind_diagnostics",
 ]
 
 
-# design_switch_params: samples per level set, and band samples of the decay margin
+# design_switch_params: samples per containment level set, and band samples of the decay margin
 DESIGN_SAMPLES = 4000
 BAND_SAMPLES = 30000
 
@@ -59,7 +56,6 @@ class SwitchParams:
     r_minus: float
     T_settle: float
     C: float
-    E: float = 0.0
     b_upper: float = 1.0
 
 
@@ -86,11 +82,6 @@ def v0_value(P: np.ndarray, x) -> float:
     """
     x = np.asarray(x, dtype=float)
     return float(x.dot(P).dot(x))
-
-
-def kappa_of_x(sp: SwitchParams, x) -> float:
-    """Continuous switching degree: saturated outside the band, affine inside."""
-    return _kappa_law(sp)(v0_value(sp.P, x))
 
 
 def _kappa_law(sp: SwitchParams):
@@ -185,30 +176,20 @@ def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: fl
     return (r_plus ** (-ap) / ap - 2.0 * math.log(2.0 * m) + r_minus ** (-am) / (-am)) / C
 
 
-def z_value(g: HongGainSet, sp: SwitchParams, x) -> float:
-    """Residual metric Z = min(V0, V_{+k0}^{1+a}, V_{-k0}^{1-a}), a = alpha(kappa0)."""
-    ep, em = _z_exponents(sp.kappa0)
-    return min(v0_value(sp.P, x), hong_value(g, sp.kappa0, x) ** ep, hong_value(g, -sp.kappa0, x) ** em)
-
-
-def _z_exponents(kappa0: float) -> tuple:
-    """The exponents (1+a, 1-a) of Z's level-set terms, a = alpha(kappa0)."""
-    a = alpha_of(kappa0)
-    return 1.0 + a, 1.0 - a
-
-
 def bind_diagnostics(g: HongGainSet, sp: SwitchParams):
     """The function (x, vm=None) -> {V0, Vkp, Vkm, kappa, Z} at x, each level set evaluated once.
 
-    ``vm`` supplies V_{-kappa0}(x) when the caller already has it; x is a
-    float list or array.  kappa0 is checked once, and ell, the +-kappa0
+    Z = min(V0, Vkp^(1+a), Vkm^(1-a)) with a = alpha(kappa0).  ``vm``
+    supplies V_{-kappa0}(x) when the caller already has it; x is a float
+    list or array.  kappa0 is checked once, and ell, the +-kappa0
     exponents, the band and Z's exponents are bound once.
     """
     g.check_kappa(sp.kappa0)
     ell, P = g.ell.tolist(), sp.P
     plus, minus = _exponents(g.n, sp.kappa0), _exponents(g.n, -sp.kappa0)
     kappa_of_v0 = _kappa_law(sp)
-    ep, em = _z_exponents(sp.kappa0)
+    a = alpha_of(sp.kappa0)
+    ep, em = 1.0 + a, 1.0 - a
 
     def diag(x, vm: float | None = None) -> dict:
         v0 = v0_value(P, x)
@@ -231,14 +212,6 @@ def sample_v0_level(P: np.ndarray, lo: float, hi: float, N: int, seed: int) -> n
     q = np.einsum("ij,jk,ik->i", z, P, z)
     levels = rng.uniform(lo, hi, size=N)
     return z * np.sqrt(levels / q)[:, None]
-
-
-def sample_vkappa_level(g: HongGainSet, kappa: float, level: float, N: int, seed: int) -> np.ndarray:
-    """N points on {V_kappa = level}; exact by the degree-(2+kappa) homogeneity."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((N, g.n))
-    V = _cascade_rows(g.ell, kappa, z, grad=False)[0]
-    return dilate_rows(hong_weights(g.n, kappa), (level / V) ** (1.0 / (2.0 + kappa)), z)
 
 
 def _band_scan(g: HongGainSet, P: np.ndarray, m: float, b_upper: float, n_samples: int, seed: int) -> list:
@@ -272,22 +245,6 @@ def _band_worst(g: HongGainSet, blocks: list, kappa0: float) -> float:
         u_k = _cascade_rows(g.ell, kap, X, grad=False)[1][-1]
         block_max.append(np.max(lever * np.abs(u_k - u_0)))
     return float(np.max(block_max))
-
-
-def band_decay_margin(
-    g: HongGainSet,
-    sp: SwitchParams,
-    n_samples: int = 10000,
-    seed: int = 21,
-) -> tuple:
-    """(max over band samples of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|, C(1-m)/2).
-
-    The first below the second forces dV0 <= -C V0 / 2 across the band.  The
-    same two steps as one halving of design_switch_params: _band_scan, then
-    _band_worst at sp.kappa0.
-    """
-    blocks = _band_scan(g, sp.P, sp.m, sp.b_upper, n_samples, seed)
-    return _band_worst(g, blocks, sp.kappa0), sp.C * (1.0 - sp.m) / 2.0
 
 
 def design_switch_params(
@@ -327,10 +284,6 @@ def design_switch_params(
     minus_pts = sample_v0_level(P, 1.0 - m, 1.0 - m, DESIGN_SAMPLES, seed + 4)
     Vm = _cascade_rows(g.ell, -sp.kappa0, minus_pts, grad=False)[0]
     sp.r_minus = 1.1 * float(np.max(Vm))
-
-    sphere_minus = sample_vkappa_level(g, -sp.kappa0, 1.0, DESIGN_SAMPLES, seed + 5)
-    Vplus_on = _cascade_rows(g.ell, sp.kappa0, sphere_minus, grad=False)[0]
-    sp.E = 0.9 * float(np.min(Vplus_on))
 
     sp.T_settle = settling_bound(sp.C, m, sp.kappa0, sp.r_plus, sp.r_minus)
     return sp

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightVector, dilate
+from .core import dilate
 
 __all__ = [
     "Density",
@@ -374,8 +374,8 @@ def build(T: float, density: Density) -> TimeScale:
     return TimeScale(T, density)
 
 
-def x_to_y(ts: TimeScale, w: WeightVector, eta: float, t: float, x) -> np.ndarray:
+def x_to_y(ts: TimeScale, r: tuple, eta: float, t: float, x) -> np.ndarray:
     """Warped state y = D^r_{eta*lambda(t)} x."""
     lam = ts.lam(t)
-    return dilate(w, eta * lam, x)
+    return dilate(r, eta * lam, x)
 

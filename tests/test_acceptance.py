@@ -12,7 +12,7 @@ import pytest
 from scipy.linalg import expm
 
 from ptstab.cli import main as cli_main
-from ptstab.core import ChainSpec, dilate, dilation_matrix, hong_weights, jordan_block, pnf_weights
+from ptstab.core import ChainSpec, dilate, hong_weights, jordan_block, pnf_weights
 from ptstab.hong import (
     HongSynthesisConfig,
     decay_residual,
@@ -27,7 +27,6 @@ from ptstab.pnf import (
     convergence_envelope,
     noise_envelope,
     synthesize_linear_gain,
-    verify_lmi,
 )
 from ptstab.sim import (
     b_profile,
@@ -48,6 +47,7 @@ from ptstab.sim import (
 )
 from ptstab.switching import design_switch_params
 from ptstab.timescale import build, constant_density
+from oracles import dilation_matrix, verify_lmi
 
 SEED = 0
 

@@ -348,6 +348,9 @@ def _one_line_error(capsys, prefix):
         "disturbance.b = sine:1",
         "disturbance.b = constant:-1",
         "disturbance.d2 = constant:1\ndisturbance.d2_direction = 1,x",
+        # a direction list is checked even when its channel is zero
+        "disturbance.d1_direction = 1,x",
+        "disturbance.d2_direction = 1,2,3",
         "runs.x0 = 1,2,3",
         "plant.b_lower = -1",
         "controller.m = 1.5",
@@ -417,7 +420,7 @@ def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
     assert main(["simulate", "--config", cfg]) == 1
     _one_line_error(capsys, "config error: ")
     # a sweep over eta would replace a bad controller.eta
-    param = "T_target" if line.startswith("controller.eta") else "eta"
+    param = "d2_amp" if line.startswith("controller.eta") else "eta"
     assert main(["sweep", "--config", cfg, "--param", param, "--values", "1"]) == 1
     _one_line_error(capsys, "config error: ")
 
@@ -435,7 +438,7 @@ def test_zero_tolerance_pair_is_refused_before_any_work(tmp_path, capsys, monkey
         cfg = _write_cfg(tmp_path / "z.cfg", lines)
         assert main(["simulate", "--config", cfg]) == 1
         _one_line_error(capsys, "config error: sim: need rel_tol >= 0 and abs_tol >= 0, not both 0")
-        assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1,2"]) == 1
+        assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "1,2"]) == 1
         _one_line_error(capsys, "config error: sim: ")
     assert not out.exists()
 
@@ -457,7 +460,7 @@ def test_bad_controller_values_are_config_errors(tmp_path, capsys, gain_paths, k
     cfg = _write_cfg(tmp_path / "c.cfg", base + [line])
     assert main(["simulate", "--config", cfg]) == 1
     _one_line_error(capsys, "config error: controller: ")
-    assert main(["sweep", "--config", cfg, "--param", "eta", "--values", "1"]) == 1
+    assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "1"]) == 1
     _one_line_error(capsys, "config error: controller: ")
 
 
@@ -469,6 +472,49 @@ def test_non_finite_swept_amplitudes_are_config_errors(tmp_path, capsys, param):
         assert main(["sweep", "--config", cfg, "--param", param, "--values", values]) == 1
         _one_line_error(capsys, f"config error: disturbance.{param[:2]}: non-finite value")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [("pnf", "T_target"), ("fixed_time", "eta"), ("fixed_time", "T_target"), ("matched_robust", "eta"),
+     ("matched_robust", "T_target"), ("prescribed_time", "eta")],
+)
+def test_sweep_refuses_a_parameter_the_kind_does_not_read(tmp_path, capsys, monkeypatch, kind, param):
+    # every value would run the same closed loop; refused before any synthesis or run
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached synthesis or integration")
+
+    for name in ("synthesize_linear_gain", "synthesize_hong_gains", "integrate"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path / "k.cfg", ["plant.n = 2", f"controller.kind = {kind}", f"output.dir = {out}"])
+    assert main(["sweep", "--config", cfg, "--param", param, "--values", "0.5,1"]) == 1
+    _one_line_error(capsys, f"config error: --param {param} sets ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["d1_amp", "d2_amp"])
+@pytest.mark.parametrize("template", ["zero:5", "sine:1:2", "square:1", "noise", "constant:0.1,2"])
+def test_sweep_refuses_a_malformed_amplitude_template(tmp_path, capsys, param, template):
+    # the swept spec is parsed by the disturbance catalog, as simulate parses it
+    out = tmp_path / "o"
+    key = f"disturbance.{param[:2]}"
+    cfg = _write_cfg(tmp_path / "t.cfg", ["plant.n = 2", "controller.kind = pnf", f"{key} = {template}", f"output.dir = {out}"])
+    for values in ("0.5,1", "0"):
+        assert main(["sweep", "--config", cfg, "--param", param, "--values", values]) == 1
+        _one_line_error(capsys, f"config error: {key}: ")
+    assert not out.exists()
+
+
+def test_amplitude_sweep_keeps_the_other_values_of_its_spec(tmp_path):
+    # d2 = sine:0.1,3,0.5 swept to 0.2 runs what simulate runs with d2 = sine:0.2,3,0.5
+    base = ["plant.n = 1", "controller.kind = pnf", "runs.count = 2", "sim.horizon = 0.5"]
+    cfg = _write_cfg(tmp_path / "s.cfg", base + ["disturbance.d2 = sine:0.1,3,0.5", f"output.dir = {tmp_path / 's'}"])
+    assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0.2"]) == 0
+    swept = [ln.split(",", 2)[2] for ln in Path(tmp_path, "s", "sweep.csv").read_text().splitlines()[1:-1]]
+    cfg = _write_cfg(tmp_path / "r.cfg", base + ["disturbance.d2 = sine:0.2,3,0.5", f"output.dir = {tmp_path / 'r'}"])
+    assert main(["simulate", "--config", cfg]) == 0
+    assert swept == Path(tmp_path, "r", "summary.csv").read_text().splitlines()[1:]
 
 
 def test_every_schema_default_passes_its_own_rule():
@@ -672,7 +718,7 @@ def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_f
         assert _failing_rows(capsys.readouterr().out) == [failing]
 
 
-def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, fresh_gain_files):
+def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, capsys, fresh_gain_files):
     # a missing key, unlike an explicit kappa_pos = 0, takes kappa_pos_certified(n)
     lines = [ln for ln in fresh_gain_files["hong"].splitlines() if not ln.startswith("kappa_pos")]
     path = tmp_path / "no_kappa_pos.gains"
@@ -680,6 +726,11 @@ def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, fresh
     g, _ = read_gains(str(path))
     assert g.kappa_pos == kappa_pos_certified(2) > 0
     assert main(["verify", "--gains", str(path)]) == 0
+    # the default is taken once n matches ell; n = 0 used to end in a ZeroDivisionError traceback
+    path.write_text("\n".join("n = 0" if ln.startswith("n =") else ln for ln in lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--gains", str(path)]) == 1
+    _one_line_error(capsys, "error: ")
 
 
 def _scipy_loaded_by(code: str) -> list:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ptstab import hong
-from ptstab.core import check_kappa, dilate, hong_weights, kappa_grid, onto_sphere, sample_sphere, sphere_residual
+from ptstab.core import dilate, hong_weights, kappa_grid, onto_sphere, sample_sphere
 from ptstab.hong import (
     CHUNK,
     KINK_TOL,
@@ -19,12 +19,15 @@ from ptstab.hong import (
     synthesize_hong_gains,
     verify_decay,
 )
+from oracles import sphere_residual
 
 getcontext().prec = 60
 
 
 def _gains(n, ell):
-    return HongGainSet(n=n, ell=np.asarray(ell, dtype=float), C=0.1, kappa_bound=1.0 / (2 * n))
+    return HongGainSet(
+        n=n, ell=np.asarray(ell, dtype=float), C=0.1, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos_certified(n)
+    )
 
 
 # -- beta exponents ---------------------------------------------------------
@@ -32,7 +35,7 @@ def _gains(n, ell):
 
 def beta_exponents(n, kappa):
     """Exponents b_0..b_{n-1}: b_0 = 1+kappa and (b_j+1)(1+j*kappa) = 2+kappa."""
-    check_kappa(n, kappa)
+    hong_weights(n, kappa)  # raises outside |kappa| <= 1/(2n)
     return np.array([b for b, _, _ in hong._exponents(n, kappa)])
 
 

@@ -36,10 +36,9 @@ from ptstab.sim import (
 from ptstab.switching import (
     MatchedRobustLaw,
     design_switch_params,
-    kappa_of_x,
     v0_value,
-    z_value,
 )
+from oracles import kappa_of_x, z_value
 
 SPEC = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
 REG_EPS = 5e-3

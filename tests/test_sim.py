@@ -148,7 +148,7 @@ def test_warped_rows_record_t_and_u(density):
     dist = DisturbanceSpec(d=sine_signal(0.5, 1.3))
     traj = integrate_warped(spec, gain, ts, eta, dist, [0.5, -0.5], s_max=4.0)
     assert traj.status in ("horizon", "settled")
-    eta_r = eta ** np.array(pnf_weights(2).r)
+    eta_r = eta ** np.array(pnf_weights(2))
     ys = np.column_stack([traj.diag["y1"], traj.diag["y2"]])
     assert len(traj.t) == len(traj.u) == len(ys) > 10
     for s, t, u, y in zip(traj.diag["s"], traj.t, traj.u, ys):
