@@ -26,8 +26,8 @@ from .gainfile import (
 from .hong import (
     KAPPA_POINTS,
     MAX_ROUNDS,
+    VERIFY_SAMPLES_PER_KAPPA,
     GainSynthesisError,
-    HongSynthesisConfig,
     decay_residual,
     synthesize_hong_gains,
     verify_decay,
@@ -60,11 +60,7 @@ def _cannot_write(exc: OSError) -> int:
 
 
 def _fmt(v) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return "nan"
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
+    return "nan" if v is None else format_float(v)
 
 
 # --- synthesize -------------------------------------------------------------
@@ -84,8 +80,7 @@ def cmd_synthesize(args) -> int:
             write_gains(args.out, g)
             print(f"pnf gains written to {args.out} (rho={g.rho:.6g}, C0={g.C0:.6g})")
         else:
-            cfg = HongSynthesisConfig(seed=args.seed)
-            g = synthesize_hong_gains(args.n, cfg)
+            g = synthesize_hong_gains(args.n, args.seed)
             write_gains(args.out, g, b_lower=args.b_lower)
             ells = [float(v) for v in g.ell]
             print(f"hong gains written to {args.out} (ell={ells}, C={g.C:.6g})")
@@ -132,7 +127,7 @@ def cmd_verify(args) -> int:
         # a certified C <= 0 claims no decay, and the residual check passes it
         rows = [("decay constant C (file)", f"{g.C:.5g}", g.C > 0)]
         cert = g.certificate or {}
-        base = int(cert.get("verify_samples_per_kappa", 1500))
+        base = int(cert.get("verify_samples_per_kappa", VERIFY_SAMPLES_PER_KAPPA))
         C_new, _ = verify_decay(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 5000)
         rows.append(("decay constant C (rescan)", f"{C_new:.5g}", C_new > 0))
         resid = decay_residual(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 6000)
@@ -278,7 +273,7 @@ class _Problem:
         elif kind == "pnf":
             g = synthesize_linear_gain(n, spec.b_lower)
         else:
-            g = synthesize_hong_gains(n, HongSynthesisConfig(seed=cfg["controller.synth_seed"]))
+            g = synthesize_hong_gains(n, cfg["controller.synth_seed"])
         if kind != "pnf":
             b_up = spec.b_upper if math.isfinite(spec.b_upper) else spec.b_lower
             sp = design_switch_params(

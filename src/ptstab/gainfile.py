@@ -112,8 +112,10 @@ def _read_kv(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ConfigError(f"{path}:{ln}: repeated key {key}")
+            out[key] = val
     return out
 
 def read_gains(path: str):
@@ -134,7 +136,7 @@ def read_gains(path: str):
                 rho0=_finite(kv["rho0"]),
             )
             if g.K.shape != (g.n,) or g.S.shape != (g.n, g.n):
-                raise ConfigError(f"{path}: inconsistent dimensions")
+                raise ValueError("inconsistent dimensions")
             # C0 = 0 means no perturbation certificate; a negative C0 is a corrupt value
             if g.C0 < 0:
                 raise ValueError(f"C0 = {kv['C0']} is negative")
@@ -156,7 +158,7 @@ def read_gains(path: str):
             n = int(kv["n"])
             ell = _parse_vector(kv["ell"])
             if ell.shape != (n,):
-                raise ConfigError(f"{path}: inconsistent dimensions")
+                raise ValueError("inconsistent dimensions")
             # the cascade is defined for |kappa| <= 1/(2n); without kappa_pos a file takes the certified extent
             kappa_bound = _finite(kv["kappa_bound"])
             if not 0 < kappa_bound <= 1.0 / (2 * n):

@@ -48,7 +48,6 @@ __all__ = [
     "alpha_of",
     "kappa_pos_certified",
     "HongGainSet",
-    "HongSynthesisConfig",
     "hong_control",
     "hong_value",
     "hong_lyapunov",
@@ -66,11 +65,14 @@ KINK_TOL = 1e-8
 CHUNK = 8192
 
 # synthesis constants: points of the certified degree grid, the normalized
-# level decay each gain must clear, and the repair rounds before synthesis
-# gives up
+# level decay each gain must clear, the repair rounds before synthesis gives
+# up, the sphere samples per level and kappa of the gain selection, and those
+# per kappa of the certificate scan (its dense scan takes ten times as many)
 KAPPA_POINTS = 11
 LEVEL_TARGET = 0.02
 MAX_ROUNDS = 20
+SAMPLES_PER_LEVEL = 4000
+VERIFY_SAMPLES_PER_KAPPA = 1500
 
 
 class GainSynthesisError(RuntimeError):
@@ -352,7 +354,7 @@ def _least_ratio(scan, stop=None):
 def verify_decay(
     g: HongGainSet,
     kappa_points: int = KAPPA_POINTS,
-    samples_per_kappa: int = 1500,
+    samples_per_kappa: int = VERIFY_SAMPLES_PER_KAPPA,
     seed: int = 7,
 ):
     """Certified decay constant C = min over samples of -dV/V^{1+alpha}.
@@ -369,7 +371,7 @@ def verify_decay(
 def decay_residual(
     g: HongGainSet,
     kappa_points: int = KAPPA_POINTS,
-    samples_per_kappa: int = 1500,
+    samples_per_kappa: int = VERIFY_SAMPLES_PER_KAPPA,
     seed: int = 77,
 ) -> float:
     """max over fresh samples of dV/dt + C * V^{1+alpha} (pass: <= 0)."""
@@ -379,14 +381,7 @@ def decay_residual(
     return worst
 
 
-@dataclass
-class HongSynthesisConfig:
-    samples_per_level: int = 4000
-    verify_samples_per_kappa: int = 1500
-    seed: int = 0
-
-
-def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> HongGainSet:
+def synthesize_hong_gains(n: int, seed: int = 0) -> HongGainSet:
     """Level-by-level gain selection plus sampled certification.
 
     ell_1 = 1 normalizes the scale.  Each subsequent ell_j is the smallest
@@ -397,23 +392,20 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     raw one, and each failed round doubles ell_n (at most MAX_ROUNDS times).
     The dense scan visits the kappas in ascending order of the raw scan's
     per-kappa minima and stops once the round must fail, so only a passing
-    round scans it whole.
+    round scans it whole.  ``seed`` seeds every sample draw; the sample
+    counts are SAMPLES_PER_LEVEL and VERIFY_SAMPLES_PER_KAPPA.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cfg = config or HongSynthesisConfig()
     kappa_pos = kappa_pos_certified(n)
     grid = kappa_grid(n, KAPPA_POINTS, kappa_pos)
     ell = [1.0]
     level_pts = {}
     for j in range(2, n + 1):
-        level_pts[j] = sample_sphere(j, grid, cfg.samples_per_level, cfg.seed + 101 * j)
+        level_pts[j] = sample_sphere(j, grid, SAMPLES_PER_LEVEL, seed + 101 * j)
 
     def level_ok(j, gains):
-        worst = math.inf
-        for kap, X in zip(grid, level_pts[j]):
-            worst = min(worst, float(np.min(_decay_scores(gains, kap, X))))
-        return worst >= LEVEL_TARGET
+        return all(np.min(_decay_scores(gains, kap, X)) >= LEVEL_TARGET for kap, X in zip(grid, level_pts[j]))
 
     for j in range(2, n + 1):
         lj = 1.0
@@ -437,7 +429,7 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     rounds = 0
     while True:
         C_raw, worst, minima = _least_ratio(
-            _certificate_scan(g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
+            _certificate_scan(g, KAPPA_POINTS, VERIFY_SAMPLES_PER_KAPPA, seed + 7 + rounds)
         )
         if C_raw > 0:
 
@@ -448,8 +440,8 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
                 _certificate_scan(
                     g,
                     KAPPA_POINTS,
-                    10 * cfg.verify_samples_per_kappa,
-                    cfg.seed + 57 + rounds,
+                    10 * VERIFY_SAMPLES_PER_KAPPA,
+                    seed + 57 + rounds,
                     order=np.argsort(minima, kind="stable"),
                 ),
                 lambda C: C < C_raw and not stable(C),
@@ -463,13 +455,13 @@ def synthesize_hong_gains(n: int, config: HongSynthesisConfig | None = None) -> 
     g.C = 0.85 * min(C_raw, C_dense)
     g.certificate = {
         "kappa_points": KAPPA_POINTS,
-        "samples_per_level": cfg.samples_per_level,
-        "verify_samples_per_kappa": cfg.verify_samples_per_kappa,
-        "seed": cfg.seed,
+        "samples_per_level": SAMPLES_PER_LEVEL,
+        "verify_samples_per_kappa": VERIFY_SAMPLES_PER_KAPPA,
+        "seed": seed,
         "c_raw": C_raw,
         "repair_rounds": rounds,
     }
     g.certificate["worst_residual"] = decay_residual(
-        g, KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 997
+        g, KAPPA_POINTS, VERIFY_SAMPLES_PER_KAPPA, seed + 997
     )
     return g

@@ -24,7 +24,7 @@ from .switching import (
     fixed_time_law,
     v0_value,
 )
-from .timescale import HORIZON_GUARD, TimeScale, x_to_y
+from .timescale import HORIZON_GUARD, TimeScale
 
 __all__ = [
     "zero_signal",
@@ -222,10 +222,6 @@ class Trajectory:
     settle_time: float | None = None
     fail_time: float | None = None
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.x, axis=1)))
-
 
 # Dormand-Prince 5(4) tableau
 _DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
@@ -246,7 +242,7 @@ _DP_E = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-# the same entries by name; c6 = c7 = 1, and the zeros b2 and e2 enter no sum
+# the same entries by name; c6 = c7 = 1, and the zeros b2 and e2 enter no sum (bound to _)
 _C2, _C3, _C4, _C5 = _DP_C[:4]
 (
     (_A21,),
@@ -254,9 +250,9 @@ _C2, _C3, _C4, _C5 = _DP_C[:4]
     (_A41, _A42, _A43),
     (_A51, _A52, _A53, _A54),
     (_A61, _A62, _A63, _A64, _A65),
-    (_B1, _B2, _B3, _B4, _B5, _B6),
+    (_B1, _, _B3, _B4, _B5, _B6),
 ) = _DP_A
-_E1, _E2, _E3, _E4, _E5, _E6, _E7 = _DP_E
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
 
 _isfinite = math.isfinite
@@ -560,7 +556,7 @@ def integrate_warped(
     opts = opts or SimOptions(rel_tol=1e-10, abs_tol=1e-13)
     n = spec.n
     w = pnf_weights(n)
-    y0 = x_to_y(ts, w, 1.0, 0.0, x0)
+    y0 = dilate(w, ts.lam(0.0), x0)
     r = np.array(w)
     eta_pow = eta**r
     K = np.asarray(gain.K, dtype=float)
@@ -611,7 +607,7 @@ def iss_metrics(traj: Trajectory) -> dict:
         limsup = max(traj.diag["Z"][-n_tail:].tolist())
     return {
         "limsup_Z": float(limsup),
-        "sup_norm": traj.sup_norm,
+        "sup_norm": float(np.max(np.linalg.norm(traj.x, axis=1))),
         "settle_time": traj.settle_time,
     }
 

@@ -20,16 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import dilate
-
 __all__ = [
     "Density",
-    "constant_density",
-    "power_density",
-    "expflat_density",
     "TimeScale",
     "build",
-    "x_to_y",
 ]
 
 # evaluations are refused this close to the horizon; lambda overflows at T
@@ -79,18 +73,6 @@ class Density:
                 raise ValueError("power density needs integer m >= 1")
         elif self.tag != "expflat":
             raise ValueError(f"unknown density tag {self.tag!r}")
-
-
-def constant_density(c: float = 1.0) -> Density:
-    return Density("constant", float(c))
-
-
-def power_density(m: int) -> Density:
-    return Density("power", float(m))
-
-
-def expflat_density() -> Density:
-    return Density("expflat")
 
 
 def _g_scaled(u: float) -> float:
@@ -183,10 +165,7 @@ class _ExpflatClock:
 
     def scaled(self, h: float):
         """(E, M) with s(h) = e^E * M and M > 0 for h > 0."""
-        hs = self._h
-        if h > hs[-1]:
-            return self._at(self._last, h)
-        return self._at(max(bisect_left(hs, h) - 1, 0), h)
+        return self._at(max(bisect_left(self._h, h) - 1, 0), h)
 
     def _start(self, q: float):
         """Panel k, first iterate and bracket [lo, hi] for e^-u0 s(h) = q.
@@ -372,10 +351,3 @@ class TimeScale:
 def build(T: float, density: Density) -> TimeScale:
     """Construct the TimeScale for a horizon and catalog density."""
     return TimeScale(T, density)
-
-
-def x_to_y(ts: TimeScale, r: tuple, eta: float, t: float, x) -> np.ndarray:
-    """Warped state y = D^r_{eta*lambda(t)} x."""
-    lam = ts.lam(t)
-    return dilate(r, eta * lam, x)
-

@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ptstab import cli
+from ptstab import cli, hong
 from ptstab.cli import main
 from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
-from ptstab.hong import HongSynthesisConfig, kappa_pos_certified, synthesize_hong_gains
+from ptstab.hong import kappa_pos_certified, synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 
 
@@ -58,7 +58,7 @@ def test_gain_roundtrip_full_precision(tmp_path):
     assert np.array_equal(g.S, g2.S)
     assert g.rho == g2.rho and g.C0 == g2.C0 and g.rho0 == g2.rho0
 
-    h = synthesize_hong_gains(2, HongSynthesisConfig(seed=1))
+    h = synthesize_hong_gains(2, seed=1)
     hpath = str(tmp_path / "h.gains")
     write_gains(hpath, h, b_lower=2.0)
     h2, bl = read_gains(hpath)
@@ -139,9 +139,11 @@ def test_synthesize_hong_failure_names_evidence(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_read_gains_accepts_recursion_record_lines(tmp_path):
+def test_read_gains_accepts_recursion_record_lines(tmp_path, monkeypatch):
     # files written before the recursion record was dropped carry safety and level* lines
-    h = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=50, verify_samples_per_kappa=50))
+    monkeypatch.setattr(hong, "SAMPLES_PER_LEVEL", 50)
+    monkeypatch.setattr(hong, "VERIFY_SAMPLES_PER_KAPPA", 50)
+    h = synthesize_hong_gains(1)
     path = tmp_path / "old.gains"
     write_gains(str(path), h)
     fresh = path.read_text()
@@ -333,9 +335,10 @@ def test_sweep_usage_errors(tmp_path):
     assert main(["sweep", "--config", cfg, "--param", "eta", "--values", ""]) == 1
 
 
-def _one_line_error(capsys, prefix):
+def _one_line_error(capsys, prefix) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
 
 
 @pytest.mark.parametrize(
@@ -696,6 +699,9 @@ def fresh_gain_files(gain_paths):
         ("hong", "kappa_pos", "0", 1, None),
         ("hong", "kappa_pos", "0.3", 1, None),
         ("hong", "certificate.seed", "1\ncertificate.sead = 1", 1, None),
+        # a dimension that disagrees with the vectors
+        ("pnf", "n", "3", 1, None),
+        ("hong", "n", "3", 1, None),
         # vacuous certificates: one failing row, exit 2
         ("pnf", "rho", "-5", 2, "rho"),
         ("pnf", "rho", "1e-8", 2, "rho"),
@@ -713,9 +719,28 @@ def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_f
     capsys.readouterr()
     assert main(["verify", "--gains", str(path)]) == code
     if failing is None:
-        _one_line_error(capsys, "error: ")
+        # the path is named once, not again inside the reason
+        assert _one_line_error(capsys, "error: ").count(str(path)) == 1
     else:
         assert _failing_rows(capsys.readouterr().out) == [failing]
+
+
+def test_repeated_keys_are_refused(tmp_path, capsys, fresh_gain_files):
+    # the last value used to win: runs.x0 = 1,2 then runs.x0 = 5,6 ran from (5, 6)
+    out = tmp_path / "o"
+    cfg = _write_cfg(
+        tmp_path / "r.cfg",
+        ["plant.n = 2", "controller.kind = pnf", "runs.x0 = 1,2", f"output.dir = {out}", "runs.x0 = 5,6"],
+    )
+    for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", "eta", "--values", "1"]):
+        assert main(argv) == 1
+        _one_line_error(capsys, f"config error: {cfg}:5: repeated key runs.x0")
+    assert not out.exists()
+    lines = fresh_gain_files["hong"].splitlines() + ["C = 1"]
+    gains = tmp_path / "r.gains"
+    gains.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--gains", str(gains)]) == 1
+    assert _one_line_error(capsys, "error: ") == f"error: {gains}:{len(lines)}: repeated key C"
 
 
 def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, capsys, fresh_gain_files):
@@ -754,7 +779,7 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
 
 
 def test_expflat_time_scale_loads_no_scipy():
-    code = "from ptstab.timescale import build, expflat_density\nts = build(1.0, expflat_density())\nts.t_of_s(ts.s(0.5))"
+    code = "from ptstab.timescale import Density, build\nts = build(1.0, Density('expflat'))\nts.t_of_s(ts.s(0.5))"
     assert _scipy_loaded_by(code) == []
 
 

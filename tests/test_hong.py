@@ -10,7 +10,6 @@ from ptstab.hong import (
     CHUNK,
     KINK_TOL,
     HongGainSet,
-    HongSynthesisConfig,
     decay_residual,
     hong_control,
     hong_lyapunov,
@@ -190,32 +189,39 @@ def test_gradient_finite_differences(n):
 # -- synthesis and decay certificates --------------------------------------
 
 
-def test_synthesize_n1():
-    g = synthesize_hong_gains(1, HongSynthesisConfig(samples_per_level=50, verify_samples_per_kappa=50))
+def _sizes(monkeypatch, per_level, per_kappa):
+    """Smaller synthesis scans: the sample counts per level and per kappa."""
+    monkeypatch.setattr(hong, "SAMPLES_PER_LEVEL", per_level)
+    monkeypatch.setattr(hong, "VERIFY_SAMPLES_PER_KAPPA", per_kappa)
+
+
+def test_synthesize_n1(monkeypatch):
+    _sizes(monkeypatch, 50, 50)
+    g = synthesize_hong_gains(1)
     assert g.ell[0] == 1.0
     assert g.C > 0
 
 
 def test_synthesize_n2_certificate():
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     C, _ = verify_decay(g, samples_per_kappa=1000, seed=123)
     assert C > 0
     assert g.certificate["c_raw"] > 0
     assert g.certificate["worst_residual"] <= 0.0
 
 
-def test_synthesize_n3_two_seeds():
+def test_synthesize_n3_two_seeds(monkeypatch):
+    _sizes(monkeypatch, 2000, 600)
     for seed in (1, 2):
-        cfg = HongSynthesisConfig(seed=seed, samples_per_level=2000, verify_samples_per_kappa=600)
-        g = synthesize_hong_gains(3, cfg)
+        g = synthesize_hong_gains(3, seed=seed)
         assert g.C > 0
         assert decay_residual(g, samples_per_kappa=500, seed=seed + 50) <= 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_verify_decay_worst_point(n):
-    cfg = HongSynthesisConfig(seed=1, samples_per_level=2000, verify_samples_per_kappa=600)
-    g = synthesize_hong_gains(n, cfg)
+def test_verify_decay_worst_point(n, monkeypatch):
+    _sizes(monkeypatch, 2000, 600)
+    g = synthesize_hong_gains(n, seed=1)
     C, (kap, x, ratio) = verify_decay(g, samples_per_kappa=500, seed=9)
     assert ratio == C
     assert sphere_residual(x, kap) < 1e-12
@@ -224,7 +230,7 @@ def test_verify_decay_worst_point(n):
 
 def test_kappa0_subcase_matches_eigensolver():
     # at kappa=0 the loop is linear; min(-dV/V) equals the (Q, P) pencil edge
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=3))
+    g = synthesize_hong_gains(2, seed=3)
     ell = g.ell
     # V0 = sum (x_j - v_{j-1})^2 / 2 as a quadratic form
     rows = []
@@ -269,7 +275,7 @@ def test_elementary_power_gap_inequality():
 
 
 def test_verify_refinement_stability():
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     c1, _ = verify_decay(g, samples_per_kappa=2000, seed=200)
     c10, _ = verify_decay(g, samples_per_kappa=20000, seed=201)
     assert abs(c10 - c1) / c1 < 0.10
@@ -505,7 +511,7 @@ def _oracle_kappa_minima(g, kappa_points, samples_per_kappa, seed):
     return out
 
 
-def _oracle_synthesize_hong_gains(n, cfg):
+def _oracle_synthesize_hong_gains(n, seed):
     """synthesize_hong_gains as it was: every dense scan runs over the whole
     grid, and each repair re-checks the levels in order, doubling the first
     failing one (fallback: the deepest).  A failing round's worst sample is
@@ -517,7 +523,7 @@ def _oracle_synthesize_hong_gains(n, cfg):
     ell = [1.0]
     level_pts = {}
     for j in range(2, n + 1):
-        level_pts[j] = sample_sphere(j, grid, cfg.samples_per_level, cfg.seed + 101 * j)
+        level_pts[j] = sample_sphere(j, grid, hong.SAMPLES_PER_LEVEL, seed + 101 * j)
 
     def level_ok(j, gains):
         worst = math.inf
@@ -534,7 +540,7 @@ def _oracle_synthesize_hong_gains(n, cfg):
     g = HongGainSet(n=n, ell=np.array(ell), C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
     rounds = 0
     while True:
-        raw = _oracle_kappa_minima(g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7 + rounds)
+        raw = _oracle_kappa_minima(g, hong.KAPPA_POINTS, hong.VERIFY_SAMPLES_PER_KAPPA, seed + 7 + rounds)
         worst = min(raw, key=lambda w: w[2])
         C_raw = worst[2]
         if C_raw > 0:
@@ -543,7 +549,7 @@ def _oracle_synthesize_hong_gains(n, cfg):
                 return C > 0 and abs(C - C_raw) / C_raw <= 0.05
 
             dense = _oracle_kappa_minima(
-                g, hong.KAPPA_POINTS, 10 * cfg.verify_samples_per_kappa, cfg.seed + 57 + rounds
+                g, hong.KAPPA_POINTS, 10 * hong.VERIFY_SAMPLES_PER_KAPPA, seed + 57 + rounds
             )
             C_dense = min(w[2] for w in dense)
             if stable(C_dense):
@@ -566,14 +572,14 @@ def _oracle_synthesize_hong_gains(n, cfg):
     g.C = 0.85 * min(C_raw, C_dense)
     g.certificate = {
         "kappa_points": hong.KAPPA_POINTS,
-        "samples_per_level": cfg.samples_per_level,
-        "verify_samples_per_kappa": cfg.verify_samples_per_kappa,
-        "seed": cfg.seed,
+        "samples_per_level": hong.SAMPLES_PER_LEVEL,
+        "verify_samples_per_kappa": hong.VERIFY_SAMPLES_PER_KAPPA,
+        "seed": seed,
         "c_raw": C_raw,
         "repair_rounds": rounds,
     }
     g.certificate["worst_residual"] = decay_residual(
-        g, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 997
+        g, hong.KAPPA_POINTS, hong.VERIFY_SAMPLES_PER_KAPPA, seed + 997
     )
     return g
 
@@ -587,25 +593,29 @@ def _assert_same_gains(g, ref):
 @pytest.mark.parametrize(
     "n, cfg",
     [
-        (1, HongSynthesisConfig()),
-        (2, HongSynthesisConfig()),
-        (3, HongSynthesisConfig(seed=11)),  # 8 repair rounds
-        (4, HongSynthesisConfig(seed=2)),
-        (5, HongSynthesisConfig(samples_per_level=300, verify_samples_per_kappa=60)),
+        (1, (0, None)),
+        (2, (0, None)),
+        (3, (11, None)),  # 8 repair rounds
+        (4, (2, None)),
+        (5, (0, (300, 60))),
     ],
 )
-def test_synthesis_matches_oracle_loop(n, cfg):
-    _assert_same_gains(synthesize_hong_gains(n, cfg), _oracle_synthesize_hong_gains(n, cfg))
+def test_synthesis_matches_oracle_loop(n, cfg, monkeypatch):
+    # cfg is (seed, the (per level, per kappa) sample counts or None for the defaults)
+    seed, sizes = cfg
+    if sizes:
+        _sizes(monkeypatch, *sizes)
+    _assert_same_gains(synthesize_hong_gains(n, seed=seed), _oracle_synthesize_hong_gains(n, seed=seed))
 
 
-def test_synthesis_failure_matches_oracle_loop():
+def test_synthesis_failure_matches_oracle_loop(monkeypatch):
     # the last round's worst point lies at an interior kappa, not at the grid
     # end, and comes from its dense scan
-    cfg = HongSynthesisConfig(samples_per_level=1000, verify_samples_per_kappa=200)
+    _sizes(monkeypatch, 1000, 200)
     with pytest.raises(hong.GainSynthesisError) as ref:
-        _oracle_synthesize_hong_gains(4, cfg)
+        _oracle_synthesize_hong_gains(4, seed=0)
     with pytest.raises(hong.GainSynthesisError) as got:
-        synthesize_hong_gains(4, cfg)
+        synthesize_hong_gains(4)
     assert str(got.value) == str(ref.value)
     (kap, x, ratio), (kap_ref, x_ref, ratio_ref) = got.value.worst, ref.value.worst
     _same_bits(kap, kap_ref)
@@ -618,17 +628,17 @@ def test_failed_round_reports_the_dense_scan_worst(monkeypatch):
     # n=3 at these sizes fails its first round on the dense scan; with no
     # repairs allowed, the error carries the dense sample that fails it, not
     # the raw scan's least ratio
-    cfg = HongSynthesisConfig(samples_per_level=200, verify_samples_per_kappa=100)
-    g = synthesize_hong_gains(3, cfg)
+    _sizes(monkeypatch, 200, 100)
+    g = synthesize_hong_gains(3)
     rounds = g.certificate["repair_rounds"]
     assert rounds > 0
     g0 = HongGainSet(n=3, ell=g.ell.copy(), C=0.0, kappa_bound=1.0 / 6.0, kappa_pos=g.kappa_pos)
     g0.ell[-1] /= 2.0**rounds
-    C_raw, _ = verify_decay(g0, hong.KAPPA_POINTS, cfg.verify_samples_per_kappa, cfg.seed + 7)
+    C_raw, _ = verify_decay(g0, hong.KAPPA_POINTS, hong.VERIFY_SAMPLES_PER_KAPPA, 7)
     assert C_raw > 0
     monkeypatch.setattr(hong, "MAX_ROUNDS", 0)
     with pytest.raises(hong.GainSynthesisError) as err:
-        synthesize_hong_gains(3, cfg)
+        synthesize_hong_gains(3)
     kap, x, ratio = err.value.worst
     assert ratio < C_raw and not (ratio > 0 and abs(ratio - C_raw) / C_raw <= 0.05)
     assert hong._decay_scores(g0.ell, kap, x[None, :])[0] == pytest.approx(ratio, rel=1e-12)
@@ -645,8 +655,8 @@ def test_synthesis_scan_work_bound(monkeypatch):
         return score(ell, kappa, X, C)
 
     monkeypatch.setattr(hong, "_decay_scores", counted)
-    g = synthesize_hong_gains(3, HongSynthesisConfig())
+    g = synthesize_hong_gains(3)
     assert g.certificate["repair_rounds"] == 3
     assert rows[0] <= 1_100_000
     monkeypatch.undo()
-    _assert_same_gains(g, _oracle_synthesize_hong_gains(3, HongSynthesisConfig()))
+    _assert_same_gains(g, _oracle_synthesize_hong_gains(3, seed=0))

@@ -23,7 +23,7 @@ from ptstab.pnf import (
     synthesize_linear_gain,
 )
 from ptstab.sim import pnf_controller
-from ptstab.timescale import build, constant_density, expflat_density, power_density
+from ptstab.timescale import Density, build
 from oracles import dilation_matrix, verify_lmi
 
 
@@ -184,7 +184,7 @@ def test_scaled_lmi_via_dilation(n, eta):
 
 
 def test_pnf_feedback_values():
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     g1 = synthesize_linear_gain(1, 1.0)
     assert pnf_feedback(g1, ts, 1.0, 0.5, [2.0]) == pytest.approx(-4.0)
     assert pnf_feedback(g1, ts, 1.0, 0.3, [0.0]) == 0.0
@@ -202,7 +202,7 @@ def test_bound_pnf_law_matches_feedback_bit_for_bit(n):
     g = synthesize_linear_gain(n, 1.0)
     rng = np.random.default_rng([n, 8])
     # expflat's lambda = e^(1/(1-t)) keeps lambda^6 finite on [0, 0.95]
-    for dens, t_hi in ((constant_density(1.0), 0.999), (power_density(2), 0.999), (expflat_density(), 0.95)):
+    for dens, t_hi in ((Density("constant", 1.0), 0.999), (Density("power", 2.0), 0.999), (Density("expflat"), 0.95)):
         ts = build(1.0, dens)
         eta = max(1.0, ts.a_sup() / g.C0)
         u = pnf_controller(g, ts, eta).u
@@ -225,14 +225,14 @@ def _eta_min(g, ts):
 
 def test_envelope_zero_cases():
     g = _certified(2)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     env = convergence_envelope(g, ts, _eta_min(g, ts), 0.0, 0.0, 0.5)
     assert np.allclose(env, 0.0)
 
 
 def test_envelope_vanishes_at_horizon():
     g = _certified(2)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = _eta_min(g, ts)
     vals = [
         np.max(convergence_envelope(g, ts, eta, 1.0, 0.0, t))
@@ -244,7 +244,7 @@ def test_envelope_vanishes_at_horizon():
 
 def test_noise_envelope_reduces_and_blows_up():
     g = _certified(2)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = _eta_min(g, ts)
     a = noise_envelope(g, ts, eta, 1.0, 0.0, 0.5)
     b = convergence_envelope(g, ts, eta, 1.0, 0.0, 0.5)
@@ -260,7 +260,7 @@ def test_noise_envelope_limit_at_the_expflat_horizon():
     # (eta*lam)^2 overflows at T-t = 1/400 and lam is inf at 1/715; the
     # envelope must stay a number there, finite in coordinate 1
     g = _certified(2)
-    ts = build(1.0, expflat_density())
+    ts = build(1.0, Density("expflat"))
     eta = 1.01 * ts.a_sup() / g.C0
     noise = envelope_constants(g)["c_dist"] * g.b_lower * float(np.sum(np.abs(g.K))) * 0.1
     # coordinate 1 tends to the noise limit while the envelope is still finite
@@ -283,7 +283,7 @@ def test_convergence_envelope_is_quiet_at_the_expflat_horizon():
     # (eta*lam)^2 overflows at T-t = 1/400: coordinate 1's bound is 0 and
     # coordinate 2's is c_dist*d_sup/(eta*lam), with no RuntimeWarning
     g = _certified(2)
-    ts = build(1.0, expflat_density())
+    ts = build(1.0, Density("expflat"))
     eta = 1.01 * ts.a_sup() / g.C0
     t = 1.0 - 1.0 / 400.0
     with warnings.catch_warnings():
@@ -303,7 +303,7 @@ def test_envelopes_keep_their_bits():
         g = _certified(n)
         c = envelope_constants(g)
         r = np.array(pnf_weights(n))
-        for dens in (constant_density(1.0), power_density(2), expflat_density()):
+        for dens in (Density("constant", 1.0), Density("power", 2.0), Density("expflat")):
             ts = build(1.0, dens)
             eta = _eta_min(g, ts) * float(rng.uniform(1.0, 3.0))
             for t in rng.uniform(0.0, 0.9, 20):
@@ -323,7 +323,7 @@ def test_pnf_law_past_the_expflat_double_range():
     # lambda is inf there, so the feedback is non-finite (a rejected step
     # for the integrator), not an exception
     g = _certified(2)
-    ts = build(1.0, expflat_density())
+    ts = build(1.0, Density("expflat"))
     u = pnf_controller(g, ts, _eta_min(g, ts)).u
     for t in (1.0 - 1.0 / 720.0, 1.0 - 1.0 / 750.0):
         with np.errstate(invalid="ignore"):
@@ -332,7 +332,7 @@ def test_pnf_law_past_the_expflat_double_range():
 
 def test_envelope_requires_eta():
     g = _certified(2)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     with pytest.raises(ValueError):
         convergence_envelope(g, ts, 0.5, 1.0, 0.0, 0.1)
     assert g.C0 < 1.0  # constant(1) density then requires eta > 1
@@ -360,7 +360,7 @@ def test_semiglobal_noise_bound():
     )
 
     g = _certified(2)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = max(_eta_min(g, ts), ts.lam(0.9))
     spec = ChainSpec(n=2, T=1.0)
     rng = np.random.default_rng(77)

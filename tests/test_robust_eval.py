@@ -14,7 +14,6 @@ import pytest
 from ptstab import sim, switching
 from ptstab.core import ChainSpec
 from ptstab.hong import (
-    HongSynthesisConfig,
     _cascade,
     _exponents,
     hong_control,
@@ -46,7 +45,7 @@ REG_EPS = 5e-3
 
 @pytest.fixture(scope="module")
 def design():
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     return g, design_switch_params(g, m=0.5, b_upper=3.0)
 
 

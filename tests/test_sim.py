@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from ptstab import sim
 from ptstab.core import ChainSpec, pnf_weights
-from ptstab.hong import HongSynthesisConfig, synthesize_hong_gains
+from ptstab.hong import synthesize_hong_gains
 from ptstab.pnf import certify_perturbation, synthesize_linear_gain
 from ptstab.sim import (
     b_profile,
@@ -26,7 +26,7 @@ from ptstab.sim import (
     vector_signal,
 )
 from ptstab.switching import design_switch_params
-from ptstab.timescale import build, constant_density, expflat_density, power_density
+from ptstab.timescale import Density, build
 
 
 def _dist():
@@ -45,7 +45,7 @@ def test_n1_pnf_closed_form():
     # dx = -x/(1-t) has the solution x0*(1-t)
     spec = ChainSpec(n=1, T=1.0)
     gain = synthesize_linear_gain(1, 1.0)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     ctrl = pnf_controller(gain, ts, 1.0, t_stop_frac=0.99)
     pts = tuple(np.linspace(0.1, 0.98, 12))
     traj = integrate(spec, ctrl, _dist(), [3.0], SimOptions(t_eval=pts), horizon=2.0)
@@ -98,7 +98,7 @@ def test_integrator_order_vs_oracle():
 
 def test_determinism_bitwise():
     spec = ChainSpec(n=2, T=1.0)
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     sp = design_switch_params(g)
     ctrl = fixed_time_controller(g, sp)
     dist = DisturbanceSpec(d=noise_signal(0.1, seed=5, period=1e-2))
@@ -111,7 +111,7 @@ def test_warped_initial_state_and_decay():
     spec = ChainSpec(n=2, T=1.0)
     gain = synthesize_linear_gain(2, 1.0)
     certify_perturbation(gain)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = max(1.0, ts.a_sup() / gain.C0)
     traj = integrate_warped(spec, gain, ts, eta, _dist(), [1.0, 1.0], s_max=8.0)
     lam0 = ts.lam(0.0)
@@ -123,12 +123,10 @@ def test_warped_initial_state_and_decay():
 
 def test_warped_power_density():
     # exercises the closed-form t_of_s of the power catalog inside the stepper
-    from ptstab.timescale import power_density
-
     spec = ChainSpec(n=2, T=2.0)
     gain = synthesize_linear_gain(2, 1.0)
     certify_perturbation(gain)
-    ts = build(2.0, power_density(2))
+    ts = build(2.0, Density("power", 2.0))
     eta = max(1.0, ts.a_sup() / gain.C0)
     traj = integrate_warped(spec, gain, ts, eta, _dist(), [0.5, -0.5], s_max=6.0)
     assert traj.status in ("horizon", "settled")
@@ -137,7 +135,7 @@ def test_warped_power_density():
     assert np.linalg.norm(traj.x[-1]) < 1e-3 * np.linalg.norm(traj.x[0])
 
 
-@pytest.mark.parametrize("density", [constant_density(1.0), power_density(2), expflat_density()])
+@pytest.mark.parametrize("density", [Density("constant", 1.0), Density("power", 2.0), Density("expflat")])
 def test_warped_rows_record_t_and_u(density):
     # every row's t and u are those of the warped clock and feedback at its (s, y)
     spec = ChainSpec(n=2, T=1.0)
@@ -160,7 +158,7 @@ def test_warped_vs_direct_consistency():
     spec = ChainSpec(n=2, T=1.0)
     gain = synthesize_linear_gain(2, 1.0)
     certify_perturbation(gain)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = max(1.0, ts.a_sup() / gain.C0)
     t_pts = np.linspace(0.1, 0.99, 15)
     s_pts = tuple(ts.s(t) for t in t_pts)
@@ -184,7 +182,7 @@ def test_warped_vs_direct_consistency():
 def test_pnf_halts_at_horizon_fraction():
     spec = ChainSpec(n=1, T=1.0)
     gain = synthesize_linear_gain(1, 1.0)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     ctrl = pnf_controller(gain, ts, 1.0)  # default stop fraction 1-1e-6
     traj = integrate(spec, ctrl, _dist(), [1.0], SimOptions(), horizon=10.0)
     assert traj.status == "horizon"
@@ -193,7 +191,7 @@ def test_pnf_halts_at_horizon_fraction():
 
 def test_settles_and_reports_metrics():
     spec = ChainSpec(n=2, T=1.0)
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     sp = design_switch_params(g)
     ctrl = fixed_time_controller(g, sp)
     traj = integrate(spec, ctrl, _dist(), [3.0, 0.0], SimOptions(rel_tol=1e-8), horizon=400.0)
@@ -210,15 +208,14 @@ def test_pnf_metrics_come_from_the_rows():
     # are the trajectory's own
     spec = ChainSpec(n=2, T=1.0)
     gain = synthesize_linear_gain(2, 1.0)
-    ts = build(1.0, expflat_density())
+    ts = build(1.0, Density("expflat"))
     ctrl = pnf_controller(gain, ts, max(1.0, ts.a_sup() / gain.C0))
     for horizon in (1.0, 0.5):  # settles at about 0.9, or stops before
         traj = integrate(spec, ctrl, DisturbanceSpec(d=sine_signal(1.0, 0.9, 0.3)), [2.0, -1.0], horizon=horizon)
         assert traj.diag == {} and (traj.settle_time is None) == (horizon == 0.5)
         m = iss_metrics(traj)
         assert math.isnan(m.pop("limsup_Z"))
-        assert m == {"sup_norm": traj.sup_norm, "settle_time": traj.settle_time}
-        assert m["sup_norm"] == float(np.max(np.linalg.norm(traj.x, axis=1)))
+        assert m == {"sup_norm": float(np.max(np.linalg.norm(traj.x, axis=1))), "settle_time": traj.settle_time}
 
 
 def test_zero_tolerance_pair_is_refused():
@@ -445,7 +442,7 @@ def _oracle_run(f, t0, x0, t_end, opts, on_row):
 
 @pytest.fixture(scope="module")
 def hong_design():
-    g = synthesize_hong_gains(2, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(2, seed=0)
     return g, design_switch_params(g, m=0.5, b_upper=3.0)
 
 
@@ -462,7 +459,7 @@ def _robust_run(hong_design, d1):
 def _pnf3_run(t_eval=(0.25, 0.5)):
     gain = synthesize_linear_gain(3, 1.0)
     certify_perturbation(gain)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     eta = max(1.0, ts.a_sup() / gain.C0)
     return integrate(
         ChainSpec(n=3, T=1.0), pnf_controller(gain, ts, eta), DisturbanceSpec(d=sine_signal(0.5, 1.3)),
@@ -506,9 +503,9 @@ ORACLE_CASES = {
         [3.0, 1.0], SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=4.0,
     ),
     "pnf_n3": lambda hd: _pnf3_run(),
-    "warped_constant": lambda hd: _warped_run(constant_density(1.0)),
-    "warped_power": lambda hd: _warped_run(power_density(2)),
-    "warped_expflat": lambda hd: _warped_run(expflat_density()),
+    "warped_constant": lambda hd: _warped_run(Density("constant", 1.0)),
+    "warped_power": lambda hd: _warped_run(Density("power", 2.0)),
+    "warped_expflat": lambda hd: _warped_run(Density("expflat")),
     "nonfinite_feedback": lambda hd: _blowup_run(),
     "chain9": lambda hd: _chain9_run(2_000_000),
     "chain9_max_steps": lambda hd: _chain9_run(40),
@@ -587,7 +584,7 @@ def test_warped_rejects_unreachable_s_max():
     dist = DisturbanceSpec(d=lambda t: calls.append(t) or 0.0)
     gain = synthesize_linear_gain(2, 1.0)
     certify_perturbation(gain)
-    ts = build(1.0, constant_density(1.0))
+    ts = build(1.0, Density("constant", 1.0))
     with pytest.raises(ValueError, match=r"largest admissible s_max is .* = 20\.72"):
         integrate_warped(ChainSpec(n=2, T=1.0), gain, ts, 12.0, dist, [1.0, 0.5], s_max=30.0)
     assert calls == []
@@ -670,9 +667,9 @@ FLOAT_CASES = {
         ChainSpec(n=2, T=1.0), Controller(u=lambda t, x: -x[0] - 2.0 * x[1], t_stop=np.float64(0.9)),
         _dist(), [1.0, 0.0], SimOptions(), horizon=1.0,
     ),
-    "warped_constant": lambda hd: _short_warped_run(constant_density(1.0)),
-    "warped_power": lambda hd: _short_warped_run(power_density(2)),
-    "warped_expflat": lambda hd: _short_warped_run(expflat_density()),
+    "warped_constant": lambda hd: _short_warped_run(Density("constant", 1.0)),
+    "warped_power": lambda hd: _short_warped_run(Density("power", 2.0)),
+    "warped_expflat": lambda hd: _short_warped_run(Density("expflat")),
 }
 
 

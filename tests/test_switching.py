@@ -6,7 +6,6 @@ import pytest
 from ptstab import hong, sim
 from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
-    HongSynthesisConfig,
     hong_control,
     hong_lyapunov,
     hong_value,
@@ -49,7 +48,7 @@ def matched_robust_feedback(g, sp, spec, reg_eps, y):
 def _setup(n=2, seed=0, m=0.5):
     key = (n, seed, m)
     if key not in _CACHE:
-        g = synthesize_hong_gains(n, HongSynthesisConfig(seed=seed))
+        g = synthesize_hong_gains(n, seed=seed)
         sp = design_switch_params(g, m=m)
         _CACHE[key] = (g, sp)
     return _CACHE[key]
@@ -340,7 +339,10 @@ def _band_margin_oracle(g, sp, n_samples, seed):
 
 
 def _small_gains(n):
-    return synthesize_hong_gains(n, HongSynthesisConfig(samples_per_level=100, verify_samples_per_kappa=100))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hong, "SAMPLES_PER_LEVEL", 100)
+        mp.setattr(hong, "VERIFY_SAMPLES_PER_KAPPA", 100)
+        return synthesize_hong_gains(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -415,7 +417,7 @@ def test_dense_band_scan_refuses_what_the_sparse_one_accepts():
     # n=3, Hong seed 0, b_upper 1, design seed 17: the halving from the cap
     # reaches 3.122e-4, which a 3,000-sample scan accepts (margin 0.301 of an
     # allowed 0.332) but the 30,000-sample scan refuses (0.359)
-    g = synthesize_hong_gains(3, HongSynthesisConfig(seed=0))
+    g = synthesize_hong_gains(3, seed=0)
     sp = design_switch_params(g, m=0.5, b_upper=1.0, seed=17)
     assert sp.kappa0 <= 1.561e-4
     coarse = SwitchParams(m=0.5, kappa0=2.0 * sp.kappa0, P=sp.P, r_plus=0.0, r_minus=0.0,
