@@ -209,10 +209,10 @@ def _config_values(section: str):
 
 
 class _Problem:
-    """Everything a batch of runs needs, built once from a validated config."""
+    """Everything a batch of runs needs, built once from a config's key-value dict."""
 
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
+    def __init__(self, kv: dict):
+        cfg = self.cfg = validate_config(kv)
         n = cfg["plant.n"]
         with _config_values("plant"):
             spec = self.spec = ChainSpec(
@@ -281,7 +281,9 @@ class _Problem:
             )
         with _config_values("controller"):
             if kind == "pnf":
-                self.controller = pnf_controller(g, ts, cfg["controller.eta"], cfg["controller.t_stop_frac"])
+                # an unset eta is the least one the perturbation certificate covers, 1 when C0 = 0
+                eta = cfg["controller.eta"] if "controller.eta" in kv or g.C0 <= 0 else max(1.0, ts.a_sup() / g.C0)
+                self.controller = pnf_controller(g, ts, eta, cfg["controller.t_stop_frac"])
             elif kind == "fixed_time":
                 self.controller = fixed_time_controller(g, sp, b_lower=spec.b_lower)
             elif kind == "matched_robust":
@@ -366,7 +368,7 @@ def _load(path: str, variants) -> list | int:
     """
     try:
         kv = read_config(path)
-        return [_Problem(validate_config(v)) for v in variants(kv)]
+        return [_Problem(v) for v in variants(kv)]
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -191,7 +191,7 @@ CONFIG_SCHEMA = {
     "plant.d_bound": ("float", 0.0, None),
     "controller.kind": ("str", None, None),
     "controller.gains": ("str", "", None),
-    "controller.eta": ("float", 1.0, "> 0"),
+    "controller.eta": ("float", 1.0, "> 0"),  # unset, cli._Problem uses max(1, a_sup/C0); 1.0 when C0 = 0
     "controller.density": ("str", "constant", None),
     "controller.density_param": ("float", 1.0, None),
     "controller.t_stop_frac": ("float", 1.0 - 1e-6, None),

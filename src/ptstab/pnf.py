@@ -238,25 +238,31 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
     return best
 
 
-def pnf_law(g: LinearGain, ts: TimeScale, eta: float):
-    """The feedback (t, x) -> -K^T D^r_{eta*lambda(t)} x with K and r bound once.
+def _feedback(K, r, s: float, x) -> float:
+    """-sum_i K_i (s^r_i x_i) in floats, added left to right from 0.0; a power past the double range is inf, as numpy's."""
+    acc = 0.0
+    for k, ri, xi in zip(K, r, x):
+        try:
+            p = s**ri
+        except OverflowError:
+            p = math.inf
+        acc += k * (p * xi)
+    return -acc
 
-    x is a list of floats or a float array: the product with the scale
-    array converts a list, with the same bits.  pnf_feedback accepts any
-    sequence.
-    """
-    K = np.asarray(g.K, dtype=float)
-    r = np.array(pnf_weights(g.n))
+
+def pnf_law(g: LinearGain, ts: TimeScale, eta: float):
+    """The feedback (t, x) -> -K^T D^r_{eta*lambda(t)} x of a float list x, with no numpy call per evaluation."""
+    K, r, eta, lam = np.asarray(g.K, dtype=float).tolist(), pnf_weights(g.n), float(eta), ts.lam
 
     def u(t, x):
-        return -float(K.dot((eta * ts.lam(t)) ** r * x))
+        return _feedback(K, r, eta * lam(t), x)
 
     return u
 
 
 def pnf_feedback(g: LinearGain, ts: TimeScale, eta: float, t: float, x) -> float:
     """Time-varying linear control u = -K^T D^r_{eta*lambda(t)} x."""
-    return pnf_law(g, ts, eta)(t, np.asarray(x, dtype=float))
+    return pnf_law(g, ts, eta)(t, np.asarray(x, dtype=float).tolist())
 
 
 def envelope_constants(g: LinearGain) -> dict:

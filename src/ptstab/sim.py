@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ChainSpec, dilate, pnf_weights
 from .hong import HongGainSet
-from .pnf import LinearGain, pnf_law
+from .pnf import LinearGain, _feedback, pnf_law
 from .switching import (
     MatchedRobustLaw,
     SwitchParams,
@@ -557,15 +557,13 @@ def integrate_warped(
     n = spec.n
     w = pnf_weights(n)
     y0 = dilate(w, ts.lam(0.0), x0)
-    r = np.array(w)
-    eta_pow = eta**r
-    K = np.asarray(gain.K, dtype=float)
+    K, eta = np.asarray(gain.K, dtype=float).tolist(), float(eta)
     d, b = dist.d, dist.b
     last = [0.0, 0.0]  # (t, u) of the latest RHS evaluation
 
     def f(s, y):
         t = last[0] = ts.t_of_s(s)
-        u = last[1] = -float(K.dot(eta_pow * y))
+        u = last[1] = _feedback(K, w, eta, y)
         dy = y[1:]
         dy.append(b(t) * u + d(t))
         a = ts.a(t)
@@ -590,7 +588,7 @@ def integrate_warped(
         diag[f"y{i + 1}"] = y_arr[:, i]
     settle_time = float(ts.t_of_s(settle_s)) if settle_s is not None else None
     return Trajectory(
-        t=t_arr, x=y_arr / lam_arr[:, None] ** r, u=np.array(u_rows), diag=diag, status=status,
+        t=t_arr, x=y_arr / lam_arr[:, None] ** np.array(w), u=np.array(u_rows), diag=diag, status=status,
         settle_time=settle_time, fail_time=fail_s,
     )
 

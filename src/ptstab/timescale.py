@@ -298,9 +298,9 @@ class TimeScale:
         return math.exp(-1.0 / (self.T - t))
 
     def lam(self, t: float) -> float:
-        if self._clock is None:
-            return 1.0 / self.A(t)
         t = self._check_t(t)
+        if self._clock is None:  # 1/A(t), A's expression inlined
+            return 1.0 / (self._c * (self.T - t) ** self._m / self._m)
         try:
             return math.exp(1.0 / (self.T - t))
         except OverflowError:  # T - t below about 1/709.8

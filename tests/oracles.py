@@ -17,6 +17,15 @@ def dilation_matrix(r, lam):
     return np.diag(dilate(r, lam, np.ones(len(r))))
 
 
+def pnf_u(K, s, x):
+    """-K^T D^r_s x, r = (n, ..., 1): the products K_i (s^r_i x_i) in Python floats, added left to right from 0.0."""
+    total = 0.0
+    n = len(x)
+    for i in range(n):
+        total += float(K[i]) * (float(s) ** float(n - i) * float(x[i]))
+    return -total
+
+
 def sphere_residual(x, kappa):
     """max over rows of |sum_i |x_i|^{2/r_i} - 1| for the kappa-weighted unit sphere in R^j."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

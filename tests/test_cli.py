@@ -17,6 +17,7 @@ from ptstab.cli import main
 from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
 from ptstab.hong import kappa_pos_certified, synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
+from ptstab.timescale import Density, build
 
 
 def _write_cfg(path, lines):
@@ -265,6 +266,33 @@ def test_simulate_pnf_halts_at_horizon(tmp_path):
     assert main(["simulate", "--config", cfg]) == 0
     summary = Path(out, "summary.csv").read_text()
     assert "ReachedHorizon" in summary
+
+
+def test_unset_pnf_eta_is_the_certified_one(tmp_path):
+    # at n = 3, eta = 1 lies below the a_sup/C0 (about 11) of the perturbation
+    # certificate: the run grows past |x| = 1e8 and stops at the horizon.  An
+    # unset eta is max(1, a_sup/C0), the same run as that value given, and settles
+    g = synthesize_linear_gain(3, 1.0)
+    certified = max(1.0, build(1.0, Density("constant", 1.0)).a_sup() / g.C0)
+    base = ["plant.n = 3", "controller.kind = pnf", "sim.horizon = 1"]
+    rows = {}
+    for name, extra in (("unset", []), ("given", [f"controller.eta = {certified!r}"]), ("one", ["controller.eta = 1"])):
+        cfg = _write_cfg(tmp_path / f"{name}.cfg", base + extra + [f"output.dir = {tmp_path / name}"])
+        assert main(["simulate", "--config", cfg]) == 0
+        rows[name] = Path(tmp_path, name, "summary.csv").read_text().splitlines()[1].split(",")
+    assert rows["unset"] == rows["given"] and rows["unset"][2] == "SettledAt"
+    assert rows["one"][2] == "ReachedHorizon" and float(rows["one"][4]) > 1e8
+
+
+def test_unset_pnf_eta_is_one_without_a_perturbation_certificate(tmp_path):
+    gains = tmp_path / "p.gains"
+    assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "1", "--out", str(gains)]) == 0
+    gains.write_text(re.sub(r"(?m)^C0 = .*$", "C0 = 0", gains.read_text()))
+    assert read_gains(str(gains))[0].C0 == 0.0
+    base = ["plant.n = 2", "controller.kind = pnf", f"controller.gains = {gains}", "sim.horizon = 0.5"]
+    for name, extra in (("unset", []), ("one", ["controller.eta = 1.0"])):
+        assert main(["simulate", "--config", _write_cfg(tmp_path / f"{name}.cfg", base + extra + [f"output.dir = {tmp_path / name}"])]) == 0
+    assert Path(tmp_path, "unset", "run_0.csv").read_bytes() == Path(tmp_path, "one", "run_0.csv").read_bytes()
 
 
 def test_csv_format_rules(tmp_path):

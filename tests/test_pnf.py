@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from ptstab.pnf import (
 )
 from ptstab.sim import pnf_controller
 from ptstab.timescale import Density, build
-from oracles import dilation_matrix, verify_lmi
+from oracles import dilation_matrix, pnf_u, verify_lmi
 
 
 def _lmi_max_eig(g, b, a=0.0):
@@ -198,7 +199,8 @@ def test_pnf_feedback_values():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_bound_pnf_law_matches_feedback_bit_for_bit(n):
     # the controller binds K and r once; its u must keep the bits of
-    # pnf_feedback and of the unbound expression it replaces
+    # pnf_feedback and of the float formula it evaluates (numpy's powers and
+    # BLAS dot give other bits on about one state in seven)
     g = synthesize_linear_gain(n, 1.0)
     rng = np.random.default_rng([n, 8])
     # expflat's lambda = e^(1/(1-t)) keeps lambda^6 finite on [0, 0.95]
@@ -209,8 +211,49 @@ def test_bound_pnf_law_matches_feedback_bit_for_bit(n):
         for _ in range(500):
             t = float(rng.uniform(0.0, t_hi))
             x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            unbound = -float(np.dot(g.K, (eta * ts.lam(t)) ** np.array(pnf_weights(n)) * x))
-            assert u(t, x).hex() == pnf_feedback(g, ts, eta, t, x).hex() == unbound.hex()
+            expected = pnf_u(g.K, eta * ts.lam(t), x)
+            assert u(t, x.tolist()).hex() == pnf_feedback(g, ts, eta, t, x).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pnf_law_within_the_dot_product_error_bound(n):
+    # against the exact rational value at the same float K, s = eta*lambda(t)
+    # and x, the law's error stays under (n+2) u sum_i |K_i s^r_i x_i| with
+    # u = 2^-52: the bound of an n-term dot product (Higham 2002, 3.1) with
+    # a power and two products per term
+    g = synthesize_linear_gain(n, 1.0)
+    r = pnf_weights(n)
+    rng = np.random.default_rng([n, 9])
+    for dens, t_hi in ((Density("constant", 1.0), 0.999), (Density("power", 2.0), 0.999), (Density("expflat"), 0.95)):
+        ts = build(1.0, dens)
+        eta = max(1.0, ts.a_sup() / g.C0)
+        u = pnf_controller(g, ts, eta).u
+        for _ in range(300):
+            t = float(rng.uniform(0.0, t_hi))
+            x = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)).tolist()
+            s = Fraction(eta * ts.lam(t))
+            terms = [Fraction(k) * s ** int(ri) * Fraction(xi) for k, ri, xi in zip(g.K.tolist(), r, x)]
+            bound = (n + 2) * Fraction(1, 2**52) * sum(map(abs, terms))
+            assert abs(Fraction(u(t, x)) + sum(terms)) <= bound
+
+
+def test_pnf_law_overflow_gives_numpys_value_without_warning():
+    # at expflat t = 1 - 1/500, lambda = e^500 is finite but (eta*lambda)^2 is
+    # not: the powers count as inf, as numpy's do, so u is -inf, and nan
+    # where an infinite power meets a zero coordinate
+    g = synthesize_linear_gain(3, 1.0)
+    ts = build(1.0, Density("expflat"))
+    t = 1.0 - 1.0 / 500.0
+    u = pnf_controller(g, ts, 11.0).u
+    for x in ([1.0, 0.5, 0.2], [0.0, 0.5, 0.2]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            numpy_u = -float(np.dot(g.K, (11.0 * ts.lam(t)) ** np.array(pnf_weights(3)) * np.array(x)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = u(t, x)
+            assert pnf_feedback(g, ts, 11.0, t, x).hex() == got.hex()
+        assert got.hex() == numpy_u.hex()
+    assert math.isfinite(ts.lam(t)) and u(t, [1.0, 0.5, 0.2]) == -math.inf and math.isnan(got)
 
 
 def _certified(n):
