@@ -26,7 +26,6 @@ from .gainfile import (
 from .hong import (
     KAPPA_POINTS,
     MAX_ROUNDS,
-    VERIFY_SAMPLES_PER_KAPPA,
     GainSynthesisError,
     decay_residual,
     synthesize_hong_gains,
@@ -117,7 +116,7 @@ def cmd_verify(args) -> int:
         print(f"error: --grid-scale must be >= 1, got {args.grid_scale}", file=sys.stderr)
         return 1
     try:
-        g, b_lower = read_gains(args.gains)
+        g, _ = read_gains(args.gains)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -126,16 +125,14 @@ def cmd_verify(args) -> int:
     else:
         # a certified C <= 0 claims no decay, and the residual check passes it
         rows = [("decay constant C (file)", f"{g.C:.5g}", g.C > 0)]
-        cert = g.certificate or {}
-        base = int(cert.get("verify_samples_per_kappa", VERIFY_SAMPLES_PER_KAPPA))
-        C_new, _ = verify_decay(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 5000)
+        cert = g.certificate
+        samples = cert["verify_samples_per_kappa"] * args.grid_scale
+        C_new, _ = verify_decay(g, KAPPA_POINTS, samples, seed=cert["seed"] + 5000)
         rows.append(("decay constant C (rescan)", f"{C_new:.5g}", C_new > 0))
-        resid = decay_residual(g, KAPPA_POINTS, base * args.grid_scale, seed=int(cert.get("seed", 0)) + 6000)
+        resid = decay_residual(g, KAPPA_POINTS, samples, seed=cert["seed"] + 6000)
         rows.append(("max dV + C V^(1+a)", f"{resid:.3e}", resid <= 0.0))
-        c_raw = cert.get("c_raw")
-        if c_raw:
-            change = abs(C_new - c_raw) / c_raw
-            rows.append(("C change vs certificate", f"{change:.3%}", True))
+        change = abs(C_new - cert["c_raw"]) / cert["c_raw"]
+        rows.append(("C change vs certificate", f"{change:.3%}", True))
     return _report(rows)
 
 
@@ -270,6 +267,12 @@ class _Problem:
             g, _ = read_gains(cfg["controller.gains"])
             if hasattr(g, "K") != (kind == "pnf"):
                 raise ConfigError(f"{kind} controller needs a {'pnf' if kind == 'pnf' else 'hong'} gain file")
+            # the LMI certificate of a pnf gain holds only for b >= g.b_lower
+            if kind == "pnf" and g.b_lower > spec.b_lower:
+                raise ConfigError(
+                    f"{cfg['controller.gains']}: pnf gains certified for b >= {g.b_lower!r},"
+                    f" above plant.b_lower = {spec.b_lower!r}"
+                )
         elif kind == "pnf":
             g = synthesize_linear_gain(n, spec.b_lower)
         else:

@@ -116,10 +116,8 @@ def kappa_grid(n: int, points: int = 11, hi: float | None = None) -> np.ndarray:
     """Evenly spaced degree grid over [-1/(2n), hi]; hi defaults to 1/(2n).
 
     A smaller hi gives the certified interval of a gain set (see
-    hong.kappa_pos_certified).  One point gives the grid {0}.
+    hong.kappa_pos_certified).
     """
-    if points == 1:
-        return np.array([0.0])
     return np.linspace(-1.0 / (2 * n), 1.0 / (2 * n) if hi is None else hi, points)
 
 

@@ -1,19 +1,19 @@
 """Flat text formats: gain files and experiment configs.
 
-Gain files are diffable key=value text; vectors use ';' between entries and
-matrices join ';'-rows with ' , '.  Floats carry 17 significant digits so a
-write/read round trip is exact.  Configs are flat 'section.key = value'
-lines; unknown keys are rejected.
+Gain files are diffable key=value text holding exactly the keys of their
+kind (_KEYS); vectors use ';' between entries and matrices join ';'-rows
+with ' , '.  Floats carry 17 significant digits so a write/read round trip
+is exact.  Configs are flat 'section.key = value' lines; unknown keys are
+rejected.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
-from .hong import HongGainSet, kappa_pos_certified
+from .hong import HongGainSet
 from .pnf import LinearGain
 
 __all__ = [
@@ -26,13 +26,17 @@ __all__ = [
     "validate_config",
 ]
 
-FORMAT_TAG = "ptstab-gains-v1"
+FORMAT_TAG = "ptstab-gains-v2"
 # integer entries of a hong certificate; the first three are sample counts
 _CERT_COUNTS = ("kappa_points", "samples_per_level", "verify_samples_per_kappa")
 _CERT_INTS = _CERT_COUNTS + ("seed", "repair_rounds")
 _CERT_KEYS = _CERT_INTS + ("c_raw", "worst_residual")
-# recursion bounds of older files: read as numbers and unused
-_LEGACY_CERT_KEY = re.compile(r"safety|level\d+\..+")
+# every key of a gain file after format and kind, in the order write_gains
+# writes them; read_gains requires each one and refuses any other
+_KEYS = {
+    "pnf": ("n", "b_lower", "K", "S", "rho", "C0", "rho0"),
+    "hong": ("n", "b_lower", "ell", "C", "kappa_pos") + tuple(f"certificate.{key}" for key in _CERT_KEYS),
+}
 
 
 class ConfigError(ValueError):
@@ -68,37 +72,22 @@ def _parse_matrix(s: str) -> np.ndarray:
 
 
 def write_gains(path: str, g, b_lower: float | None = None):
-    """Serialize a LinearGain or HongGainSet with its certificate."""
-    lines = [f"format = {FORMAT_TAG}"]
+    """Serialize a LinearGain or HongGainSet with its certificate; b_lower is a hong file's record."""
     if isinstance(g, LinearGain):
-        lines += [
-            "kind = pnf",
-            f"n = {g.n}",
-            f"b_lower = {format_float(g.b_lower)}",
-            f"K = {_fmt_vector(g.K)}",
-            f"S = {_fmt_matrix(g.S)}",
-            f"rho = {format_float(g.rho)}",
-            f"C0 = {format_float(g.C0)}",
-            f"rho0 = {format_float(g.rho0)}",
-        ]
+        kind = "pnf"
+        values = [str(g.n), format_float(g.b_lower), _fmt_vector(g.K), _fmt_matrix(g.S)]
+        values += [format_float(v) for v in (g.rho, g.C0, g.rho0)]
     elif isinstance(g, HongGainSet):
-        lines += [
-            "kind = hong",
-            f"n = {g.n}",
-            f"b_lower = {format_float(1.0 if b_lower is None else b_lower)}",
-            f"ell = {_fmt_vector(g.ell)}",
-            f"C = {format_float(g.C)}",
-            f"kappa_bound = {format_float(g.kappa_bound)}",
-            f"kappa_pos = {format_float(g.kappa_pos)}",
-        ]
-        cert = g.certificate or {}
+        kind = "hong"
+        values = [str(g.n), format_float(1.0 if b_lower is None else b_lower), _fmt_vector(g.ell)]
+        values += [format_float(g.C), format_float(g.kappa_pos)]
         for key in _CERT_KEYS:
-            if key in cert:
-                val = cert[key]
-                txt = format_float(val) if isinstance(val, float) else str(val)
-                lines.append(f"certificate.{key} = {txt}")
+            val = g.certificate[key]
+            values.append(format_float(val) if isinstance(val, float) else str(val))
     else:
         raise TypeError(f"cannot serialize {type(g)}")
+    lines = [f"format = {FORMAT_TAG}", f"kind = {kind}"]
+    lines += [f"{key} = {val}" for key, val in zip(_KEYS[kind], values)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -119,15 +108,27 @@ def _read_kv(path: str) -> dict:
     return out
 
 def read_gains(path: str):
-    """Parse a gain file back into its dataclass; returns (gains, b_lower)."""
+    """Parse a gain file back into its dataclass; returns (gains, b_lower).
+
+    The file holds exactly the keys of its kind in _KEYS; a missing or any
+    other key makes it unreadable.
+    """
     kv = _read_kv(path)
-    if kv.get("format") != FORMAT_TAG:
-        raise ConfigError(f"{path}: missing or unknown format tag")
-    kind = kv.get("kind")
+    if kv.pop("format", None) != FORMAT_TAG:
+        raise ConfigError(f"{path}: missing or unknown format tag, expected format = {FORMAT_TAG}")
+    kind = kv.pop("kind", None)
+    if kind not in _KEYS:
+        raise ConfigError(f"{path}: unknown gain kind {kind!r}")
+    keys = _KEYS[kind]
+    wrong = [f"unknown key {key}" for key in kv if key not in keys]
+    wrong += [f"missing key {key}" for key in keys if key not in kv]
+    if wrong:
+        raise ConfigError(f"{path}: " + ", ".join(wrong))
     try:
+        n = int(kv["n"])
         if kind == "pnf":
             g = LinearGain(
-                n=int(kv["n"]),
+                n=n,
                 K=_parse_vector(kv["K"]),
                 S=_parse_matrix(kv["S"]),
                 rho=_finite(kv["rho"]),
@@ -135,44 +136,32 @@ def read_gains(path: str):
                 C0=_finite(kv["C0"]),
                 rho0=_finite(kv["rho0"]),
             )
-            if g.K.shape != (g.n,) or g.S.shape != (g.n, g.n):
+            if g.K.shape != (n,) or g.S.shape != (n, n):
                 raise ValueError("inconsistent dimensions")
             # C0 = 0 means no perturbation certificate; a negative C0 is a corrupt value
             if g.C0 < 0:
                 raise ValueError(f"C0 = {kv['C0']} is negative")
             return g, g.b_lower
-        if kind == "hong":
-            cert = {}
-            for key, val in kv.items():
-                if not key.startswith("certificate."):
-                    continue
-                sub = key[len("certificate.") :]
-                if sub not in _CERT_KEYS and not _LEGACY_CERT_KEY.fullmatch(sub):
-                    raise ValueError(f"unknown key {key}")
-                if sub in _CERT_INTS:
-                    cert[sub] = int(val)
-                    if sub in _CERT_COUNTS and cert[sub] < 1:
-                        raise ValueError(f"certificate.{sub} = {val} is below 1")
-                else:
-                    cert[sub] = _finite(val)
-            n = int(kv["n"])
-            ell = _parse_vector(kv["ell"])
-            if ell.shape != (n,):
-                raise ValueError("inconsistent dimensions")
-            # the cascade is defined for |kappa| <= 1/(2n); without kappa_pos a file takes the certified extent
-            kappa_bound = _finite(kv["kappa_bound"])
-            if not 0 < kappa_bound <= 1.0 / (2 * n):
-                raise ValueError(f"kappa_bound = {kv['kappa_bound']} outside (0, 1/(2n)] for n = {n}")
-            kappa_pos = _finite(kv["kappa_pos"]) if "kappa_pos" in kv else kappa_pos_certified(n)
-            if not 0 < kappa_pos <= kappa_bound:
-                raise ValueError(f"kappa_pos = {kappa_pos!r} outside (0, kappa_bound]")
-            g = HongGainSet(
-                n=n, ell=ell, C=_finite(kv["C"]), kappa_bound=kappa_bound, kappa_pos=kappa_pos, certificate=cert
-            )
-            return g, _finite(kv["b_lower"])
-    except (KeyError, ValueError) as exc:
+        ell = _parse_vector(kv["ell"])
+        if ell.shape != (n,):
+            raise ValueError("inconsistent dimensions")
+        # the cascade is defined for |kappa| <= 1/(2n), so the certified interval is [-1/(2n), kappa_pos]
+        kappa_pos = _finite(kv["kappa_pos"])
+        if not 0 < kappa_pos <= 1.0 / (2 * n):
+            raise ValueError(f"kappa_pos = {kv['kappa_pos']} outside (0, 1/(2n)] for n = {n}")
+        cert = {}
+        for key in _CERT_KEYS:
+            val = kv[f"certificate.{key}"]
+            cert[key] = int(val) if key in _CERT_INTS else _finite(val)
+            if key in _CERT_COUNTS and cert[key] < 1:
+                raise ValueError(f"certificate.{key} = {val} is below 1")
+        # verify measures the rescanned constant relative to c_raw
+        if not cert["c_raw"] > 0:
+            raise ValueError(f"certificate.c_raw = {kv['certificate.c_raw']} is not positive")
+        g = HongGainSet(n=n, ell=ell, C=_finite(kv["C"]), kappa_pos=kappa_pos, certificate=cert)
+        return g, _finite(kv["b_lower"])
+    except ValueError as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc
-    raise ConfigError(f"{path}: unknown gain kind {kind!r}")
 
 
 # --- experiment configs -----------------------------------------------------

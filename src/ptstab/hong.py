@@ -214,20 +214,18 @@ class HongGainSet:
     """Cascade gains with the sampled decay certificate.
 
     ``C`` is the certified (deflated) decay constant, valid on the degree
-    interval [-kappa_bound, kappa_pos]; ``certificate`` records grids, seeds,
+    interval [-1/(2n), kappa_pos]; ``certificate`` records grids, seeds,
     the raw sampled constant, the repair rounds and the worst residual.
     """
 
     n: int
     ell: np.ndarray
     C: float
-    kappa_bound: float
     kappa_pos: float
     certificate: dict = field(default_factory=dict)
 
     def check_kappa(self, kappa: float):
-        if abs(kappa) > self.kappa_bound + 1e-12:
-            raise ValueError(f"kappa={kappa} outside +/-{self.kappa_bound}")
+        hong_weights(self.n, kappa)  # raises outside |kappa| <= 1/(2n)
 
 
 def hong_control(g: HongGainSet, kappa: float, x):
@@ -416,7 +414,7 @@ def synthesize_hong_gains(n: int, seed: int = 0) -> HongGainSet:
         ell.append(lj)
 
     ell = np.array(ell)
-    g = HongGainSet(n=n, ell=ell, C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
+    g = HongGainSet(n=n, ell=ell, C=0.0, kappa_pos=kappa_pos)
 
     # certificate loop: the sampled constant must be positive AND stable
     # under a 10x denser scan (the singular layers reveal slowly), else

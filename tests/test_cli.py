@@ -15,7 +15,7 @@ import pytest
 from ptstab import cli, hong
 from ptstab.cli import main
 from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
-from ptstab.hong import kappa_pos_certified, synthesize_hong_gains
+from ptstab.hong import synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 from ptstab.timescale import Density, build
 
@@ -66,6 +66,12 @@ def test_gain_roundtrip_full_precision(tmp_path):
     assert np.array_equal(h.ell, h2.ell)
     assert h.C == h2.C and bl == 2.0
     assert h2.certificate["c_raw"] == h.certificate["c_raw"]
+
+    # the reader takes exactly what the writer writes: write -> read -> write gives the same bytes
+    write_gains(str(tmp_path / "g2.gains"), g2)
+    write_gains(str(tmp_path / "h2.gains"), h2, b_lower=bl)
+    assert Path(tmp_path, "g2.gains").read_bytes() == Path(path).read_bytes()
+    assert Path(tmp_path, "h2.gains").read_bytes() == Path(hpath).read_bytes()
 
 
 def test_verify_fresh_and_corrupted(tmp_path):
@@ -140,8 +146,8 @@ def test_synthesize_hong_failure_names_evidence(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_read_gains_accepts_recursion_record_lines(tmp_path, monkeypatch):
-    # files written before the recursion record was dropped carry safety and level* lines
+def test_read_gains_refuses_recursion_record_lines(tmp_path, monkeypatch, capsys):
+    # files written before the recursion record was dropped carried safety and level* lines
     monkeypatch.setattr(hong, "SAMPLES_PER_LEVEL", 50)
     monkeypatch.setattr(hong, "VERIFY_SAMPLES_PER_KAPPA", 50)
     h = synthesize_hong_gains(1)
@@ -149,18 +155,12 @@ def test_read_gains_accepts_recursion_record_lines(tmp_path, monkeypatch):
     write_gains(str(path), h)
     fresh = path.read_text()
     assert "certificate.safety" not in fresh and "certificate.level" not in fresh
-    old = [
-        "certificate.safety = 4",
-        "certificate.level2.K = 1.5",
-        "certificate.level2.L = 0.25",
-        "certificate.level2.M = 0.125",
-        "certificate.level2.ell_recursion_bound = 3",
-    ]
-    path.write_text(fresh + "\n".join(old) + "\n")
-    h2, _ = read_gains(str(path))
-    assert np.array_equal(h2.ell, h.ell) and h2.C == h.C
-    assert h2.certificate["c_raw"] == h.certificate["c_raw"]
-    assert main(["verify", "--gains", str(path)]) == 0
+    for old in ("certificate.safety = 4", "certificate.level2.K = 1.5", "certificate.level2.ell_recursion_bound = 3"):
+        path.write_text(fresh + old + "\n")
+        with pytest.raises(ConfigError, match="unknown key certificate"):
+            read_gains(str(path))
+        assert main(["verify", "--gains", str(path)]) == 1
+        assert _one_line_error(capsys, "error: ").count(str(path)) == 1
 
 
 def _format_float_run_csv(path, traj, n):
@@ -293,6 +293,27 @@ def test_unset_pnf_eta_is_one_without_a_perturbation_certificate(tmp_path):
     for name, extra in (("unset", []), ("one", ["controller.eta = 1.0"])):
         assert main(["simulate", "--config", _write_cfg(tmp_path / f"{name}.cfg", base + extra + [f"output.dir = {tmp_path / name}"])]) == 0
     assert Path(tmp_path, "unset", "run_0.csv").read_bytes() == Path(tmp_path, "one", "run_0.csv").read_bytes()
+
+
+def test_pnf_gains_must_cover_the_plant_b_lower(tmp_path, capsys):
+    # the LMI certificate holds only for b >= the file's b_lower: a gain made
+    # for b >= 4 and run with plant.b_lower = 0.05 used to end its 3 runs at the
+    # horizon with sup_norm 87.5, 415 and 6265, and exit 0
+    gains = tmp_path / "p4.gains"
+    assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "4", "--out", str(gains)]) == 0
+    capsys.readouterr()
+    base = ["plant.n = 2", "controller.kind = pnf", f"controller.gains = {gains}", "sim.horizon = 0.2"]
+    for b_lower in ("0.05", "3.9999999999999996"):
+        out = tmp_path / f"o{b_lower}"
+        cfg = _write_cfg(tmp_path / "low.cfg", base + [f"plant.b_lower = {b_lower}", f"output.dir = {out}"])
+        for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", "eta", "--values", "1"]):
+            assert main(argv) == 1
+            err = _one_line_error(capsys, f"config error: {gains}: pnf gains certified for b >= 4.0,")
+            assert err.count(str(gains)) == 1
+        assert not out.exists()
+    for b_lower in ("4", "5"):
+        cfg = _write_cfg(tmp_path / "ok.cfg", base + [f"plant.b_lower = {b_lower}", f"output.dir = {tmp_path / 'ok'}"])
+        assert main(["simulate", "--config", cfg]) == 0
 
 
 def test_csv_format_rules(tmp_path):
@@ -721,12 +742,21 @@ def fresh_gain_files(gain_paths):
         ("hong", "certificate.verify_samples_per_kappa", "0", 1, None),
         ("hong", "certificate.kappa_points", "0", 1, None),
         ("pnf", "C0", "-1", 1, None),
-        ("hong", "kappa_bound", "0.45", 1, None),
-        ("hong", "kappa_bound", "0", 1, None),
         ("hong", "kappa_pos", "-0.2", 1, None),
         ("hong", "kappa_pos", "0", 1, None),
         ("hong", "kappa_pos", "0.3", 1, None),
         ("hong", "certificate.seed", "1\ncertificate.sead = 1", 1, None),
+        ("hong", "certificate.c_raw", "0", 1, None),
+        # keys outside the format: a misspelled one, and the kappa_bound of
+        # v1 files, whatever its value (the interval starts at -1/(2n))
+        ("hong", "n", "2\nkapa_pos = 0.25", 1, None),
+        ("hong", "n", "2\nkappa_bound = 0.25", 1, None),
+        ("hong", "n", "2\nkappa_bound = 0.45", 1, None),
+        ("hong", "n", "2\nkappa_bound = 0", 1, None),
+        # a missing key (None drops the line) and a v1 tag
+        ("hong", "certificate.seed", None, 1, None),
+        ("hong", "format", "ptstab-gains-v1", 1, None),
+        ("pnf", "format", "ptstab-gains-v1", 1, None),
         # a dimension that disagrees with the vectors
         ("pnf", "n", "3", 1, None),
         ("hong", "n", "3", 1, None),
@@ -740,7 +770,8 @@ def fresh_gain_files(gain_paths):
 )
 def test_verify_rejects_corrupt_and_vacuous_files(tmp_path, capsys, fresh_gain_files, kind, key, value, code, failing):
     lines = fresh_gain_files[kind].splitlines()
-    edited = [f"{key} = {value}" if ln.split("=", 1)[0].strip() == key else ln for ln in lines]
+    edit = "" if value is None else f"{key} = {value}"
+    edited = [edit if ln.split("=", 1)[0].strip() == key else ln for ln in lines]
     assert edited != lines
     path = tmp_path / "edited.gains"
     path.write_text("\n".join(edited) + "\n")
@@ -771,17 +802,17 @@ def test_repeated_keys_are_refused(tmp_path, capsys, fresh_gain_files):
     assert _one_line_error(capsys, "error: ") == f"error: {gains}:{len(lines)}: repeated key C"
 
 
-def test_hong_file_without_kappa_pos_reads_the_certified_default(tmp_path, capsys, fresh_gain_files):
-    # a missing key, unlike an explicit kappa_pos = 0, takes kappa_pos_certified(n)
+def test_hong_file_without_kappa_pos_is_refused(tmp_path, capsys, fresh_gain_files):
+    # a missing key used to take kappa_pos_certified(n); every key is now required
     lines = [ln for ln in fresh_gain_files["hong"].splitlines() if not ln.startswith("kappa_pos")]
     path = tmp_path / "no_kappa_pos.gains"
     path.write_text("\n".join(lines) + "\n")
-    g, _ = read_gains(str(path))
-    assert g.kappa_pos == kappa_pos_certified(2) > 0
-    assert main(["verify", "--gains", str(path)]) == 0
-    # the default is taken once n matches ell; n = 0 used to end in a ZeroDivisionError traceback
-    path.write_text("\n".join("n = 0" if ln.startswith("n =") else ln for ln in lines) + "\n")
-    capsys.readouterr()
+    with pytest.raises(ConfigError, match="missing key kappa_pos"):
+        read_gains(str(path))
+    assert main(["verify", "--gains", str(path)]) == 1
+    assert _one_line_error(capsys, "error: ").count(str(path)) == 1
+    # n = 0 used to end in a ZeroDivisionError traceback
+    path.write_text(fresh_gain_files["hong"].replace("n = 2", "n = 0", 1))
     assert main(["verify", "--gains", str(path)]) == 1
     _one_line_error(capsys, "error: ")
 

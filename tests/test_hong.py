@@ -25,7 +25,7 @@ getcontext().prec = 60
 
 def _gains(n, ell):
     return HongGainSet(
-        n=n, ell=np.asarray(ell, dtype=float), C=0.1, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos_certified(n)
+        n=n, ell=np.asarray(ell, dtype=float), C=0.1, kappa_pos=kappa_pos_certified(n)
     )
 
 
@@ -537,7 +537,7 @@ def _oracle_synthesize_hong_gains(n, seed):
             lj *= 2.0
         ell.append(lj)
 
-    g = HongGainSet(n=n, ell=np.array(ell), C=0.0, kappa_bound=1.0 / (2 * n), kappa_pos=kappa_pos)
+    g = HongGainSet(n=n, ell=np.array(ell), C=0.0, kappa_pos=kappa_pos)
     rounds = 0
     while True:
         raw = _oracle_kappa_minima(g, hong.KAPPA_POINTS, hong.VERIFY_SAMPLES_PER_KAPPA, seed + 7 + rounds)
@@ -632,7 +632,7 @@ def test_failed_round_reports_the_dense_scan_worst(monkeypatch):
     g = synthesize_hong_gains(3)
     rounds = g.certificate["repair_rounds"]
     assert rounds > 0
-    g0 = HongGainSet(n=3, ell=g.ell.copy(), C=0.0, kappa_bound=1.0 / 6.0, kappa_pos=g.kappa_pos)
+    g0 = HongGainSet(n=3, ell=g.ell.copy(), C=0.0, kappa_pos=g.kappa_pos)
     g0.ell[-1] /= 2.0**rounds
     C_raw, _ = verify_decay(g0, hong.KAPPA_POINTS, hong.VERIFY_SAMPLES_PER_KAPPA, 7)
     assert C_raw > 0
