@@ -249,6 +249,13 @@ class _Problem:
         kind, values = specs["disturbance.b"]
         with _config_values("disturbance.b"):
             self.b = _B_PROFILES[kind][1](values)
+        # every certificate assumes b within the plant's declared bounds
+        lo, hi = (values["v"], values["v"]) if kind == "constant" else (values["lo"], values["hi"])
+        if lo < spec.b_lower or hi > spec.b_upper:
+            raise ConfigError(
+                f"disturbance.b: range [{lo!r}, {hi!r}] leaves"
+                f" [plant.b_lower, plant.b_upper] = [{spec.b_lower!r}, {spec.b_upper!r}]"
+            )
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
         if cfg["runs.x0_min"] > cfg["runs.x0_max"]:
             raise ConfigError("runs.x0_min must be <= runs.x0_max")

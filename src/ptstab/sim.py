@@ -1,9 +1,10 @@
 """Trajectory integration for the perturbed chain under the toolkit's feedbacks.
 
 A Dormand-Prince 5(4) stepper with per-step error control drives everything:
-it records every accepted step (with controller diagnostics), caps the step
-near switching surfaces and near the blow-up horizon, lands exactly on
-requested output times, and declares settling only on a persistent ball.
+it records every accepted step, caps the step near switching surfaces and
+near the blow-up horizon, lands exactly on requested output times, and
+declares settling only on a persistent ball.  The controller diagnostics
+are taken after the run, in one pass over all rows.
 Runs are bit-reproducible for fixed inputs.
 """
 
@@ -129,7 +130,7 @@ class Controller:
     u: object  # callable (t, x_measured) -> float
     t_stop: float | None = None
     surfaces: object | None = None  # callable x -> tuple of surface values
-    diag: object | None = None  # callable x -> dict of named floats
+    diag: object | None = None  # callable X -> dict of named columns over the rows of X
 
 
 def pnf_controller(gain: LinearGain, ts: TimeScale, eta: float, t_stop_frac: float = 1.0 - 1e-6):
@@ -168,18 +169,14 @@ def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0
 
 
 def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float = 1e-3):
-    """Matched-robust feedback; surface and diagnostics share its V_{-kappa0}."""
+    """Matched-robust feedback with its surface V_{-kappa0} = 1."""
     law = MatchedRobustLaw(g, sp, spec, reg_eps)
     v_minus = law.v_minus
-    diagnostics = bind_diagnostics(g, sp)
 
     def surfaces(x):
         return (v_minus(x) - 1.0,)
 
-    def diag(x):
-        return diagnostics(x, v_minus(x))
-
-    return Controller(u=law.u, surfaces=surfaces, diag=diag)
+    return Controller(u=law.u, surfaces=surfaces, diag=bind_diagnostics(g, sp))
 
 
 def prescribed_time_controller(
@@ -471,12 +468,13 @@ def integrate(
     """Integrate dx = J x + (d + b*u) e_n + d2 with u = ctrl.u(t, x + d1).
 
     Stops at min(horizon, ctrl.t_stop), on persistent settling, or on step
-    failure.  Each row records the u of the RHS evaluation at its (t, x) and
-    ctrl.diag at x, and caps the steps from it near ctrl.t_stop and, by
-    SWITCH_CAP, near a surface of ctrl.surfaces at the measured state x + d1
-    that evaluation built: ctrl.surfaces and ctrl.diag run once per row.
-    The state reaches ctrl.u, ctrl.surfaces and ctrl.diag as a list of
-    floats, never mutated, and the measured state is a fresh list.  The
+    failure.  Each row records the u of the RHS evaluation at its (t, x),
+    and caps the steps from it near ctrl.t_stop and, by SWITCH_CAP, near a
+    surface of ctrl.surfaces at the measured state x + d1 that evaluation
+    built: ctrl.surfaces runs once per row.  The state reaches ctrl.u and
+    ctrl.surfaces as a list of floats, never mutated, and the measured state
+    is a fresh list.  ctrl.diag runs once, after the run, on the stacked
+    rows x; nothing it returns feeds back.  The
     channels of dist must return Python floats, as the signal factories
     do: d(t) and b(t) a float, d1(t) and d2(t) a float list of length n.
     Their values enter the slope as they are, unconverted.
@@ -490,7 +488,7 @@ def integrate(
     t_end = horizon if t_stop is None else min(horizon, t_stop)
 
     d, d1, d2, b = dist.d, dist.d1, dist.d2, dist.b
-    u_of, surfaces, diag = ctrl.u, ctrl.surfaces, ctrl.diag
+    u_of, surfaces = ctrl.u, ctrl.surfaces
     last = [None, 0.0]  # measured state and u of the latest RHS evaluation
 
     def f(t, x):
@@ -503,24 +501,20 @@ def integrate(
         return dx
 
     us = []
-    cols = {}
 
     def on_row(t, x):
         xm, u = last
         us.append(u)
-        if diag is not None:
-            for k, v in diag(x).items():
-                cols.setdefault(k, []).append(v)
         cap = math.inf if t_stop is None else max(0.05 * (t_stop - t), 1e-12)
         if surfaces is not None and min(map(abs, surfaces(xm))) < 0.05:
             cap = min(cap, SWITCH_CAP)
         return cap
 
     ts, xs, status, settle_time, fail_time = _adaptive_run(f, 0.0, x0, t_end, opts, on_row)
+    X = np.array(xs)
     return Trajectory(
-        t=np.array(ts), x=np.array(xs), u=np.array(us),
-        diag={k: np.array(v, dtype=float) for k, v in cols.items()}, status=status,
-        settle_time=settle_time, fail_time=fail_time,
+        t=np.array(ts), x=X, u=np.array(us), diag={} if ctrl.diag is None else ctrl.diag(X),
+        status=status, settle_time=settle_time, fail_time=fail_time,
     )
 
 

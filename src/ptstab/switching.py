@@ -84,6 +84,16 @@ def v0_value(P: np.ndarray, x) -> float:
     return float(x.dot(P).dot(x))
 
 
+def _v0_rows(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x'Px for each row x of X."""
+    return np.einsum("ij,jk,ik->i", X, P, X)
+
+
+def _band_frac(v0, m: float):
+    """kappa/kappa0 of the band law at V0 = v0, before the clip to [-1, 1]."""
+    return 1.0 + (v0 - (1.0 + m)) / m
+
+
 def _kappa_law(sp: SwitchParams):
     """v0 -> kappa: +kappa0 above the band 1 +- m, -kappa0 below it, affine across it."""
     k0, m = sp.kappa0, sp.m
@@ -94,7 +104,7 @@ def _kappa_law(sp: SwitchParams):
             return k0
         if v0 < lo:
             return -k0
-        return k0 * (1.0 + (v0 - hi) / m)
+        return k0 * _band_frac(v0, m)
 
     return kappa
 
@@ -126,16 +136,8 @@ class MatchedRobustLaw:
     V_{-kappa0} = 1; the set-valued sign is regularized as z/max(|z|, eps).
     The per-level exponents of both cascades are computed once.  A call of
     u runs the -kappa0 pass, whose last v is omega0 on the sliding set
-    {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.
-
-    The -kappa0 pass yields V_{-kappa0} as a by-product, and u keeps the
-    last one with its state: a one-entry memo that only u writes.
-    v_minus(y) returns it without another pass when y is that very state
-    object, and otherwise runs the pass without storing it.  The integrator
-    hands the state list of its last u call to the surface and the
-    diagnostics of a row, so they reuse the feedback's value there.  A state
-    is a float list or array of length n and must not be mutated after a
-    call.
+    {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.  A
+    state is a float list or array of length n.
     """
 
     def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
@@ -148,21 +150,18 @@ class MatchedRobustLaw:
         self._d_bound = spec.d_bound
         self._b_lower = spec.b_lower
         self._eps = reg_eps
-        self._memo = (None, None)  # (state, V_{-kappa0}) of the last u call
 
     def u(self, t, y) -> float:
         """The feedback at state y as a Controller.u (the law does not read t)."""
         w0, vm = _cascade(self._ell, self._minus, y)
-        self._memo = (y, vm)
         if vm > 1.0:
             w0 = _cascade(self._ell, self._plus, y, want_value=False)[0]
         sgn = w0 / max(abs(w0), self._eps)
         return (w0 + self._d_bound * sgn) / self._b_lower
 
     def v_minus(self, y) -> float:
-        """V_{-kappa0}(y), from the memo when y is the state of the last u call."""
-        key, vm = self._memo
-        return vm if y is key else _cascade(self._ell, self._minus, y)[1]
+        """V_{-kappa0}(y), from one -kappa0 pass."""
+        return _cascade(self._ell, self._minus, y)[1]
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:
@@ -177,26 +176,22 @@ def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: fl
 
 
 def bind_diagnostics(g: HongGainSet, sp: SwitchParams):
-    """The function (x, vm=None) -> {V0, Vkp, Vkm, kappa, Z} at x, each level set evaluated once.
+    """The function X -> {V0, Vkp, Vkm, kappa, Z}, one float64 column per name over the rows of X.
 
-    Z = min(V0, Vkp^(1+a), Vkm^(1-a)) with a = alpha(kappa0).  ``vm``
-    supplies V_{-kappa0}(x) when the caller already has it; x is a float
-    list or array.  kappa0 is checked once, and ell, the +-kappa0
-    exponents, the band and Z's exponents are bound once.
+    Vkp and Vkm are V_{+-kappa0} from the batched cascade, kappa is the band
+    law clipped to +-kappa0, and Z = min(V0, Vkp^(1+a), Vkm^(1-a)) with
+    a = alpha(kappa0), all elementwise.  kappa0 is checked once.
     """
     g.check_kappa(sp.kappa0)
-    ell, P = g.ell.tolist(), sp.P
-    plus, minus = _exponents(g.n, sp.kappa0), _exponents(g.n, -sp.kappa0)
-    kappa_of_v0 = _kappa_law(sp)
-    a = alpha_of(sp.kappa0)
-    ep, em = 1.0 + a, 1.0 - a
+    k0, a = sp.kappa0, alpha_of(sp.kappa0)
 
-    def diag(x, vm: float | None = None) -> dict:
-        v0 = v0_value(P, x)
-        vp = _cascade(ell, plus, x)[1]
-        if vm is None:
-            vm = _cascade(ell, minus, x)[1]
-        return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": kappa_of_v0(v0), "Z": min(v0, vp**ep, vm**em)}
+    def diag(X) -> dict:
+        v0 = _v0_rows(sp.P, X)
+        vp = _cascade_rows(g.ell, k0, X, grad=False)[0]
+        vm = _cascade_rows(g.ell, -k0, X, grad=False)[0]
+        kappa = np.clip(k0 * _band_frac(v0, sp.m), -k0, k0)
+        Z = np.minimum(np.minimum(v0, vp ** (1.0 + a)), vm ** (1.0 - a))
+        return {"V0": v0, "Vkp": vp, "Vkm": vm, "kappa": kappa, "Z": Z}
 
     return diag
 
@@ -209,7 +204,7 @@ def sample_v0_level(P: np.ndarray, lo: float, hi: float, N: int, seed: int) -> n
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((N, P.shape[0]))
-    q = np.einsum("ij,jk,ik->i", z, P, z)
+    q = _v0_rows(P, z)
     levels = rng.uniform(lo, hi, size=N)
     return z * np.sqrt(levels / q)[:, None]
 
@@ -222,9 +217,7 @@ def _band_scan(g: HongGainSet, P: np.ndarray, m: float, b_upper: float, n_sample
     """
     X = sample_v0_level(P, 1.0 - m, 1.0 + m, n_samples, seed)
     lever = 2.0 * np.abs(X @ P[:, g.n - 1]) * b_upper
-    v0 = np.einsum("ij,jk,ik->i", X, P, X)
-    # _kappa_law row by row, divided by kappa0 and before the clip
-    frac = 1.0 + (v0 - (1.0 + m)) / m
+    frac = _band_frac(_v0_rows(P, X), m)
     blocks = []
     for s in range(0, n_samples, CHUNK):
         rows = slice(s, s + CHUNK)

@@ -316,6 +316,29 @@ def test_pnf_gains_must_cover_the_plant_b_lower(tmp_path, capsys):
         assert main(["simulate", "--config", cfg]) == 0
 
 
+def test_disturbance_b_must_lie_within_the_plant_bounds(tmp_path, capsys):
+    # every certificate assumes plant.b_lower <= b <= plant.b_upper: a gain made
+    # for b >= 4 run under b = sine:0.05,4 used to end its 3 runs at the horizon
+    # with sup_norm up to 4.37, and exit 0
+    gains = tmp_path / "p4.gains"
+    assert main(["synthesize", "--kind", "pnf", "--n", "2", "--b-lower", "4", "--out", str(gains)]) == 0
+    capsys.readouterr()
+    base = [
+        "plant.n = 2", "plant.b_lower = 4", "plant.b_upper = 5", "controller.kind = pnf",
+        f"controller.gains = {gains}", "sim.horizon = 0.2",
+    ]
+    for b in ("sine:0.05,4", "constant:3.9", "sine:4,5.5", "constant:6"):
+        out = tmp_path / "bad"
+        cfg = _write_cfg(tmp_path / "bad.cfg", base + [f"disturbance.b = {b}", f"output.dir = {out}"])
+        for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", "eta", "--values", "1"]):
+            assert main(argv) == 1
+            _one_line_error(capsys, "config error: disturbance.b: range [")
+        assert not out.exists()
+    for b in ("sine:4,5", "constant:4", "constant:5"):
+        cfg = _write_cfg(tmp_path / "ok.cfg", base + [f"disturbance.b = {b}", f"output.dir = {tmp_path / 'ok'}"])
+        assert main(["simulate", "--config", cfg]) == 0
+
+
 def test_csv_format_rules(tmp_path):
     # comma separated, decimal points, LF endings, '#' only in footers
     gains = str(tmp_path / "h.gains")

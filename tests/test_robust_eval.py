@@ -1,8 +1,10 @@
 """The once-per-state evaluation of the switching controllers is exact.
 
 The fused cascade kernel must reproduce a literal transcription of the
-cascade bit for bit, and a run's recorded u and diagnostics, taken from the
-in-loop evaluations, must equal a fresh recomputation at every row.
+cascade bit for bit.  A run's recorded u, taken from the in-loop
+evaluations, must equal a fresh recomputation at every row, and its
+diagnostic columns, from one batched pass after the run, the scalar oracles
+to rounding.
 """
 
 import dataclasses
@@ -119,40 +121,30 @@ def test_public_kernels_and_law_match_reference(design):
     assert sides == {True, False}
 
 
-def test_law_reads_its_memo_by_identity_only(design):
-    # v_minus answers from the memo only for the very state object of the last
-    # u call; an equal list or an array runs a fresh -kappa0 pass
-    g, sp = design
-    law = MatchedRobustLaw(g, sp, SPEC, REG_EPS)
-    ell, minus = g.ell.tolist(), _exponents(2, -sp.kappa0)
-    for x in _states(2, 300, seed=7):
-        y = x.tolist()
-        u = law.u(0.0, y)
-        assert law.u(0.0, x).hex() == u.hex()  # an array gives the bits of the equal list
-        law.u(0.0, y)
-        fresh = _cascade(ell, minus, y)[1]
-        assert law.v_minus(y) == fresh
-        law._memo = (y, -1.0)  # a poisoned memo shows which calls read it
-        assert law.v_minus(y) == -1.0
-        assert law.v_minus(list(y)).hex() == fresh.hex()
-        assert law.v_minus(np.array(y)).hex() == fresh.hex()
+def _close(a, b, scale=None):
+    """|a - b| within 1e-12 of |b|, or of scale when given."""
+    return abs(a - b) <= 1e-12 * abs(b if scale is None else scale)
 
 
 def _rows_match_recompute(traj, fresh_ctrl, g, sp):
+    # u is the in-loop value, bit for bit; the diagnostic columns come from the
+    # batched pass after the run and match the scalar oracles to rounding
     assert len(traj.u) == len(traj.t) == len(traj.diag["Z"])
     for i, (t, x) in enumerate(zip(traj.t, traj.x)):
         assert traj.u[i] == fresh_ctrl.u(t, x)
-        assert traj.diag["V0"][i] == v0_value(sp.P, x)
-        assert traj.diag["Vkp"][i] == hong_value(g, sp.kappa0, x)
-        assert traj.diag["Vkm"][i] == hong_value(g, -sp.kappa0, x)
-        assert traj.diag["kappa"][i] == kappa_of_x(sp, x)
-        assert traj.diag["Z"][i] == z_value(g, sp, x)
+        assert _close(traj.diag["V0"][i], v0_value(sp.P, x))
+        assert _close(traj.diag["Vkp"][i], hong_value(g, sp.kappa0, x))
+        assert _close(traj.diag["Vkm"][i], hong_value(g, -sp.kappa0, x))
+        # kappa crosses 0 in the band, where a rounding of V0 is large relative to
+        # kappa itself: its scale is kappa0
+        assert _close(traj.diag["kappa"][i], kappa_of_x(sp, x), sp.kappa0)
+        assert _close(traj.diag["Z"][i], z_value(g, sp, x))
 
 
 def _iss_matches_recompute(traj, g, sp):
     n_tail = math.ceil(0.25 * len(traj.t))
     expect = max(z_value(g, sp, x) for x in traj.x[-n_tail:])
-    assert iss_metrics(traj)["limsup_Z"] == expect
+    assert _close(iss_metrics(traj)["limsup_Z"], expect)
 
 
 def test_matched_robust_run_records_in_loop_values(design):
@@ -181,14 +173,21 @@ def test_fixed_time_run_records_in_loop_values(design):
 
 def _counted_robust_run(design, monkeypatch, d1):
     """The matched-robust example run with its cascade passes, RHS evaluations,
-    surface calls and DP54 attempts counted; surfaces run once per row."""
+    surface calls and DP54 attempts counted; surfaces run once per row.
+
+    Each scalar pass is recorded as (caller, exps, want_value, V), the caller
+    being "u" or "surface".  The -kappa0 passes are one per RHS evaluation
+    (the law) plus one per row (the surface step cap), with or without d1,
+    and no scalar pass builds the Vkp column.
+    """
     g, sp = design
     passes = []
+    caller = ["u"]
     calls = {"u": 0, "surfaces": 0, "attempts": 0}
 
     def counting_cascade(ell, exps, x, want_value=True, vs=None):
         out = _cascade(ell, exps, x, want_value, vs)
-        passes.append((exps, want_value, out[1]))
+        passes.append((caller[0], exps, want_value, out[1]))
         return out
 
     attempt = sim._dp_attempt
@@ -207,38 +206,42 @@ def _counted_robust_run(design, monkeypatch, d1):
 
     def surfaces(x):
         calls["surfaces"] += 1
-        return ctrl.surfaces(x)
+        caller[0] = "surface"
+        try:
+            return ctrl.surfaces(x)
+        finally:
+            caller[0] = "u"
 
     dist = DisturbanceSpec(d=sine_signal(1.0, 0.7, 0.2), d1=d1, b=b_profile(1.0, 3.0, freq=0.4))
     traj = integrate(
         SPEC, dataclasses.replace(ctrl, u=u, surfaces=surfaces), dist, np.array([4.0, -2.0]),
         SimOptions(rel_tol=1e-7, abs_tol=1e-10), horizon=2.0,
     )
-    assert calls["surfaces"] == len(traj.t)
-    assert calls["attempts"] > len(traj.t) - 1  # rejected attempts happened
+    rows = len(traj.t)
+    assert calls["surfaces"] == rows
+    assert calls["attempts"] > rows - 1  # rejected attempts happened
     assert calls["u"] == 1 + 6 * calls["attempts"]
-    plus = _exponents(2, sp.kappa0)
-    assert sum(1 for exps, value, _ in passes if exps == plus and value) == len(traj.t)  # the Vkp column
-    return traj, calls["u"], passes
+    plus, minus = _exponents(2, sp.kappa0), _exponents(2, -sp.kappa0)
+    assert not any(exps == plus and value for _, exps, value, _ in passes)
+    assert [exps for who, exps, _, _ in passes if who == "surface"] == [minus] * rows
+    assert sum(1 for _, exps, _, _ in passes if exps == minus) == calls["u"] + rows
+    return calls["u"], passes
 
 
 def test_one_minus_pass_per_rhs_evaluation(design, monkeypatch):
-    # the surface and the Vkm diagnostic at a row read V_{-kappa0} from the law's
-    # memo; the only extra pass is the +kappa0 control off {V_- <= 1}
+    # the law runs one -kappa0 pass per RHS evaluation, plus the +kappa0 control
+    # pass off {V_- <= 1}; the surface cap adds one -kappa0 pass per row
     sp = design[1]
-    traj, rhs_evals, passes = _counted_robust_run(design, monkeypatch, None)
+    rhs_evals, passes = _counted_robust_run(design, monkeypatch, None)
     plus, minus = _exponents(2, sp.kappa0), _exponents(2, -sp.kappa0)
-    minus_v = [V for exps, _, V in passes if exps == minus]
+    minus_v = [V for who, exps, _, V in passes if who == "u" and exps == minus]
     assert len(minus_v) == rhs_evals
-    assert sum(1 for exps, value, _ in passes if exps == plus and not value) == sum(v > 1.0 for v in minus_v)
+    assert sum(1 for _, exps, value, _ in passes if exps == plus and not value) == sum(v > 1.0 for v in minus_v)
     assert 0 < sum(v > 1.0 for v in minus_v) < len(minus_v)
 
 
-def test_measurement_noise_adds_one_minus_pass_per_row(design, monkeypatch):
-    # with d1 the law runs at x + d1; the surface reads its memo, and only the
-    # Vkm column at the true state x takes one more -kappa0 pass per row
-    sp = design[1]
+def test_measurement_noise_adds_no_minus_pass(design, monkeypatch):
+    # with d1 the law and the surface run at x + d1, and the diagnostics at the
+    # true state x take no scalar pass: the counts of _counted_robust_run hold
     d1 = vector_signal([1.0, 0.0], noise_signal(0.01, seed=3, period=1e-3))
-    traj, rhs_evals, passes = _counted_robust_run(design, monkeypatch, d1)
-    minus = _exponents(2, -sp.kappa0)
-    assert sum(1 for exps, _, _ in passes if exps == minus) == rhs_evals + len(traj.t)
+    _counted_robust_run(design, monkeypatch, d1)
