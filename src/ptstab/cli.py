@@ -250,10 +250,10 @@ class _Problem:
         with _config_values("disturbance.b"):
             self.b = _B_PROFILES[kind][1](values)
         # every certificate assumes b within the plant's declared bounds
-        lo, hi = (values["v"], values["v"]) if kind == "constant" else (values["lo"], values["hi"])
-        if lo < spec.b_lower or hi > spec.b_upper:
+        b_lo, b_hi = (values["v"], values["v"]) if kind == "constant" else (values["lo"], values["hi"])
+        if b_lo < spec.b_lower or b_hi > spec.b_upper:
             raise ConfigError(
-                f"disturbance.b: range [{lo!r}, {hi!r}] leaves"
+                f"disturbance.b: range [{b_lo!r}, {b_hi!r}] leaves"
                 f" [plant.b_lower, plant.b_upper] = [{spec.b_lower!r}, {spec.b_upper!r}]"
             )
         self.x0 = _vector("runs.x0", cfg["runs.x0"], n) if cfg["runs.x0"] else None
@@ -285,7 +285,8 @@ class _Problem:
         else:
             g = synthesize_hong_gains(n, cfg["controller.synth_seed"])
         if kind != "pnf":
-            b_up = spec.b_upper if math.isfinite(spec.b_upper) else spec.b_lower
+            # an unbounded plant is designed for the largest b its runs see
+            b_up = spec.b_upper if math.isfinite(spec.b_upper) else b_hi
             sp = design_switch_params(
                 g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"]
             )

@@ -28,11 +28,12 @@ Every batched evaluation (verify_decay, decay_residual, the synthesis level
 check, hong_lyapunov, and switching's level-set sampler, design and run
 diagnostics) runs one kernel, _cascade_rows: one contiguous vector per level,
 each |.|^e taken once, dV/dt accumulated from the gradient columns and the
-kink distance min_l |x_l - v_{l-1}| tracked in the level loop.  _decay_scores
-runs it over CHUNK-row blocks and scores the kink rows +-inf instead of
-dropping them, so the reductions keep np.argmin's first-worst-row choice.
-The scalar _cascade serves the per-step feedback laws (and the single-point
-hong_control and hong_value).
+kink distance min_l |x_l - v_{l-1}| tracked in the level loop.  At kappa = 0
+its V is switching's quadratic V0, and its last gradient column dV0/dx_n.
+_decay_scores runs it over CHUNK-row blocks and scores the kink rows +-inf
+instead of dropping them, so the reductions keep np.argmin's first-worst-row
+choice.  The scalar _cascade serves the per-step feedback laws and their
+V0 surfaces (and the single-point hong_control and hong_value).
 """
 
 from __future__ import annotations

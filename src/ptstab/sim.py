@@ -23,7 +23,7 @@ from .switching import (
     SwitchParams,
     bind_diagnostics,
     fixed_time_law,
-    v0_value,
+    v0_law,
 )
 from .timescale import HORIZON_GUARD, TimeScale
 
@@ -149,7 +149,7 @@ def _band_controller(g: HongGainSet, sp: SwitchParams, b_lower: float, mu: float
     """
     law = fixed_time_law(g, sp, b_lower)
     scales = None if mu == 1.0 else dilate(pnf_weights(g.n), mu, np.ones(g.n)).tolist()
-    P, lo, hi = sp.P, 1.0 - sp.m, 1.0 + sp.m
+    v0, lo, hi = v0_law(g), 1.0 - sp.m, 1.0 + sp.m
 
     def state(x):
         return x if scales is None else [xi * si for xi, si in zip(x, scales)]
@@ -158,7 +158,7 @@ def _band_controller(g: HongGainSet, sp: SwitchParams, b_lower: float, mu: float
         return law(state(x))
 
     def surfaces(x):
-        v = v0_value(P, state(x))
+        v = v0(state(x))
         return (v - lo, v - hi)
 
     return Controller(u=u, surfaces=surfaces, diag=bind_diagnostics(g, sp))

@@ -1,15 +1,16 @@
 """State-dependent homogeneity degree: fixed-time and prescribed-time control.
 
 The degree kappa(x) saturates at +kappa0 outside {V0 <= 1+m}, at -kappa0
-inside {V0 < 1-m} and interpolates affinely across the band, where V0 = x'Px
-is the quadratic Lyapunov function of the kappa=0 cascade.  Outside the band
-the closed loop is homogeneous of positive (resp. negative) degree, which
-gives fixed-time convergence onto the band and finite-time convergence to
-the origin, with the crossing controlled by a smallness condition on
-kappa0: design_switch_params halves kappa0 from the largest certified
-degree until a sampled band-decay margin holds.  A dilation of the state by
-mu >= T_settle/T_target converts the fixed-time law into a prescribed-time
-one (sim.prescribed_time_controller).
+inside {V0 < 1-m} and interpolates affinely across the band, where V0 is
+the cascade's V_kappa at kappa = 0, sum_j (x_j - v_{j-1})^2/2, a quadratic
+form that every caller here reads off the hong cascade kernels at kappa = 0.
+Outside the band the closed loop is homogeneous of positive (resp. negative)
+degree, which gives fixed-time convergence onto the band and finite-time
+convergence to the origin, with the crossing controlled by a smallness
+condition on kappa0: design_switch_params halves kappa0 from the largest
+certified degree until a sampled band-decay margin holds.  A dilation of
+the state by mu >= T_settle/T_target converts the fixed-time law into a
+prescribed-time one (sim.prescribed_time_controller).
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, _leve
 __all__ = [
     "SwitchDesignError",
     "SwitchParams",
-    "quadratic_form",
-    "v0_value",
+    "v0_law",
     "fixed_time_law",
     "MatchedRobustLaw",
     "settling_bound",
@@ -51,7 +51,6 @@ class SwitchParams:
 
     m: float
     kappa0: float
-    P: np.ndarray
     r_plus: float
     r_minus: float
     T_settle: float
@@ -59,34 +58,14 @@ class SwitchParams:
     b_upper: float = 1.0
 
 
-def quadratic_form(g: HongGainSet) -> np.ndarray:
-    """SPD matrix P with V0(x) = x'Px for the linear (kappa=0) cascade."""
-    n = g.n
-    rows = []
-    prev = np.zeros(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        row = e - prev
-        rows.append(row)
-        prev = -g.ell[j] * row
-    P = 0.5 * sum(np.outer(r, r) for r in rows)
-    return 0.5 * (P + P.T)
+def v0_law(g: HongGainSet):
+    """The function x -> V0(x), the kappa=0 cascade value, for a float list or array x."""
+    ell, exps = g.ell.tolist(), _exponents(g.n, 0.0)
 
+    def v0(x) -> float:
+        return _cascade(ell, exps, x)[1]
 
-def v0_value(P: np.ndarray, x) -> float:
-    """x'Px for a float list or array x.
-
-    The ndarray.dot calls run the BLAS calls of x @ P @ x (a vector-matrix
-    product, then a dot) with less dispatch, and give the same bits.
-    """
-    x = np.asarray(x, dtype=float)
-    return float(x.dot(P).dot(x))
-
-
-def _v0_rows(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """x'Px for each row x of X."""
-    return np.einsum("ij,jk,ik->i", X, P, X)
+    return v0
 
 
 def _band_frac(v0, m: float):
@@ -95,16 +74,11 @@ def _band_frac(v0, m: float):
 
 
 def _kappa_law(sp: SwitchParams):
-    """v0 -> kappa: +kappa0 above the band 1 +- m, -kappa0 below it, affine across it."""
+    """v0 -> kappa: the affine band law clipped to +-kappa0, bind_diagnostics' np.clip on one float."""
     k0, m = sp.kappa0, sp.m
-    hi, lo = 1.0 + m, 1.0 - m
 
     def kappa(v0: float) -> float:
-        if v0 > hi:
-            return k0
-        if v0 < lo:
-            return -k0
-        return k0 * _band_frac(v0, m)
+        return min(max(k0 * _band_frac(v0, m), -k0), k0)
 
     return kappa
 
@@ -117,12 +91,12 @@ def fixed_time_law(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
     band gets its exponents computed per call.  x is a float list or array.
     """
     g.check_kappa(sp.kappa0)
-    n, ell, P = g.n, g.ell.tolist(), sp.P
+    n, ell, v0 = g.n, g.ell.tolist(), v0_law(g)
     kappa_of_v0 = _kappa_law(sp)
     saturated = {sp.kappa0: _exponents(n, sp.kappa0), -sp.kappa0: _exponents(n, -sp.kappa0)}
 
     def law(x) -> float:
-        kappa = kappa_of_v0(v0_value(P, x))
+        kappa = kappa_of_v0(v0(x))
         exps = saturated.get(kappa) or _level_exponents(n, kappa)
         return _cascade(ell, exps, x, want_value=False)[0] / b_lower
 
@@ -186,7 +160,7 @@ def bind_diagnostics(g: HongGainSet, sp: SwitchParams):
     k0, a = sp.kappa0, alpha_of(sp.kappa0)
 
     def diag(X) -> dict:
-        v0 = _v0_rows(sp.P, X)
+        v0 = _cascade_rows(g.ell, 0.0, X, grad=False)[0]
         vp = _cascade_rows(g.ell, k0, X, grad=False)[0]
         vm = _cascade_rows(g.ell, -k0, X, grad=False)[0]
         kappa = np.clip(k0 * _band_frac(v0, sp.m), -k0, k0)
@@ -196,38 +170,36 @@ def bind_diagnostics(g: HongGainSet, sp: SwitchParams):
     return diag
 
 
-def sample_v0_level(P: np.ndarray, lo: float, hi: float, N: int, seed: int) -> np.ndarray:
-    """N points with x'Px uniform in [lo, hi]; lo == hi gives the level set {x'Px = lo}.
+def sample_v0_level(g: HongGainSet, lo: float, hi: float, N: int, seed: int) -> np.ndarray:
+    """N points with V0 uniform in [lo, hi]; lo == hi gives the level set {V0 = lo}.
 
     A direction z is drawn per point, then its level; each point is z scaled
     exactly onto its level.
     """
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((N, P.shape[0]))
-    q = _v0_rows(P, z)
+    z = rng.standard_normal((N, g.n))
+    q = _cascade_rows(g.ell, 0.0, z, grad=False)[0]
     levels = rng.uniform(lo, hi, size=N)
     return z * np.sqrt(levels / q)[:, None]
 
 
-def _band_scan(g: HongGainSet, P: np.ndarray, m: float, b_upper: float, n_samples: int, seed: int) -> list:
+def _band_scan(g: HongGainSet, m: float, b_upper: float, n_samples: int, seed: int) -> list:
     """The kappa0-independent part of the band scan, per CHUNK-row block.
 
-    Each block is (X, lever 2|x'Pe_n| b_upper, kappa(x)/kappa0, omega_0) over
-    n_samples points with V0 uniform on [1-m, 1+m].
+    Each block is (X, lever |dV0/dx_n| b_upper, kappa(x)/kappa0, omega_0) over
+    n_samples points with V0 uniform on [1-m, 1+m], all from one kappa=0 pass.
     """
-    X = sample_v0_level(P, 1.0 - m, 1.0 + m, n_samples, seed)
-    lever = 2.0 * np.abs(X @ P[:, g.n - 1]) * b_upper
-    frac = _band_frac(_v0_rows(P, X), m)
+    X = sample_v0_level(g, 1.0 - m, 1.0 + m, n_samples, seed)
     blocks = []
     for s in range(0, n_samples, CHUNK):
-        rows = slice(s, s + CHUNK)
-        u_0 = _cascade_rows(g.ell, 0.0, X[rows], grad=False)[1][-1]
-        blocks.append((X[rows], lever[rows], frac[rows], u_0))
+        Xb = X[s : s + CHUNK]
+        v0, vs, gradV, _, _ = _cascade_rows(g.ell, 0.0, Xb)
+        blocks.append((Xb, np.abs(gradV[-1]) * b_upper, _band_frac(v0, m), vs[-1]))
     return blocks
 
 
 def _band_worst(g: HongGainSet, blocks: list, kappa0: float) -> float:
-    """max over the band scan of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|.
+    """max over the band scan of |dV0/dx_n| b_upper |omega_k(x) - omega_0|.
 
     omega_k runs with each row's own degree kappa(x); the clip pins rounding
     just outside the band to +-kappa0.
@@ -257,26 +229,19 @@ def design_switch_params(
     """
     if not 0.0 < m < 1.0:
         raise ValueError("m must lie in (0, 1)")
-    P = quadratic_form(g)
     kappa0 = min(0.999 * g.kappa_pos, 0.999 / (2 * g.n))
-    sp = SwitchParams(
-        m=m, kappa0=kappa0, P=P, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=b_upper
-    )
-    blocks = _band_scan(g, P, m, b_upper, BAND_SAMPLES, seed + 2)
-    allowed = sp.C * (1.0 - m) / 2.0
+    blocks = _band_scan(g, m, b_upper, BAND_SAMPLES, seed + 2)
+    allowed = g.C * (1.0 - m) / 2.0
     for _ in range(40):
-        if _band_worst(g, blocks, sp.kappa0) <= allowed:
+        if _band_worst(g, blocks, kappa0) <= allowed:
             break
-        sp.kappa0 *= 0.5
+        kappa0 *= 0.5
     else:
         raise SwitchDesignError("band decay could not be certified; gains look inconsistent")
 
-    plus_pts = sample_v0_level(P, 1.0 + m, 1.0 + m, DESIGN_SAMPLES, seed + 3)
-    Vp = _cascade_rows(g.ell, sp.kappa0, plus_pts, grad=False)[0]
-    sp.r_plus = 0.9 * float(np.min(Vp))
-    minus_pts = sample_v0_level(P, 1.0 - m, 1.0 - m, DESIGN_SAMPLES, seed + 4)
-    Vm = _cascade_rows(g.ell, -sp.kappa0, minus_pts, grad=False)[0]
-    sp.r_minus = 1.1 * float(np.max(Vm))
-
-    sp.T_settle = settling_bound(sp.C, m, sp.kappa0, sp.r_plus, sp.r_minus)
-    return sp
+    plus_pts = sample_v0_level(g, 1.0 + m, 1.0 + m, DESIGN_SAMPLES, seed + 3)
+    r_plus = 0.9 * float(np.min(_cascade_rows(g.ell, kappa0, plus_pts, grad=False)[0]))
+    minus_pts = sample_v0_level(g, 1.0 - m, 1.0 - m, DESIGN_SAMPLES, seed + 4)
+    r_minus = 1.1 * float(np.max(_cascade_rows(g.ell, -kappa0, minus_pts, grad=False)[0]))
+    T_settle = settling_bound(g.C, m, kappa0, r_plus, r_minus)
+    return SwitchParams(m=m, kappa0=kappa0, r_plus=r_plus, r_minus=r_minus, T_settle=T_settle, C=g.C, b_upper=b_upper)

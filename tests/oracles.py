@@ -9,7 +9,7 @@ import numpy as np
 from ptstab.core import dilate, dilate_rows, hong_weights
 from ptstab.hong import _cascade_rows, alpha_of, hong_value
 from ptstab.pnf import _lmi_checks
-from ptstab.switching import _band_scan, _band_worst, v0_value
+from ptstab.switching import _band_scan, _band_worst
 
 
 def dilation_matrix(r, lam):
@@ -33,9 +33,30 @@ def sphere_residual(x, kappa):
     return float(np.max(np.abs(np.sum(np.abs(x) ** (2.0 / r), axis=-1) - 1.0)))
 
 
-def kappa_of_x(sp, x):
+def quadratic_form(g):
+    """The matrix P with V0(x) = x'Px = sum_j (r_j x)^2/2, r_j x = x_j - v_{j-1} of the kappa=0 cascade.
+
+    The rows r_j follow v_j = -ell_j (x_j - v_{j-1}) and v_0 = 0.
+    """
+    P = np.zeros((g.n, g.n))
+    prev = np.zeros(g.n)
+    for j, el in enumerate(g.ell):
+        row = -prev
+        row[j] += 1.0
+        P += 0.5 * np.outer(row, row)
+        prev = -el * row
+    return P
+
+
+def quadratic_v0(g, x):
+    """V0(x) = x'Px, P = quadratic_form(g), for a float list or array x."""
+    x = np.asarray(x, dtype=float)
+    return float(x @ quadratic_form(g) @ x)
+
+
+def kappa_of_x(g, sp, x):
     """The switching degree at x: +kappa0 above the band 1 +- m of V0, -kappa0 below it, affine across it."""
-    v0, hi = v0_value(sp.P, x), 1.0 + sp.m
+    v0, hi = quadratic_v0(g, x), 1.0 + sp.m
     if v0 > hi:
         return sp.kappa0
     if v0 < 1.0 - sp.m:
@@ -47,17 +68,17 @@ def z_value(g, sp, x):
     """Residual metric Z = min(V0, V_{+k0}^{1+a}, V_{-k0}^{1-a}), a = alpha(kappa0)."""
     a = alpha_of(sp.kappa0)
     vp, vm = hong_value(g, sp.kappa0, x), hong_value(g, -sp.kappa0, x)
-    return min(v0_value(sp.P, x), vp ** (1.0 + a), vm ** (1.0 - a))
+    return min(quadratic_v0(g, x), vp ** (1.0 + a), vm ** (1.0 - a))
 
 
 def band_decay_margin(g, sp, n_samples=10000, seed=21):
-    """(max over band samples of 2|x'Pe_n| b_upper |omega_k(x) - omega_0|, C(1-m)/2).
+    """(max over band samples of |dV0/dx_n| b_upper |omega_k(x) - omega_0|, C(1-m)/2).
 
     The first below the second forces dV0 <= -C V0 / 2 across the band.  The
     same two steps as one halving of design_switch_params: its band scan,
     then the band's worst sample at sp.kappa0.
     """
-    blocks = _band_scan(g, sp.P, sp.m, sp.b_upper, n_samples, seed)
+    blocks = _band_scan(g, sp.m, sp.b_upper, n_samples, seed)
     return _band_worst(g, blocks, sp.kappa0), sp.C * (1.0 - sp.m) / 2.0
 
 

@@ -940,6 +940,19 @@ def test_simulate_switching_kinds(tmp_path, gain_paths, kind):
             assert row["status"] == "SettledAt" and float(row["settle_time"]) <= _T_TARGET
 
 
+def test_unbounded_plant_designs_for_the_largest_b_of_the_profile(tmp_path, gain_paths):
+    # with plant.b_upper = inf the switch is designed for the b the runs see: the
+    # outputs are those of the plant bounded at the profile's largest b (a design
+    # at plant.b_lower = 1 gave another kappa0 and other bytes)
+    base = ["plant.n = 2", "controller.kind = fixed_time", f"controller.gains = {gain_paths['hong', 2]}"] + _RUNS
+    for b, b_hi in (("sine:1,100,5", "100"), ("constant:2", "2")):
+        lines = base + [f"disturbance.b = {b}"]
+        unset = _simulate(tmp_path, f"unset_{b_hi}", lines)
+        bounded = _simulate(tmp_path, f"bounded_{b_hi}", lines + [f"plant.b_upper = {b_hi}"])
+        for name in ("run_0.csv", "run_1.csv", "summary.csv"):
+            assert (unset / name).read_bytes() == (bounded / name).read_bytes(), (b, name)
+
+
 def _load_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -34,12 +34,8 @@ from ptstab.sim import (
     robust_controller,
     sine_signal,
 )
-from ptstab.switching import (
-    MatchedRobustLaw,
-    design_switch_params,
-    v0_value,
-)
-from oracles import kappa_of_x, z_value
+from ptstab.switching import MatchedRobustLaw, design_switch_params
+from oracles import kappa_of_x, quadratic_v0, z_value
 
 SPEC = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
 REG_EPS = 5e-3
@@ -132,12 +128,12 @@ def _rows_match_recompute(traj, fresh_ctrl, g, sp):
     assert len(traj.u) == len(traj.t) == len(traj.diag["Z"])
     for i, (t, x) in enumerate(zip(traj.t, traj.x)):
         assert traj.u[i] == fresh_ctrl.u(t, x)
-        assert _close(traj.diag["V0"][i], v0_value(sp.P, x))
+        assert _close(traj.diag["V0"][i], quadratic_v0(g, x))
         assert _close(traj.diag["Vkp"][i], hong_value(g, sp.kappa0, x))
         assert _close(traj.diag["Vkm"][i], hong_value(g, -sp.kappa0, x))
         # kappa crosses 0 in the band, where a rounding of V0 is large relative to
         # kappa itself: its scale is kappa0
-        assert _close(traj.diag["kappa"][i], kappa_of_x(sp, x), sp.kappa0)
+        assert _close(traj.diag["kappa"][i], kappa_of_x(g, sp, x), sp.kappa0)
         assert _close(traj.diag["Z"][i], z_value(g, sp, x))
 
 

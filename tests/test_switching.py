@@ -21,15 +21,25 @@ from ptstab.sim import (
 )
 from ptstab.switching import (
     SwitchParams,
+    _band_frac,
+    _band_scan,
+    _kappa_law,
+    bind_diagnostics,
     design_switch_params,
     fixed_time_law,
     MatchedRobustLaw,
-    quadratic_form,
     sample_v0_level,
     settling_bound,
-    v0_value,
+    v0_law,
 )
-from oracles import band_decay_margin, kappa_of_x, sample_vkappa_level, z_value
+from oracles import (
+    band_decay_margin,
+    kappa_of_x,
+    quadratic_form,
+    quadratic_v0,
+    sample_vkappa_level,
+    z_value,
+)
 
 _CACHE = {}
 
@@ -55,15 +65,46 @@ def _setup(n=2, seed=0, m=0.5):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_v0_value_equals_matmul_bits(n):
-    # v0_value's np.dot chain runs the BLAS calls of x @ P @ x, for lists and arrays alike
+def test_v0_matches_the_quadratic_form_oracle(n):
+    # every V0 is the kappa=0 cascade; x'Px restates it from P, over 12 decades
+    # of |x| (every 7th row on {x_1 = 0}) and on 12 decades of level sets
     g, sp = _setup(n)
     rng = np.random.default_rng(n)
     X = rng.standard_normal((3000, n)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(3000, 1))
     X[::7, 0] = 0.0
-    for x in X:
-        want = float(x @ sp.P @ x)
-        assert v0_value(sp.P, x) == want and v0_value(sp.P, x.tolist()) == want
+    want = np.array([quadratic_v0(g, x) for x in X])
+
+    def rel_err(got, ref):
+        return float(np.max(np.abs(np.asarray(got) - ref) / ref))
+
+    v0 = v0_law(g)
+    assert rel_err([v0(x) for x in X], want) <= 1e-14
+    assert rel_err([v0(x.tolist()) for x in X], want) <= 1e-14
+    assert rel_err(bind_diagnostics(g, sp)(X)["V0"], want) <= 1e-14
+    for k in range(12):
+        level = 10.0 ** (k - 6)
+        pts = sample_v0_level(g, level, level, 250, seed=100 * n + k)
+        assert rel_err([quadratic_v0(g, x) for x in pts], level) <= 1e-14
+    # the band scan's lever |dV0/dx_n| b_upper is 2|x'Pe_n| b_upper, the band's V0 the cascade's
+    en_col = quadratic_form(g)[:, n - 1]
+    for Xb, lever, frac, _ in _band_scan(g, sp.m, 3.0, 3000, seed=n):
+        assert np.array_equal(lever, 2.0 * np.abs(Xb @ en_col) * 3.0)
+        ref = _band_frac(np.array([quadratic_v0(g, x) for x in Xb]), sp.m)
+        assert np.max(np.abs(frac - ref)) <= 1e-14
+
+
+def test_band_law_is_one_clip_scalar_and_batched():
+    # the scalar law is the diagnostics' np.clip bit for bit: at the band edges,
+    # their neighbours and seeded values across and beyond the band
+    _, sp = _setup()
+    k0, m = sp.kappa0, sp.m
+    edges = [1.0 - m, 1.0 + m]
+    neighbours = [math.nextafter(v, d) for v in edges for d in (-math.inf, math.inf)]
+    spread = np.random.default_rng(13).uniform(0.0, 3.0, 1000).tolist()
+    law = _kappa_law(sp)
+    for v0s in (edges, neighbours, spread):
+        want = np.clip(k0 * _band_frac(np.array(v0s), m), -k0, k0)
+        assert np.array([law(v) for v in v0s]).tobytes() == want.tobytes()
 
 
 def test_kappa_of_x_edges():
@@ -76,10 +117,10 @@ def test_kappa_of_x_edges():
         (1.0 - m, -k0),
         (1.0, 0.0),
     ):
-        xs = x * math.sqrt(level / v0_value(sp.P, x))
-        assert kappa_of_x(sp, xs) == pytest.approx(expect, abs=1e-12)
-    assert kappa_of_x(sp, x * 100) == k0
-    assert kappa_of_x(sp, x * 1e-3) == -k0
+        xs = x * math.sqrt(level / quadratic_v0(g, x))
+        assert kappa_of_x(g, sp, xs) == pytest.approx(expect, abs=1e-12)
+    assert kappa_of_x(g, sp, x * 100) == k0
+    assert kappa_of_x(g, sp, x * 1e-3) == -k0
 
 
 def test_kappa_continuity_and_range():
@@ -87,21 +128,21 @@ def test_kappa_continuity_and_range():
     rng = np.random.default_rng(0)
     for _ in range(200):
         x = rng.standard_normal(2) * rng.uniform(0.1, 3)
-        k = kappa_of_x(sp, x)
+        k = kappa_of_x(g, sp, x)
         assert -sp.kappa0 - 1e-15 <= k <= sp.kappa0 + 1e-15
     # continuity across both switching surfaces
     for level in (1.0 - sp.m, 1.0 + sp.m):
         x = np.array([0.7, -0.4])
-        xs = x * math.sqrt(level / v0_value(sp.P, x))
-        below = kappa_of_x(sp, xs * (1 - 1e-8))
-        above = kappa_of_x(sp, xs * (1 + 1e-8))
+        xs = x * math.sqrt(level / quadratic_v0(g, x))
+        below = kappa_of_x(g, sp, xs * (1 - 1e-8))
+        above = kappa_of_x(g, sp, xs * (1 + 1e-8))
         assert abs(above - below) < 1e-6
 
 
 def test_fixed_time_feedback_saturation():
     g, sp = _setup()
     x = np.array([5.0, 2.0])  # far outside the band
-    assert v0_value(sp.P, x) > 1 + sp.m
+    assert quadratic_v0(g, x) > 1 + sp.m
     u_switch = fixed_time_law(g, sp)(x)
     u_plus, _ = hong_control(g, sp.kappa0, x)
     assert u_switch == pytest.approx(u_plus)
@@ -115,7 +156,7 @@ def test_fixed_time_feedback_continuity_probe():
     for level in (1.0 - sp.m, 1.0 + sp.m):
         for _ in range(20):
             z = rng.standard_normal(2)
-            xs = z * math.sqrt(level / v0_value(sp.P, z))
+            xs = z * math.sqrt(level / quadratic_v0(g, z))
             d = rng.standard_normal(2)
             d = 1e-6 * d / np.linalg.norm(d)
             du = abs(law(xs + d) - law(xs - d))
@@ -143,7 +184,7 @@ def test_b_lower_adaptation_matches_the_scaled_last_gain():
         law_b = fixed_time_law(g, sp, b)
         for _ in range(200):
             x = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0)
-            kap = kappa_of_x(sp, x)
+            kap = kappa_of_x(g, sp, x)
             old, _ = hong_control(scaled, kap, x)
             assert abs(law_b(x) - old) <= math.ulp(old)
             assert law(x).hex() == hong_control(g, kap, x)[0].hex()
@@ -181,10 +222,10 @@ def test_containment_certificates():
     # B^{k0}_{<r+} inside B^0_{<1+m}: on fresh samples of {V_{k0} = r+},
     # V0 must be <= 1+m; dual check for r-
     pts = sample_vkappa_level(g, sp.kappa0, sp.r_plus, 3000, seed=91)
-    v0s = np.array([v0_value(sp.P, x) for x in pts])
+    v0s = np.array([quadratic_v0(g, x) for x in pts])
     assert np.max(v0s) <= 1.0 + sp.m + 1e-9
     pts = sample_vkappa_level(g, -sp.kappa0, sp.r_minus, 3000, seed=92)
-    v0s = np.array([v0_value(sp.P, x) for x in pts])
+    v0s = np.array([quadratic_v0(g, x) for x in pts])
     assert np.min(v0s) >= 1.0 - sp.m - 1e-9
 
 
@@ -195,11 +236,10 @@ def test_band_decay_and_lyapunov_rate():
     # consequence: dV0 <= -C V0 / 2 across the band (sampled)
     rng = np.random.default_rng(5)
     law = fixed_time_law(g, sp)
-    P = sp.P
     for _ in range(300):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
-        x = z * math.sqrt(level / v0_value(P, z))
+        x = z * math.sqrt(level / quadratic_v0(g, z))
         u = law(x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
@@ -214,7 +254,7 @@ def test_outer_inner_decay():
     outer = inner = 0
     while outer < 200 or inner < 200:
         z = rng.standard_normal(2) * rng.uniform(0.05, 4.0)
-        V0 = v0_value(sp.P, z)
+        V0 = quadratic_v0(g, z)
         u = law(z)
         if V0 > 1 + sp.m and outer < 200:
             dV, V = vdot_with_control(g, sp.kappa0, z, u)
@@ -317,22 +357,22 @@ def test_rescaling_oracle_fixed_kappa():
 
 
 def test_sample_v0_level_band_and_level_set():
-    _, sp = _setup()
+    g, sp = _setup()
     lo, hi = 1.0 - sp.m, 1.0 + sp.m
-    q = [v0_value(sp.P, x) for x in sample_v0_level(sp.P, lo, hi, 2000, seed=5)]
+    q = [quadratic_v0(g, x) for x in sample_v0_level(g, lo, hi, 2000, seed=5)]
     assert lo * (1.0 - 1e-12) <= min(q) and max(q) <= hi * (1.0 + 1e-12)
     assert min(q) < lo + 0.05 * sp.m and max(q) > hi - 0.05 * sp.m
-    level = [v0_value(sp.P, x) for x in sample_v0_level(sp.P, hi, hi, 500, seed=6)]
+    level = [quadratic_v0(g, x) for x in sample_v0_level(g, hi, hi, 500, seed=6)]
     assert np.allclose(level, hi, rtol=1e-12, atol=0.0)
 
 
 def _band_margin_oracle(g, sp, n_samples, seed):
     """band_decay_margin as it was: one scalar cascade pair per band sample."""
-    X = sample_v0_level(sp.P, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
-    en_col = sp.P[:, g.n - 1]
+    X = sample_v0_level(g, 1.0 - sp.m, 1.0 + sp.m, n_samples, seed)
+    en_col = quadratic_form(g)[:, g.n - 1]
     worst = 0.0
     for x in X:
-        u_k, _ = hong_control(g, kappa_of_x(sp, x), x)
+        u_k, _ = hong_control(g, kappa_of_x(g, sp, x), x)
         u_0, _ = hong_control(g, 0.0, x)
         worst = max(worst, 2.0 * abs(float(x @ en_col)) * sp.b_upper * abs(u_k - u_0))
     return worst, sp.C * (1.0 - sp.m) / 2.0
@@ -350,8 +390,7 @@ def test_band_margin_matches_scalar_oracle(n):
     g = _small_gains(n)
     cap = min(0.999 * g.kappa_pos, 0.999 / (2 * n))
     for kappa0, b_upper in ((cap, 1.0), (cap / 16.0, 3.0)):
-        sp = SwitchParams(m=0.5, kappa0=kappa0, P=quadratic_form(g), r_plus=0.0, r_minus=0.0,
-                          T_settle=0.0, C=g.C, b_upper=b_upper)
+        sp = SwitchParams(m=0.5, kappa0=kappa0, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=b_upper)
         worst, allowed = band_decay_margin(g, sp, n_samples=2000, seed=31 + n)
         worst_ref, allowed_ref = _band_margin_oracle(g, sp, 2000, 31 + n)
         assert worst > 0
@@ -420,8 +459,7 @@ def test_dense_band_scan_refuses_what_the_sparse_one_accepts():
     g = synthesize_hong_gains(3, seed=0)
     sp = design_switch_params(g, m=0.5, b_upper=1.0, seed=17)
     assert sp.kappa0 <= 1.561e-4
-    coarse = SwitchParams(m=0.5, kappa0=2.0 * sp.kappa0, P=sp.P, r_plus=0.0, r_minus=0.0,
-                          T_settle=0.0, C=g.C, b_upper=1.0)
+    coarse = SwitchParams(m=0.5, kappa0=2.0 * sp.kappa0, r_plus=0.0, r_minus=0.0, T_settle=0.0, C=g.C, b_upper=1.0)
     worst, allowed = band_decay_margin(g, coarse, n_samples=3000, seed=19)
     assert worst <= allowed
     worst, allowed = band_decay_margin(g, coarse, n_samples=30000, seed=19)
@@ -437,7 +475,7 @@ def test_kappa0_formula_reproduces_band_decay():
     for _ in range(500):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
-        x = z * math.sqrt(level / v0_value(sp.P, z))
+        x = z * math.sqrt(level / quadratic_v0(g, z))
         u = law(x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
@@ -447,7 +485,7 @@ def test_c1_ratio_bounded_as_kappa_vanishes():
     g, _ = _setup()
     rng = np.random.default_rng(9)
     x = rng.standard_normal(2)
-    x /= math.sqrt(v0_value(quadratic_form(g), x))
+    x /= math.sqrt(quadratic_v0(g, x))
     u0, _ = hong_control(g, 0.0, x)
     ratios = []
     for kap in (1e-2, 1e-3, 1e-4):
