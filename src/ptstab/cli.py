@@ -25,7 +25,6 @@ from .gainfile import (
 )
 from .hong import (
     KAPPA_POINTS,
-    MAX_ROUNDS,
     GainSynthesisError,
     decay_residual,
     synthesize_hong_gains,
@@ -84,14 +83,7 @@ def cmd_synthesize(args) -> int:
             ells = [float(v) for v in g.ell]
             print(f"hong gains written to {args.out} (ell={ells}, C={g.C:.6g})")
     except (SynthesisError, GainSynthesisError) as exc:
-        msg = f"synthesis failed: {exc}"
-        if getattr(exc, "worst", None) is not None:
-            kap, _, ratio = exc.worst
-            msg += (
-                f" ({MAX_ROUNDS} repair rounds; last round's worst sample: kappa={kap:.4g},"
-                f" ratio={ratio:.4g} against C_raw={exc.c_raw:.4g})"
-            )
-        print(msg, file=sys.stderr)
+        print(f"synthesis failed: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         return _cannot_write(exc)

@@ -1,10 +1,11 @@
 """Flat text formats: gain files and experiment configs.
 
 Gain files are diffable key=value text holding exactly the keys of their
-kind (_KEYS); vectors use ';' between entries and matrices join ';'-rows
-with ' , '.  Floats carry 17 significant digits so a write/read round trip
-is exact.  Configs are flat 'section.key = value' lines; unknown keys are
-rejected.
+kind, in the order of _FIELDS, which pairs each key with its format and
+parser: write_gains and read_gains walk that one table.  Vectors use ';'
+between entries and matrices join ';'-rows with ' , '.  Floats carry 17
+significant digits so a write/read round trip is exact.  Configs are flat
+'section.key = value' lines; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ __all__ = [
 ]
 
 FORMAT_TAG = "ptstab-gains-v2"
-# integer entries of a hong certificate; the first three are sample counts
+# integer entries of a hong certificate that count samples
 _CERT_COUNTS = ("kappa_points", "samples_per_level", "verify_samples_per_kappa")
-_CERT_INTS = _CERT_COUNTS + ("seed", "repair_rounds")
-_CERT_KEYS = _CERT_INTS + ("c_raw", "worst_residual")
-# every key of a gain file after format and kind, in the order write_gains
-# writes them; read_gains requires each one and refuses any other
-_KEYS = {
-    "pnf": ("n", "b_lower", "K", "S", "rho", "C0", "rho0"),
-    "hong": ("n", "b_lower", "ell", "C", "kappa_pos") + tuple(f"certificate.{key}" for key in _CERT_KEYS),
-}
 
 
 class ConfigError(ValueError):
@@ -71,23 +64,32 @@ def _parse_matrix(s: str) -> np.ndarray:
     return np.array([[_finite(x) for x in row.split(";")] for row in s.split(",")])
 
 
+_INT = (str, int)
+_FLOAT = (format_float, _finite)
+_VECTOR = (_fmt_vector, _parse_vector)
+_MATRIX = (_fmt_matrix, _parse_matrix)
+# per kind, every key of a gain file after format and kind, in file order, with
+# its (format, parse) pair; read_gains requires each one and refuses any other
+_FIELDS = {
+    "pnf": {"n": _INT, "b_lower": _FLOAT, "K": _VECTOR, "S": _MATRIX, "rho": _FLOAT, "C0": _FLOAT, "rho0": _FLOAT},
+    "hong": {"n": _INT, "b_lower": _FLOAT, "ell": _VECTOR, "C": _FLOAT, "kappa_pos": _FLOAT}
+    | {f"certificate.{key}": _INT for key in _CERT_COUNTS + ("seed", "repair_rounds")}
+    | {"certificate.c_raw": _FLOAT, "certificate.worst_residual": _FLOAT},
+}
+
+
 def write_gains(path: str, g, b_lower: float | None = None):
     """Serialize a LinearGain or HongGainSet with its certificate; b_lower is a hong file's record."""
     if isinstance(g, LinearGain):
-        kind = "pnf"
-        values = [str(g.n), format_float(g.b_lower), _fmt_vector(g.K), _fmt_matrix(g.S)]
-        values += [format_float(v) for v in (g.rho, g.C0, g.rho0)]
+        kind, values = "pnf", vars(g)
     elif isinstance(g, HongGainSet):
         kind = "hong"
-        values = [str(g.n), format_float(1.0 if b_lower is None else b_lower), _fmt_vector(g.ell)]
-        values += [format_float(g.C), format_float(g.kappa_pos)]
-        for key in _CERT_KEYS:
-            val = g.certificate[key]
-            values.append(format_float(val) if isinstance(val, float) else str(val))
+        values = {**vars(g), "b_lower": 1.0 if b_lower is None else b_lower}
+        values.update({f"certificate.{key}": val for key, val in g.certificate.items()})
     else:
         raise TypeError(f"cannot serialize {type(g)}")
     lines = [f"format = {FORMAT_TAG}", f"kind = {kind}"]
-    lines += [f"{key} = {val}" for key, val in zip(_KEYS[kind], values)]
+    lines += [f"{key} = {fmt(values[key])}" for key, (fmt, _) in _FIELDS[kind].items()]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -110,56 +112,46 @@ def _read_kv(path: str) -> dict:
 def read_gains(path: str):
     """Parse a gain file back into its dataclass; returns (gains, b_lower).
 
-    The file holds exactly the keys of its kind in _KEYS; a missing or any
+    The file holds exactly the keys of its kind in _FIELDS; a missing or any
     other key makes it unreadable.
     """
     kv = _read_kv(path)
     if kv.pop("format", None) != FORMAT_TAG:
         raise ConfigError(f"{path}: missing or unknown format tag, expected format = {FORMAT_TAG}")
     kind = kv.pop("kind", None)
-    if kind not in _KEYS:
+    if kind not in _FIELDS:
         raise ConfigError(f"{path}: unknown gain kind {kind!r}")
-    keys = _KEYS[kind]
-    wrong = [f"unknown key {key}" for key in kv if key not in keys]
-    wrong += [f"missing key {key}" for key in keys if key not in kv]
+    fields = _FIELDS[kind]
+    wrong = [f"unknown key {key}" for key in kv if key not in fields]
+    wrong += [f"missing key {key}" for key in fields if key not in kv]
     if wrong:
         raise ConfigError(f"{path}: " + ", ".join(wrong))
     try:
-        n = int(kv["n"])
+        values = {key: parse(kv[key]) for key, (_, parse) in fields.items()}
+        n = values["n"]
         if kind == "pnf":
-            g = LinearGain(
-                n=n,
-                K=_parse_vector(kv["K"]),
-                S=_parse_matrix(kv["S"]),
-                rho=_finite(kv["rho"]),
-                b_lower=_finite(kv["b_lower"]),
-                C0=_finite(kv["C0"]),
-                rho0=_finite(kv["rho0"]),
-            )
+            g = LinearGain(**values)
             if g.K.shape != (n,) or g.S.shape != (n, n):
                 raise ValueError("inconsistent dimensions")
             # C0 = 0 means no perturbation certificate; a negative C0 is a corrupt value
             if g.C0 < 0:
                 raise ValueError(f"C0 = {kv['C0']} is negative")
             return g, g.b_lower
-        ell = _parse_vector(kv["ell"])
-        if ell.shape != (n,):
+        b_lower = values.pop("b_lower")
+        cert = {key.removeprefix("certificate."): values.pop(key) for key in fields if key.startswith("certificate.")}
+        g = HongGainSet(**values, certificate=cert)
+        if g.ell.shape != (n,):
             raise ValueError("inconsistent dimensions")
         # the cascade is defined for |kappa| <= 1/(2n), so the certified interval is [-1/(2n), kappa_pos]
-        kappa_pos = _finite(kv["kappa_pos"])
-        if not 0 < kappa_pos <= 1.0 / (2 * n):
+        if not 0 < g.kappa_pos <= 1.0 / (2 * n):
             raise ValueError(f"kappa_pos = {kv['kappa_pos']} outside (0, 1/(2n)] for n = {n}")
-        cert = {}
-        for key in _CERT_KEYS:
-            val = kv[f"certificate.{key}"]
-            cert[key] = int(val) if key in _CERT_INTS else _finite(val)
-            if key in _CERT_COUNTS and cert[key] < 1:
-                raise ValueError(f"certificate.{key} = {val} is below 1")
+        for key in _CERT_COUNTS:
+            if cert[key] < 1:
+                raise ValueError(f"certificate.{key} = {kv['certificate.' + key]} is below 1")
         # verify measures the rescanned constant relative to c_raw
         if not cert["c_raw"] > 0:
             raise ValueError(f"certificate.c_raw = {kv['certificate.c_raw']} is not positive")
-        g = HongGainSet(n=n, ell=ell, C=_finite(kv["C"]), kappa_pos=kappa_pos, certificate=cert)
-        return g, _finite(kv["b_lower"])
+        return g, b_lower
     except ValueError as exc:
         raise ConfigError(f"{path}: corrupt gain file ({exc})") from exc
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,9 +78,16 @@ VERIFY_SAMPLES_PER_KAPPA = 1500
 
 class GainSynthesisError(RuntimeError):
     """Synthesis gave up; worst is the last round's worst (kappa, x, ratio)
-    and c_raw the raw constant that round was judged against."""
+    and c_raw the raw constant that round was judged against.  Given them,
+    the message ends with that evidence."""
 
     def __init__(self, msg, worst=None, c_raw=None):
+        if worst is not None:
+            kap, _, ratio = worst
+            msg += (
+                f" ({MAX_ROUNDS} repair rounds; last round's worst sample: kappa={kap:.4g},"
+                f" ratio={ratio:.4g} against C_raw={c_raw:.4g})"
+            )
         super().__init__(msg)
         self.worst = worst
         self.c_raw = c_raw
@@ -108,16 +114,11 @@ def kappa_pos_certified(n: int) -> float:
     return 1.0 / (2 * n) if n <= 2 else min(1.0 / (4 * n), 0.02)
 
 
-# bounded, since the public hong_* functions take any kappa; the fixed-time
-# law sends its in-band degrees to _level_exponents, past this cache
-@lru_cache(maxsize=32)
-def _exponents(n: int, kappa: float) -> tuple:
-    """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the cascade, unchecked."""
-    return _level_exponents(n, float(kappa))
+def _exponents(n: int, kappa) -> tuple:
+    """Per-level (b_{j-1}, b_{j-1} + 1, r_{j+1}/(r_j b_{j-1})) of the cascade, unchecked.
 
-
-def _level_exponents(n: int, kappa) -> tuple:
-    """_exponents uncached, for a float kappa or elementwise for an array of them."""
+    kappa is a float, or an array of degrees whose exponents come elementwise.
+    """
     r = _hong_r(n + 1, kappa)
     out = []
     for lvl in range(n):
@@ -156,12 +157,12 @@ def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
 
 
 def _pow0(a: np.ndarray, e) -> np.ndarray:
-    """a^e of magnitudes a >= 0 with the a.e. convention 0^e := 0, also for e <= 0.
+    """a^e of magnitudes a >= 0, with 0^0 = 1 and the a.e. convention 0^e := 0 for e < 0.
 
-    e is a float or an array of exponents, one per entry of a.
+    e is a float, or an array of positive exponents, one per entry of a.
     """
-    if isinstance(e, float) and e > 0:
-        return np.power(a, e)  # 0^e is 0 already
+    if isinstance(e, float) and e >= 0:
+        return np.power(a, e)  # 0^e is 0 already, and 0^0 is 1
     return np.power(a, e, out=np.zeros(len(a)), where=a != 0)
 
 
@@ -169,17 +170,16 @@ def _cascade_rows(ell, kappa, X: np.ndarray, grad: bool = True):
     """The batched cascade over the rows of X (shape (N, j)), one level at a time.
 
     kappa is one float for all rows, or an (N,) array giving each row its
-    own degree (the float path keeps the cached, scalar exponents).  Returns
-    (V, vs, gradV, dv, gap): V per row; vs, the v_l per level (vs[-1] is u);
-    gradV and dv, the columns of grad V and of the gradient of the last v
-    (None unless grad); and gap = min_l |x_l - v_{l-1}|, the distance to the
-    signed-power kinks where the a.e. gradient formulas fail.  Every array
-    is one contiguous (N,) vector, and each |.|^e is taken once.
+    own degree.  Returns (V, vs, gradV, dv, gap): V per row; vs, the v_l per
+    level (vs[-1] is u); gradV and dv, the columns of grad V and of the
+    gradient of the last v (None unless grad); and gap = min_l |x_l - v_{l-1}|,
+    the distance to the signed-power kinks where the a.e. gradient formulas
+    fail.  Every array is one contiguous (N,) vector, and each |.|^e is
+    taken once.
     """
     XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
     vs, gradV, dv = [], [], []
-    exps = _exponents(len(XT), kappa) if np.ndim(kappa) == 0 else _level_exponents(len(XT), kappa)
-    for lvl, (b, b1, gam) in enumerate(exps):
+    for lvl, (b, b1, gam) in enumerate(_exponents(len(XT), kappa)):
         xl = XT[lvl]
         ax = np.abs(xl)
         sx = np.sign(xl) * _pow0(ax, b)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainSpec
-from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, _level_exponents, alpha_of
+from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, alpha_of
 
 __all__ = [
     "SwitchDesignError",
@@ -97,7 +97,7 @@ def fixed_time_law(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
 
     def law(x) -> float:
         kappa = kappa_of_v0(v0(x))
-        exps = saturated.get(kappa) or _level_exponents(n, kappa)
+        exps = saturated.get(kappa) or _exponents(n, kappa)
         return _cascade(ell, exps, x, want_value=False)[0] / b_lower
 
     return law

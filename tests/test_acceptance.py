@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the line-per-criterion
 output.  Every tolerance is fixed here; nothing is calibrated at run time.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -310,20 +311,25 @@ def test_warped_time_sinusoid_realizes_lambda_growth(pnf_certified):
 # 8 ---------------------------------------------------------------------------
 
 
-def test_criterion_08_fixed_time_settling(hong2, switch2):
+def _fixed_time_runs(hong2, switch2, bound):
+    """Criterion 8's 200 runs, each with horizon 1.05*bound, as (r, traj), one at a time."""
     spec = ChainSpec(n=2, T=1.0)
     ctrl = fixed_time_controller(hong2, switch2)
-    bound = switch2.T_settle
     rng = np.random.default_rng(8)
-    worst = 0.0
     for _ in range(200):
         r = 10.0 ** rng.uniform(-2.0, 3.0)
         direction = rng.standard_normal(2)
         x0 = r * direction / np.linalg.norm(direction)
-        traj = integrate(
+        yield r, integrate(
             spec, ctrl, DisturbanceSpec(), x0,
             SimOptions(rel_tol=1e-8), horizon=1.05 * bound,
         )
+
+
+def test_criterion_08_fixed_time_settling(hong2, switch2):
+    bound = switch2.T_settle
+    worst = 0.0
+    for r, traj in _fixed_time_runs(hong2, switch2, bound):
         assert traj.status == "settled", r
         assert traj.settle_time <= bound
         worst = max(worst, traj.settle_time)
@@ -332,28 +338,42 @@ def test_criterion_08_fixed_time_settling(hong2, switch2):
     _ok(8, f"200 ICs in [1e-2, 1e3] settle; worst {worst:.1f} <= bound {bound:.1f} ({bound / worst:.1f}x)")
 
 
+def test_criterion_08_fails_at_a_tenth_of_the_bound(hong2, switch2):
+    # negative control: T_settle/10 lies below the worst observed settling
+    # time, so some run must miss it; the search stops at the first that does
+    bound = switch2.T_settle / 10.0
+    missed = next(
+        (r for r, traj in _fixed_time_runs(hong2, switch2, bound)
+         if traj.status != "settled" or traj.settle_time > bound),
+        None,
+    )
+    assert missed is not None
+
+
 # 9 ---------------------------------------------------------------------------
 
 
-def test_criterion_09_prescribed_time_rescaling(hong2, switch2):
+def _prescribed_time_runs(hong2, sp, T_target):
+    """Criterion 9's 50 runs at T_target, each with horizon 1.2*T_target, one at a time."""
     spec = ChainSpec(n=2, T=1.0)
-    rng_ics = [np.random.default_rng(900 + k) for k in range(50)]
-    ics = []
-    for rng in rng_ics:
+    ctrl = prescribed_time_controller(hong2, sp, T_target)
+    for k in range(50):
+        rng = np.random.default_rng(900 + k)
         r = 10.0 ** rng.uniform(-2.0, 1.0)
         d = rng.standard_normal(2)
-        ics.append(r * d / np.linalg.norm(d))
+        yield integrate(
+            spec, ctrl, DisturbanceSpec(), r * d / np.linalg.norm(d),
+            SimOptions(rel_tol=1e-8), horizon=1.2 * T_target,
+        )
+
+
+def test_criterion_09_prescribed_time_rescaling(hong2, switch2):
     settle = {}
     peak_u = {}
     for T_target in (2.0, 1.0, 0.5):
-        ctrl = prescribed_time_controller(hong2, switch2, T_target)
         times = []
         peak_u[T_target] = 0.0
-        for x0 in ics:
-            traj = integrate(
-                spec, ctrl, DisturbanceSpec(), x0,
-                SimOptions(rel_tol=1e-8), horizon=1.2 * T_target,
-            )
+        for traj in _prescribed_time_runs(hong2, switch2, T_target):
             assert traj.status == "settled"
             assert traj.settle_time <= T_target
             times.append(traj.settle_time)
@@ -364,6 +384,20 @@ def test_criterion_09_prescribed_time_rescaling(hong2, switch2):
         assert settle[0.5][k] <= settle[1.0][k] + 1e-12
     peaks = ", ".join(f"{u:.3g} at T_target {T:g}" for T, u in peak_u.items())
     _ok(9, f"150 runs settle within T_target; halving the target never slows settling; peak |u| {peaks}")
+
+
+def test_criterion_09_fails_with_a_tenth_of_the_settling_bound(hong2, switch2):
+    # negative control: a design whose T_settle is divided by 10 dilates the
+    # state 10x less, so at each target some run must miss T_target; the
+    # search stops at the first that does
+    short = dataclasses.replace(switch2, T_settle=switch2.T_settle / 10.0)
+    for T_target in (2.0, 1.0, 0.5):
+        missed = next(
+            (traj for traj in _prescribed_time_runs(hong2, short, T_target)
+             if traj.status != "settled" or traj.settle_time > T_target),
+            None,
+        )
+        assert missed is not None, T_target
 
 
 # 10 --------------------------------------------------------------------------

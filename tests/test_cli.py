@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -15,7 +16,7 @@ import pytest
 from ptstab import cli, hong
 from ptstab.cli import main
 from ptstab.gainfile import CONFIG_SCHEMA, ConfigError, read_config, read_gains, validate_config, write_gains
-from ptstab.hong import synthesize_hong_gains
+from ptstab.hong import GainSynthesisError, HongGainSet, synthesize_hong_gains
 from ptstab.pnf import LinearGain, certify_perturbation, synthesize_linear_gain
 from ptstab.timescale import Density, build
 
@@ -72,6 +73,27 @@ def test_gain_roundtrip_full_precision(tmp_path):
     write_gains(str(tmp_path / "h2.gains"), h2, b_lower=bl)
     assert Path(tmp_path, "g2.gains").read_bytes() == Path(path).read_bytes()
     assert Path(tmp_path, "h2.gains").read_bytes() == Path(hpath).read_bytes()
+
+
+def test_gain_file_lines_are_the_gain_fields(tmp_path, monkeypatch):
+    # write_gains walks the format's keys and would drop any field or
+    # certificate entry they miss: a pnf file has one line per LinearGain
+    # field, a hong file one per HongGainSet field, certificate entry and b_lower
+    def keys(path):
+        return {ln.split(" = ")[0] for ln in path.read_text().splitlines()} - {"format", "kind"}
+
+    pnf = tmp_path / "p.gains"
+    write_gains(str(pnf), synthesize_linear_gain(2, 1.0))
+    assert keys(pnf) == {f.name for f in dataclasses.fields(LinearGain)}
+
+    monkeypatch.setattr(hong, "SAMPLES_PER_LEVEL", 50)
+    monkeypatch.setattr(hong, "VERIFY_SAMPLES_PER_KAPPA", 50)
+    h = synthesize_hong_gains(1)
+    path = tmp_path / "h.gains"
+    write_gains(str(path), h)
+    cert = {f"certificate.{key}" for key in h.certificate}
+    assert {key for key in keys(path) if key.startswith("certificate.")} == cert
+    assert keys(path) - cert == {f.name for f in dataclasses.fields(HongGainSet)} - {"certificate"} | {"b_lower"}
 
 
 def test_verify_fresh_and_corrupted(tmp_path):
@@ -737,6 +759,22 @@ def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
     _one_line_error(capsys, "synthesis failed: ")
     assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0"]) == 2
     _one_line_error(capsys, "synthesis failed: ")
+
+
+def test_inline_hong_failure_names_its_evidence(tmp_path, capsys, monkeypatch):
+    # simulate and sweep print the evidence line that synthesize prints
+    def fail_synthesis(*args, **kwargs):
+        raise GainSynthesisError("decay verification failed after repairs", (0.02, np.zeros(2), 699.6), 1.697e4)
+
+    monkeypatch.setattr(cli, "synthesize_hong_gains", fail_synthesis)
+    cfg = _write_cfg(tmp_path / "h.cfg", ["plant.n = 2", "controller.kind = fixed_time", f"output.dir = {tmp_path}"])
+    want = (
+        "synthesis failed: decay verification failed after repairs (20 repair rounds; last round's worst"
+        " sample: kappa=0.02, ratio=699.6 against C_raw=1.697e+04)"
+    )
+    for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0"]):
+        assert main(argv) == 2
+        assert _one_line_error(capsys, "synthesis failed: ") == want
 
 
 @pytest.fixture(scope="module")

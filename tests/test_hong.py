@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, getcontext
 
@@ -18,7 +19,7 @@ from ptstab.hong import (
     synthesize_hong_gains,
     verify_decay,
 )
-from oracles import sphere_residual
+from oracles import quadratic_form, sphere_residual
 
 getcontext().prec = 60
 
@@ -186,6 +187,21 @@ def test_gradient_finite_differences(n):
             checked += 1
 
 
+@pytest.mark.parametrize("ell", [(1.0, 2.0), (1.0, 2.0, 8.0)])
+def test_v0_gradient_at_exact_zeros_matches_the_quadratic_form(ell):
+    # at kappa = 0 every chain-rule exponent b - 1 and gamma - 1 is 0, so
+    # states with zero coordinates (and zero v's) need 0^0 = 1 to keep 2Px
+    n = len(ell)
+    g = _gains(n, ell)
+    P = quadratic_form(g)
+    X = np.array([x for x in itertools.product((0.0, 1.0, -2.5), repeat=n) if any(x)])
+    for x in X:
+        _, grad = hong_lyapunov(g, 0.0, x)
+        np.testing.assert_allclose(grad, 2.0 * P @ x, rtol=1e-14, atol=1e-14)
+    gradV = hong._cascade_rows(g.ell, 0.0, X)[2]
+    np.testing.assert_allclose(np.column_stack(gradV), 2.0 * X @ P, rtol=1e-14, atol=1e-14)
+
+
 # -- synthesis and decay certificates --------------------------------------
 
 
@@ -285,8 +301,9 @@ def test_verify_refinement_stability():
 
 
 def _oracle_abs_pow(B, e):
+    """|B|^e with 0^0 = 1 and 0^e := 0 for e < 0."""
     out = np.zeros_like(B)
-    nz = B != 0
+    nz = (B != 0) | (e == 0)
     out[nz] = np.abs(B[nz]) ** e
     return out
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ptstab import hong, sim
+from ptstab import hong, sim, switching
 from ptstab.core import ChainSpec, dilate, pnf_weights
 from ptstab.hong import (
     hong_control,
@@ -20,6 +20,7 @@ from ptstab.sim import (
     prescribed_time_controller,
 )
 from ptstab.switching import (
+    SwitchDesignError,
     SwitchParams,
     _band_frac,
     _band_scan,
@@ -434,6 +435,21 @@ def test_design_gives_finite_kappa0_and_settling_bound(n):
     for m in (0.0, 1.0):
         with pytest.raises(ValueError):
             design_switch_params(g, m=m)
+
+
+def test_design_gives_up_after_40_halvings(monkeypatch):
+    # a band margin that never holds halves kappa0 from the cap 40 times, then refuses
+    g = _small_gains(1)
+    tried = []
+
+    def never_holds(g, blocks, kappa0):
+        tried.append(kappa0)
+        return math.inf
+
+    monkeypatch.setattr(switching, "_band_worst", never_holds)
+    with pytest.raises(SwitchDesignError, match="band decay could not be certified"):
+        design_switch_params(g, m=0.5)
+    assert tried == [min(0.999 * g.kappa_pos, 0.999 / 2) * 0.5**k for k in range(40)]
 
 
 @pytest.mark.parametrize(

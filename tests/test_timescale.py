@@ -175,6 +175,18 @@ def test_expflat_areas():
     assert ts.a_sup() == pytest.approx(4.0 * math.exp(-2.0))
 
 
+@pytest.mark.parametrize("T", [0.1, 0.3, 0.49])
+def test_expflat_a_sup_below_half_is_the_value_at_zero(T):
+    # a(t) = exp(-1/(T-t))/(T-t)^2 peaks at T-t = 1/2, out of reach for T < 1/2,
+    # so a_sup (the default eta's C_a) is a(0); a dense sample finds no larger value
+    ts = build(T, Density("expflat"))
+    t = np.linspace(0.0, T * (1.0 - 1e-9), 200_001)
+    u = T - t
+    sampled = float(np.max(np.exp(-1.0 / u) / u**2))
+    assert ts.a_sup() == pytest.approx(sampled, rel=1e-14)
+    assert ts.a_sup() == ts.a(0.0)
+
+
 def test_horizon_guard():
     ts = build(1.0, Density("constant", 1.0))
     with pytest.raises(ValueError):
