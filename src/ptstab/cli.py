@@ -197,11 +197,33 @@ def _config_values(section: str):
         raise ConfigError(f"{section}: {exc}") from None
 
 
+# The controller catalog: each kind's gain-file kind, the controller.* keys it reads
+# and its builder (gains, design, problem) -> Controller, the design being a pnf time
+# scale or a hong switch design.  A builder looks its law up in this module when it runs, so patches apply.
+_SWITCHING_KEYS = ("kind", "gains", "synth_seed", "m", "design_seed")
+_CONTROLLERS = {
+    "pnf": ("pnf", ("kind", "gains", "eta", "density", "density_param", "t_stop_frac"),
+        lambda g, ts, p: pnf_controller(g, ts, p.cfg["controller.eta"], p.cfg["controller.t_stop_frac"])),
+    "fixed_time": ("hong", _SWITCHING_KEYS, lambda g, sp, p: fixed_time_controller(g, sp, p.spec.b_lower)),
+    "matched_robust": ("hong", _SWITCHING_KEYS + ("reg_eps",),
+        lambda g, sp, p: robust_controller(g, sp, p.spec, p.cfg["controller.reg_eps"])),
+    "prescribed_time": ("hong", _SWITCHING_KEYS + ("t_target",),
+        lambda g, sp, p: prescribed_time_controller(g, sp, p.cfg["controller.t_target"], p.spec.b_lower)),
+}
+
+
 class _Problem:
     """Everything a batch of runs needs, built once from a config's key-value dict."""
 
     def __init__(self, kv: dict):
         cfg = self.cfg = validate_config(kv)
+        kind = cfg["controller.kind"]
+        if kind not in _CONTROLLERS:
+            raise ConfigError(f"controller.kind must be one of {tuple(_CONTROLLERS)}")
+        gain_kind, reads, build_controller = _CONTROLLERS[kind]
+        unread = [key for key in kv if key.startswith("controller.") and key.removeprefix("controller.") not in reads]
+        if unread:
+            raise ConfigError(f"controller.kind = {kind} does not read {', '.join(unread)}")
         n = cfg["plant.n"]
         with _config_values("plant"):
             spec = self.spec = ChainSpec(
@@ -238,11 +260,11 @@ class _Problem:
                     f"{key}: sine frequency {freq!r} makes {cycles:.3g} cycles over sim.horizon,"
                     f" more than sim.max_steps = {cfg['sim.max_steps']}"
                 )
-        kind, values = specs["disturbance.b"]
+        profile, values = specs["disturbance.b"]
         with _config_values("disturbance.b"):
-            self.b = _B_PROFILES[kind][1](values)
+            self.b = _B_PROFILES[profile][1](values)
         # every certificate assumes b within the plant's declared bounds
-        b_lo, b_hi = (values["v"], values["v"]) if kind == "constant" else (values["lo"], values["hi"])
+        b_lo, b_hi = (values["v"], values["v"]) if profile == "constant" else (values["lo"], values["hi"])
         if b_lo < spec.b_lower or b_hi > spec.b_upper:
             raise ConfigError(
                 f"disturbance.b: range [{b_lo!r}, {b_hi!r}] leaves"
@@ -258,43 +280,32 @@ class _Problem:
                 settle_radius=cfg["sim.settle_radius"],
                 max_steps=cfg["sim.max_steps"],
             )
-        kind = cfg["controller.kind"]
-        if kind == "pnf":
+        if gain_kind == "pnf":
             with _config_values("controller.density"):
-                ts = build(spec.T, Density(cfg["controller.density"], cfg["controller.density_param"]))
+                design = build(spec.T, Density(cfg["controller.density"], cfg["controller.density_param"]))
         if cfg["controller.gains"]:
             g, _ = read_gains(cfg["controller.gains"])
-            if hasattr(g, "K") != (kind == "pnf"):
-                raise ConfigError(f"{kind} controller needs a {'pnf' if kind == 'pnf' else 'hong'} gain file")
+            if hasattr(g, "K") != (gain_kind == "pnf"):
+                raise ConfigError(f"{kind} controller needs a {gain_kind} gain file")
             # the LMI certificate of a pnf gain holds only for b >= g.b_lower
-            if kind == "pnf" and g.b_lower > spec.b_lower:
+            if gain_kind == "pnf" and g.b_lower > spec.b_lower:
                 raise ConfigError(
                     f"{cfg['controller.gains']}: pnf gains certified for b >= {g.b_lower!r},"
                     f" above plant.b_lower = {spec.b_lower!r}"
                 )
-        elif kind == "pnf":
+        elif gain_kind == "pnf":
             g = synthesize_linear_gain(n, spec.b_lower)
         else:
             g = synthesize_hong_gains(n, cfg["controller.synth_seed"])
-        if kind != "pnf":
+        if gain_kind == "hong":
             # an unbounded plant is designed for the largest b its runs see
             b_up = spec.b_upper if math.isfinite(spec.b_upper) else b_hi
-            sp = design_switch_params(
-                g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"]
-            )
+            design = design_switch_params(g, m=cfg["controller.m"], b_upper=b_up, seed=cfg["controller.design_seed"])
+        elif "controller.eta" not in kv and g.C0 > 0:
+            # an unset pnf eta is the least one the perturbation certificate covers, 1 when C0 = 0
+            cfg["controller.eta"] = max(1.0, design.a_sup() / g.C0)
         with _config_values("controller"):
-            if kind == "pnf":
-                # an unset eta is the least one the perturbation certificate covers, 1 when C0 = 0
-                eta = cfg["controller.eta"] if "controller.eta" in kv or g.C0 <= 0 else max(1.0, ts.a_sup() / g.C0)
-                self.controller = pnf_controller(g, ts, eta, cfg["controller.t_stop_frac"])
-            elif kind == "fixed_time":
-                self.controller = fixed_time_controller(g, sp, b_lower=spec.b_lower)
-            elif kind == "matched_robust":
-                self.controller = robust_controller(g, sp, spec, cfg["controller.reg_eps"])
-            else:
-                self.controller = prescribed_time_controller(
-                    g, sp, cfg["controller.t_target"], b_lower=spec.b_lower
-                )
+            self.controller = build_controller(g, design, self)
 
     def _signal(self, key: str, seed: int):
         """The disturbance.<key> signal of a run; noise draws its table from seed."""
@@ -405,30 +416,27 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# each sweep parameter: the config key it sets, and the controller kinds that read it (None: every kind)
+# each sweep parameter and the config key it sets
 _SWEEP_PARAMS = {
-    "d1_amp": ("disturbance.d1", None),
-    "d2_amp": ("disturbance.d2", None),
-    "eta": ("controller.eta", ("pnf",)),
-    "T_target": ("controller.t_target", ("prescribed_time",)),
+    "d1_amp": "disturbance.d1",
+    "d2_amp": "disturbance.d2",
+    "eta": "controller.eta",
+    "T_target": "controller.t_target",
 }
 
 
 def _apply_sweep(kv: dict, param: str, value: float) -> dict:
     """The config kv with param set to value; an amplitude replaces the first value of its spec."""
-    key, kinds = _SWEEP_PARAMS[param]
-    kind = kv.get("controller.kind")
-    if kinds is not None and kind is not None and kind not in kinds:
-        raise ConfigError(f"--param {param} sets {key}, which controller.kind = {kind} does not read")
-    kv = dict(kv)
-    if kinds is not None:
-        kv[key] = repr(value)
-    else:
-        signal, values = _parse_spec(key, kv.get(key, "zero"), _SIGNALS)
-        rest = list(values.values())[1:]
-        signal = "constant" if signal == "zero" else signal
-        kv[key] = "zero" if value == 0 else f"{signal}:" + ",".join(map(repr, [value] + rest))
-    return kv
+    key = _SWEEP_PARAMS[param]
+    if key.startswith("controller."):
+        kind = kv.get("controller.kind")
+        if kind in _CONTROLLERS and key.removeprefix("controller.") not in _CONTROLLERS[kind][1]:
+            raise ConfigError(f"--param {param} sets {key}, which controller.kind = {kind} does not read")
+        return {**kv, key: repr(value)}
+    signal, values = _parse_spec(key, kv.get(key, "zero"), _SIGNALS)
+    rest = list(values.values())[1:]
+    signal = "constant" if signal == "zero" else signal
+    return {**kv, key: "zero" if value == 0 else f"{signal}:" + ",".join(map(repr, [value] + rest))}
 
 
 def cmd_sweep(args) -> int:

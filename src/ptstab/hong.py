@@ -157,13 +157,12 @@ def _cascade(ell, exps, x, want_value: bool = True, vs: list | None = None):
 
 
 def _pow0(a: np.ndarray, e) -> np.ndarray:
-    """a^e of magnitudes a >= 0, with 0^0 = 1 and the a.e. convention 0^e := 0 for e < 0.
-
-    e is a float, or an array of positive exponents, one per entry of a.
-    """
+    """a^e of magnitudes a >= 0, e a float or one exponent per entry: 0^0 = 1, and the a.e. 0^e := 0 for e < 0."""
     if isinstance(e, float) and e >= 0:
         return np.power(a, e)  # 0^e is 0 already, and 0^0 is 1
-    return np.power(a, e, out=np.zeros(len(a)), where=a != 0)
+    # a float e is negative here; an array e may hold zeros, whose 0^0 = 1 the mask keeps
+    nonzero = a != 0 if isinstance(e, float) else (a != 0) | (e >= 0)
+    return np.power(a, e, out=np.zeros(len(a)), where=nonzero)
 
 
 def _cascade_rows(ell, kappa, X: np.ndarray, grad: bool = True):

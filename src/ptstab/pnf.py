@@ -239,7 +239,7 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
 
 
 def _feedback(K, r, s: float, x) -> float:
-    """-sum_i K_i (s^r_i x_i) in floats, added left to right from 0.0; a power past the double range is inf, as numpy's."""
+    """-sum_i K_i s^r_i x_i in floats, added left to right from 0.0; a power beyond double range is inf, as numpy's."""
     acc = 0.0
     for k, ri, xi in zip(K, r, x):
         try:

@@ -151,6 +151,15 @@ def test_criterion_03_decay_certificate(hong2, hong3):
     _ok(3, "decay constants positive, residuals <= 0, stable under 10x refinement")
 
 
+def test_criterion_03_residual_fails_above_the_certified_constant(hong2, hong3):
+    # negative control: C raised 1.2x claims more decay than the cascade
+    # gives, so criterion 3's residual scan must find dV + C V^(1+a) > 0
+    for g in (hong2, hong3):
+        inflated = dataclasses.replace(g, C=1.2 * g.C)
+        resid = decay_residual(inflated, kappa_points=11, samples_per_kappa=30000, seed=303)
+        assert resid > 0.0, (g.ell, resid)
+
+
 # 4 ---------------------------------------------------------------------------
 
 
@@ -215,34 +224,58 @@ def test_criterion_05_oracle_equivalence():
 # 6 ---------------------------------------------------------------------------
 
 
-def test_criterion_06_pnf_envelope_domination(pnf_certified):
+def _pnf_envelope_runs(gain, loop_gain=None):
+    """Criterion 6's 50 runs at gain.n, one at a time: (traj, envelope per row, |x0|, d amplitude).
+
+    The loop runs loop_gain (gain itself by default) at gain's certified eta;
+    eta and the envelopes always come from gain's certificate.
+    """
     ts = build(1.0, Density("constant", 1.0))
     s_end = ts.s(0.999)
+    n = gain.n
+    eta = max(1.0, ts.a_sup() / gain.C0)
+    spec = ChainSpec(n=n, T=1.0)
+    rng = np.random.default_rng(60 + n)
+    for k in range(50):
+        r = 10.0 ** rng.uniform(-1.0, 1.0)
+        direction = rng.standard_normal(n)
+        x0 = r * direction / np.linalg.norm(direction)
+        amp = 1.0 if k % 2 == 0 else 0.0
+        dist = DisturbanceSpec(
+            d=sine_signal(amp, rng.uniform(0.2, 2.0), rng.uniform(0, 6.28))
+        )
+        traj = integrate_warped(
+            spec, loop_gain or gain, ts, eta, dist, x0,
+            SimOptions(rel_tol=1e-9, abs_tol=1e-12), s_max=s_end,
+        )
+        x0n = float(np.linalg.norm(x0))
+        yield traj, [convergence_envelope(gain, ts, eta, x0n, amp, t) for t in traj.t], x0n, amp
+
+
+def test_criterion_06_pnf_envelope_domination(pnf_certified):
     for n in (2, 3):
-        gain = pnf_certified[n]
-        eta = max(1.0, ts.a_sup() / gain.C0)
-        spec = ChainSpec(n=n, T=1.0)
-        rng = np.random.default_rng(60 + n)
-        for k in range(50):
-            r = 10.0 ** rng.uniform(-1.0, 1.0)
-            direction = rng.standard_normal(n)
-            x0 = r * direction / np.linalg.norm(direction)
-            amp = 1.0 if k % 2 == 0 else 0.0
-            dist = DisturbanceSpec(
-                d=sine_signal(amp, rng.uniform(0.2, 2.0), rng.uniform(0, 6.28))
-            )
-            traj = integrate_warped(
-                spec, gain, ts, eta, dist, x0,
-                SimOptions(rel_tol=1e-9, abs_tol=1e-12), s_max=s_end,
-            )
+        for traj, envelope, x0n, amp in _pnf_envelope_runs(pnf_certified[n]):
             assert traj.status in ("horizon", "settled")
-            x0n = float(np.linalg.norm(x0))
-            for i_t in range(len(traj.t)):
-                env = convergence_envelope(gain, ts, eta, x0n, amp, traj.t[i_t])
-                assert np.all(np.abs(traj.x[i_t]) <= env + 1e-15)
+            for x, env in zip(traj.x, envelope):
+                assert np.all(np.abs(x) <= env + 1e-15)
             if amp == 0.0:
                 assert np.linalg.norm(traj.x[-1]) <= 1e-3 * x0n
     _ok(6, "100 runs dominated by the certificate envelope; clean runs decay 1e3-fold")
+
+
+def test_criterion_06_fails_with_a_third_of_the_gain(pnf_certified):
+    # negative control: the loop runs K/3 under the certified gain's eta and
+    # envelope, so at each n some run must leave the envelope or, undisturbed,
+    # miss the 1e3-fold decay; the search stops at the first that does
+    for n in (2, 3):
+        weak = dataclasses.replace(pnf_certified[n], K=pnf_certified[n].K / 3.0)
+        missed = next(
+            (traj for traj, envelope, x0n, amp in _pnf_envelope_runs(pnf_certified[n], weak)
+             if any(np.any(np.abs(x) > env + 1e-15) for x, env in zip(traj.x, envelope))
+             or (amp == 0.0 and np.linalg.norm(traj.x[-1]) > 1e-3 * x0n)),
+            None,
+        )
+        assert missed is not None, n
 
 
 # 7 ---------------------------------------------------------------------------

@@ -590,6 +590,109 @@ def test_sweep_refuses_a_parameter_the_kind_does_not_read(tmp_path, capsys, monk
     assert not out.exists()
 
 
+_WORK = ("read_gains", "synthesize_linear_gain", "synthesize_hong_gains", "design_switch_params", "integrate")
+
+
+def _no_work(monkeypatch, names=_WORK):
+    """Make each cli step in names (a gain-file read, synthesis, switch design, integration) an AssertionError."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("reached a step that a config error must come before")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, no_work)
+
+
+# the controller.* keys each kind reads (the README's controller rows), and a valid value of each
+_SWITCHING_READS = {"kind", "gains", "synth_seed", "m", "design_seed"}
+_READS = {
+    "pnf": {"kind", "gains", "eta", "density", "density_param", "t_stop_frac"},
+    "fixed_time": _SWITCHING_READS,
+    "matched_robust": _SWITCHING_READS | {"reg_eps"},
+    "prescribed_time": _SWITCHING_READS | {"t_target"},
+}
+_VALID = {"eta": "2.0", "density": "power", "density_param": "2", "t_stop_frac": "0.99", "m": "0.4",
+          "t_target": "0.5", "reg_eps": "0.01", "synth_seed": "1", "design_seed": "3"}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, reads in _READS.items() for key in _VALID if key not in reads]
+)
+def test_a_controller_key_the_kind_does_not_read_is_refused(tmp_path, capsys, monkeypatch, kind, key):
+    # simulate used to run such a config as if the key were absent; refused before any gain file or work
+    _no_work(monkeypatch)
+    out = tmp_path / "o"
+    lines = ["plant.n = 2", f"controller.kind = {kind}", f"controller.{key} = {_VALID[key]}", f"output.dir = {out}"]
+    cfg = _write_cfg(tmp_path / "u.cfg", lines)
+    want = f"config error: controller.kind = {kind} does not read controller.{key}"
+    assert main(["simulate", "--config", cfg]) == 1
+    assert _one_line_error(capsys, "config error: ") == want
+    assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0.5,1"]) == 1
+    assert _one_line_error(capsys, "config error: ") == want
+    assert not out.exists()
+
+
+def test_a_fixed_time_config_with_pnf_and_prescribed_time_keys_is_refused(tmp_path, capsys, monkeypatch):
+    # such a config ran a plain fixed-time loop and exited 0; one line names every unread key
+    _no_work(monkeypatch)
+    out = tmp_path / "o"
+    base = ["plant.n = 2", "controller.kind = fixed_time", f"output.dir = {out}"]
+    unread = ["controller.eta = 5", "controller.t_target = 0.5", "controller.density = expflat", "controller.reg_eps = 0.1"]
+    cfg = _write_cfg(tmp_path / "f.cfg", base + unread)
+    want = (
+        "config error: controller.kind = fixed_time does not read"
+        " controller.eta, controller.t_target, controller.density, controller.reg_eps"
+    )
+    for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", "d2_amp", "--values", "1"]):
+        assert main(argv) == 1
+        assert _one_line_error(capsys, "config error: ") == want
+    # a range error is still reported first
+    cfg = _write_cfg(tmp_path / "r.cfg", base + ["controller.eta = -1"])
+    assert main(["simulate", "--config", cfg]) == 1
+    assert _one_line_error(capsys, "config error: ") == "config error: controller.eta must be > 0, got -1.0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", list(_READS))
+def test_every_controller_key_a_kind_reads_is_accepted(tmp_path, monkeypatch, gain_paths, kind):
+    # with no runs, simulate and sweep build the controller from every key the kind reads and exit 0
+    _no_work(monkeypatch, ["integrate"])
+    gains = gain_paths["pnf" if kind == "pnf" else "hong", 2]
+    lines = ["plant.n = 2", f"controller.kind = {kind}", f"controller.gains = {gains}", "runs.count = 0"]
+    lines += [f"controller.{key} = {_VALID[key]}" for key in sorted(_READS[kind] & _VALID.keys())]
+    out = tmp_path / "o"
+    cfg = _write_cfg(tmp_path / "a.cfg", lines + [f"output.dir = {out}"])
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg, "--param", "d2_amp", "--values", "0"]) == 0
+
+
+_UNKNOWN_KIND = "controller.kind must be one of ('pnf', 'fixed_time', 'matched_robust', 'prescribed_time')"
+
+
+@pytest.mark.parametrize(
+    "kind, gains, param, want",
+    [
+        ("bogus", None, "d2_amp", _UNKNOWN_KIND),
+        # the swept eta used to be blamed: "which controller.kind = bogus does not read"
+        ("bogus", None, "eta", _UNKNOWN_KIND),
+        ("pnf", ("hong", 2), "eta", "pnf controller needs a pnf gain file"),
+        ("fixed_time", ("pnf", 2), "d2_amp", "fixed_time controller needs a hong gain file"),
+    ],
+)
+def test_an_unknown_kind_or_a_gain_file_of_the_other_kind_is_refused(
+    tmp_path, capsys, monkeypatch, gain_paths, kind, gains, param, want
+):
+    # one config error line before any synthesis, switch design or run (the gain file is read)
+    _no_work(monkeypatch, _WORK[1:])
+    out = tmp_path / "o"
+    lines = ["plant.n = 2", f"controller.kind = {kind}", f"output.dir = {out}"]
+    cfg = _write_cfg(tmp_path / "k.cfg", lines + ([f"controller.gains = {gain_paths[gains]}"] if gains else []))
+    for argv in (["simulate", "--config", cfg], ["sweep", "--config", cfg, "--param", param, "--values", "0.5,1"]):
+        assert main(argv) == 1
+        assert _one_line_error(capsys, "config error: ") == f"config error: {want}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("param", ["d1_amp", "d2_amp"])
 @pytest.mark.parametrize("template", ["zero:5", "sine:1:2", "square:1", "noise", "constant:0.1,2"])
 def test_sweep_refuses_a_malformed_amplitude_template(tmp_path, capsys, param, template):
@@ -630,6 +733,17 @@ def test_readme_config_table_matches_schema():
     assert rows.keys() == CONFIG_SCHEMA.keys()
     for key, (_, _, rng) in CONFIG_SCHEMA.items():
         assert rng is None or f"`{rng}`" in rows[key], key
+
+
+def test_readme_names_the_kinds_that_read_each_controller_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `controller\.(\w+)` \| [^|]* \| (.*) \|$", readme, re.M))
+    assert rows.keys() == {key.removeprefix("controller.") for key in CONFIG_SCHEMA if key.startswith("controller.")}
+    for key, row in rows.items():
+        head, sep, named = row.rpartition("; read by ")
+        assert sep, key
+        kinds = list(cli._CONTROLLERS) if named == "every kind" else re.findall(r"`(\w+)`", named)
+        assert kinds == [kind for kind, (_, reads, _) in cli._CONTROLLERS.items() if key in reads], key
 
 
 def _spec_examples(form: str) -> list:

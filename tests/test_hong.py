@@ -198,8 +198,10 @@ def test_v0_gradient_at_exact_zeros_matches_the_quadratic_form(ell):
     for x in X:
         _, grad = hong_lyapunov(g, 0.0, x)
         np.testing.assert_allclose(grad, 2.0 * P @ x, rtol=1e-14, atol=1e-14)
-    gradV = hong._cascade_rows(g.ell, 0.0, X)[2]
-    np.testing.assert_allclose(np.column_stack(gradV), 2.0 * X @ P, rtol=1e-14, atol=1e-14)
+    # the float kappa and a per-row kappa array take the same 0^0 = 1
+    for kappa in (0.0, np.zeros(len(X))):
+        gradV = hong._cascade_rows(g.ell, kappa, X)[2]
+        np.testing.assert_allclose(np.column_stack(gradV), 2.0 * X @ P, rtol=1e-14, atol=1e-14)
 
 
 # -- synthesis and decay certificates --------------------------------------
