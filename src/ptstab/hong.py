@@ -160,9 +160,7 @@ def _pow0(a: np.ndarray, e) -> np.ndarray:
     """a^e of magnitudes a >= 0, e a float or one exponent per entry: 0^0 = 1, and the a.e. 0^e := 0 for e < 0."""
     if isinstance(e, float) and e >= 0:
         return np.power(a, e)  # 0^e is 0 already, and 0^0 is 1
-    # a float e is negative here; an array e may hold zeros, whose 0^0 = 1 the mask keeps
-    nonzero = a != 0 if isinstance(e, float) else (a != 0) | (e >= 0)
-    return np.power(a, e, out=np.zeros(len(a)), where=nonzero)
+    return np.power(a, e, out=np.zeros(len(a)), where=(a != 0) | (e >= 0))
 
 
 def _cascade_rows(ell, kappa, X: np.ndarray, grad: bool = True):
