@@ -19,9 +19,9 @@ J^T P + P J - P e_n e_n^T P + Q = 0.  Synthesis searches Q over a short
 geometric family and keeps the gain with the largest dilation-invariant
 perturbation margin.
 
-scipy.linalg is imported inside _riccati_gain and certify_perturbation, the
-two steps of synthesis that need it; checking, reading or running a gain
-does not load scipy.
+Synthesis runs on numpy: P from the matrix sign function (Roberts, Int. J.
+Control 1980; Byers, Linear Algebra Appl. 1987) and one Newton-Kleinman step
+(Kleinman, IEEE TAC 1968), the C0 pencil from a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ C0_REL_TOL = 1e-3
 # synthesis discards weaker candidates and verify fails them
 RHO_FLOOR = 1e-6
 # the Riccati state weights Q = diag(2^(k*(i-1))) searched.  Steepest first:
-# at orders the solver cannot handle, the steep weights fail at once, so
-# synthesis refuses within milliseconds
+# at orders the solver cannot handle, the steep weights fail first, so
+# synthesis refuses before it reaches the others
 Q_RATIO_EXPONENTS = range(4, -9, -1)
+SIGN_TOL, SIGN_MAX_ITER = 1e-12, 40  # sign iteration's last step and step limit; n <= 13 needs <= 20
 
 
 class SynthesisError(RuntimeError):
@@ -165,15 +166,14 @@ def certify_perturbation(g: LinearGain):
     when -M0 is not numerically definite or that check fails.  Updates g in
     place and returns (C0, rho0).
     """
-    from scipy.linalg import eigh
-
     if not all(ok for _, _, ok in _lmi_checks(g)):
         raise ValueError("gain fails its LMI checks; cannot certify perturbation")
     rho0 = g.rho / 2.0
     pencil = _perturbed_pencil(g, rho0)
     M0, H = pencil
     try:
-        mu = eigh(H, -M0, eigvals_only=True)
+        L = np.linalg.cholesky(-M0)
+        mu = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, H).T))
         C0 = (1.0 - C0_REL_TOL) / float(np.max(np.abs(mu)))
     except np.linalg.LinAlgError:
         C0 = 0.0
@@ -184,16 +184,39 @@ def certify_perturbation(g: LinearGain):
     return C0, rho0
 
 
-def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
-    """LQR certificate for Q = diag(2^(k*(i-1))), R = 1, with S scaled to unit norm."""
-    from scipy.linalg import solve_continuous_are
+def _sign(Z: np.ndarray) -> np.ndarray:
+    """sign(Z) by Newton's iteration Z <- (Z/c + c Z^-1)/2, c = |det Z|^(1/m) (Byers 1987).
 
-    en = np.zeros((n, 1))
-    en[n - 1] = 1.0
+    LinAlgError when singular, after SIGN_MAX_ITER steps, or at a step above 1/2 (or NaN) after one below 1/10.
+    """
+    m, low = len(Z), False
+    for _ in range(SIGN_MAX_ITER):
+        Zi, c = np.linalg.inv(Z), math.exp(np.linalg.slogdet(Z)[1] / m)
+        Z, prev = 0.5 * (Z / c + c * Zi), Z
+        delta = np.linalg.norm(Z - prev, 1) / np.linalg.norm(Z, 1)
+        if delta <= SIGN_TOL:
+            return Z
+        if low and not delta <= 0.5:
+            raise np.linalg.LinAlgError("sign iteration diverged")
+        low = low or delta < 0.1
+    raise np.linalg.LinAlgError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
+
+
+def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
+    """LQR certificate for Q = diag(2^(k*(i-1))), R = 1, with S scaled to unit norm.
+
+    [I; P] spans the null space of sign([[J, -G], [-Q, -J^T]]) + I, G = e_n e_n^T.  A Newton-Kleinman step
+    adds E = sign([[A^T, R], [0, -A]])[:n, n:] / 2, A = J - G P, R the Riccati residual: A^T E + E A + R = 0.
+    """
+    J, G = jordan_block(n), np.diag(np.eye(n)[n - 1])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         # the weights overflow for n >= 257, before any n x n matrix exists
-        q = 2.0 ** (k * np.arange(n))
-        P = solve_continuous_are(jordan_block(n), en, np.diag(q), np.eye(1))
+        Q = np.diag(2.0 ** (k * np.arange(n)))
+        W = _sign(np.block([[J, -G], [-Q, -J.T]])) + np.eye(2 * n)
+        P = np.linalg.lstsq(W[:, n:], -W[:, :n])[0]
+        P = 0.5 * (P + P.T)
+        A = J - G @ P
+        P = P + 0.5 * _sign(np.block([[A.T, J.T @ P + P @ A + Q], [np.zeros((n, n)), -A]]))[:n, n:]
     P = 0.5 * (P + P.T)
     g = LinearGain(n=n, K=P[:, n - 1] / b_lower, S=P / _max_eig(P), rho=0.0, b_lower=b_lower)
     g.rho = -_max_eig(_lmi_matrix(g, b_lower))
@@ -224,7 +247,7 @@ def synthesize_linear_gain(n: int, b_lower: float) -> LinearGain:
     for k in Q_RATIO_EXPONENTS:
         try:
             g = _riccati_gain(n, b_lower, k)
-        except (np.linalg.LinAlgError, ValueError, FloatingPointError) as exc:
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise SynthesisError(f"Riccati solver failed at n={n}: {exc}") from exc
         if not g.rho >= RHO_FLOOR:
             continue

@@ -7,8 +7,7 @@ The state map y = D^r_{lambda(t)} x turns the prescribed-time problem on
 
 The constant and power clocks are closed forms.  The expflat clock is a
 table of Gauss-Legendre panels built once per time scale, continued by the
-asymptotic series of its antiderivative (see _ExpflatClock); no density
-needs scipy.
+asymptotic series of its antiderivative (see _ExpflatClock).
 """
 
 from __future__ import annotations

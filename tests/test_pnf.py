@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, solve_continuous_are
 
 from ptstab.core import jordan_block, pnf_weights
 from ptstab.pnf import (
@@ -101,6 +102,24 @@ def test_certify_perturbation_n2():
     # endpoints hold with the certified margin
     for a in (C0, -C0):
         assert _lmi_max_eig(g, g.b_lower, a) <= -rho0 + 1e-8
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_riccati_gain_and_pencil_match_the_scipy_oracles(n):
+    # at every weight the P behind the gain (K = P e_n at b_lower = 1, S ~ P) leaves no larger a Riccati
+    # residual than scipy's solver and agrees with it to 1e-9; where rho clears the floor, the pencil's
+    # max|mu| = (1 - C0_REL_TOL)/C0 agrees with scipy's eigh(H, -M0) to 1e-10
+    J, en = jordan_block(n), np.eye(n)[:, -1:]
+    for k in Q_RATIO_EXPONENTS:
+        g, Q = _riccati_gain(n, 1.0, k), np.diag(2.0 ** (k * np.arange(n)))
+        P, oracle = g.S * (g.K[-1] / g.S[-1, -1]), solve_continuous_are(J, en, Q, np.eye(1))
+        residual = [np.linalg.norm(J.T @ X + X @ J - X @ en @ en.T @ X + Q, 1) for X in (P, 0.5 * (oracle + oracle.T))]
+        assert residual[0] <= residual[1] and np.linalg.norm(P - oracle, 1) <= 1e-9 * np.linalg.norm(oracle, 1), k
+        if g.rho >= RHO_FLOOR:
+            certify_perturbation(g)
+            M0, H = _perturbed_pencil(g, g.rho0)
+            mu = np.max(np.abs(eigh(H, -M0, eigvals_only=True)))
+            assert g.C0 > 0 and (1.0 - C0_REL_TOL) / g.C0 == pytest.approx(mu, rel=1e-10), k
 
 
 @pytest.mark.parametrize("n", range(1, 13))
