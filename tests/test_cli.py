@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import re
@@ -991,22 +992,45 @@ def test_hong_file_without_kappa_pos_is_refused(tmp_path, capsys, fresh_gain_fil
     _one_line_error(capsys, "error: ")
 
 
-def test_every_command_runs_without_scipy(tmp_path, gain_paths):
-    # scipy is a test oracle only: with it blocked, a fresh interpreter synthesizes, verifies and
-    # simulates both kinds (pnf at the expflat density), and writes the in-process pnf bytes
-    pnf, hong, here = (tmp_path / f"{name}.gains" for name in ("pnf", "hong", "here"))
+_NO_SCIPY_COMMANDS = [
+    "synthesize pnf", "synthesize hong", "verify hong", "verify pnf", "simulate matched_robust", "simulate pnf expflat"
+]
+
+
+@pytest.fixture(scope="module")
+def no_scipy_run(tmp_path_factory, gain_paths):
+    """One fresh interpreter with scipy blocked runs every command; its exit codes by command, and its out dir."""
+    d = tmp_path_factory.mktemp("no_scipy")
     synth = ["synthesize", "--n", "2", "--b-lower", "1", "--kind"]
-    argvs = [synth + ["pnf", "--out", pnf], synth + ["hong", "--out", hong], ["verify", "--gains", pnf], ["verify", "--gains", hong]]
-    for kind in ("pnf", "matched_robust"):
+    argvs = {
+        "synthesize pnf": synth + ["pnf", "--out", d / "pnf.gains"],
+        "synthesize hong": synth + ["hong", "--out", d / "hong.gains"],
+        "verify hong": ["verify", "--gains", gain_paths["hong", 2]],
+        "verify pnf": ["verify", "--gains", gain_paths["pnf", 2]],
+    }
+    for kind in ("matched_robust", "pnf"):  # the pnf config runs the expflat density
         lines = [ln for ln in _run_configs(gain_paths)[kind] if not ln.startswith("runs.count")]
-        lines += ["runs.count = 1", f"output.dir = {tmp_path / kind}"]
-        argvs.append(["simulate", "--config", _write_cfg(tmp_path / f"{kind}.cfg", lines)])
-    code = "import sys\nsys.modules['scipy'] = None\nfrom ptstab.cli import main\n"
-    code += "".join(f"assert main({[str(a) for a in argv]!r}) == 0, {argv[0]!r}\n" for argv in argvs)
+        lines += ["runs.count = 1", f"output.dir = {d / kind}"]
+        argvs[f"simulate {kind}" + (" expflat" if kind == "pnf" else "")] = [
+            "simulate", "--config", _write_cfg(d / f"{kind}.cfg", lines)
+        ]
+    code = "import json, sys\nsys.modules['scipy'] = None\nfrom ptstab.cli import main\n"
+    code += f"print(json.dumps({{c: main(a) for c, a in {({c: [str(x) for x in a] for c, a in argvs.items()})!r}.items()}}))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert main(synth + ["pnf", "--out", str(here)]) == 0 and pnf.read_bytes() == here.read_bytes()
+    return json.loads(out.stdout.strip().splitlines()[-1]), d
+
+
+@pytest.mark.parametrize("command", _NO_SCIPY_COMMANDS)
+def test_commands_off_the_scipy_paths_load_no_scipy(tmp_path, no_scipy_run, command):
+    # scipy is a test oracle only: every command runs in an interpreter where importing it fails
+    codes, d = no_scipy_run
+    assert codes[command] == 0
+    if command == "synthesize pnf":  # the fresh interpreter writes the in-process bytes
+        here = tmp_path / "here.gains"
+        assert main(["synthesize", "--n", "2", "--b-lower", "1", "--kind", "pnf", "--out", str(here)]) == 0
+        assert (d / "pnf.gains").read_bytes() == here.read_bytes()
 
 
 _RUNS = ["runs.count = 2", "runs.seed = 1", "runs.x0_min = 0.3", "runs.x0_max = 30.0", "sim.rel_tol = 1e-7", "sim.horizon = 1.0"]
