@@ -59,7 +59,7 @@ RHO_FLOOR = 1e-6
 # at orders the solver cannot handle, the steep weights fail first, so
 # synthesis refuses before it reaches the others
 Q_RATIO_EXPONENTS = range(4, -9, -1)
-SIGN_TOL, SIGN_MAX_ITER = 1e-12, 40  # sign iteration's last step and step limit; n <= 13 needs <= 20
+SIGN_TOL, SIGN_STALL, SIGN_MAX_ITER = 1e-12, 1e-10, 40  # sign iteration's last step, stall bar, step limit; n <= 13 needs <= 17
 
 
 class SynthesisError(RuntimeError):
@@ -187,18 +187,19 @@ def certify_perturbation(g: LinearGain):
 def _sign(Z: np.ndarray) -> np.ndarray:
     """sign(Z) by Newton's iteration Z <- (Z/c + c Z^-1)/2, c = |det Z|^(1/m) (Byers 1987).
 
+    Converged at a relative step <= SIGN_TOL, or at the rounding floor: a step <= SIGN_STALL that did not shrink.
     LinAlgError when singular, after SIGN_MAX_ITER steps, or at a step above 1/2 (or NaN) after one below 1/10.
     """
-    m, low = len(Z), False
+    m, low, last = len(Z), False, math.inf
     for _ in range(SIGN_MAX_ITER):
         Zi, c = np.linalg.inv(Z), math.exp(np.linalg.slogdet(Z)[1] / m)
         Z, prev = 0.5 * (Z / c + c * Zi), Z
         delta = np.linalg.norm(Z - prev, 1) / np.linalg.norm(Z, 1)
-        if delta <= SIGN_TOL:
+        if delta <= SIGN_TOL or last <= delta <= SIGN_STALL:
             return Z
         if low and not delta <= 0.5:
             raise np.linalg.LinAlgError("sign iteration diverged")
-        low = low or delta < 0.1
+        low, last = low or delta < 0.1, delta
     raise np.linalg.LinAlgError(f"sign iteration did not converge in {SIGN_MAX_ITER} steps")
 
 
@@ -213,7 +214,7 @@ def _riccati_gain(n: int, b_lower: float, k: int) -> LinearGain:
         # the weights overflow for n >= 257, before any n x n matrix exists
         Q = np.diag(2.0 ** (k * np.arange(n)))
         W = _sign(np.block([[J, -G], [-Q, -J.T]])) + np.eye(2 * n)
-        P = np.linalg.lstsq(W[:, n:], -W[:, :n])[0]
+        P = np.linalg.lstsq(W[:, n:], -W[:, :n], rcond=None)[0]
         P = 0.5 * (P + P.T)
         A = J - G @ P
         P = P + 0.5 * _sign(np.block([[A.T, J.T @ P + P @ A + Q], [np.zeros((n, n)), -A]]))[:n, n:]

@@ -524,11 +524,7 @@ def test_bad_run_specs_are_config_errors(tmp_path, capsys, line):
 
 def test_zero_tolerance_pair_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
     # both tolerances 0 used to grind through sim.max_steps forced steps; now nothing is synthesized or run
-    def no_work(*args, **kwargs):
-        raise AssertionError("reached synthesis or integration")
-
-    for name in ("synthesize_linear_gain", "synthesize_hong_gains", "integrate"):
-        monkeypatch.setattr(cli, name, no_work)
+    _no_work(monkeypatch)
     out = tmp_path / "o"
     for kind in ("pnf", "matched_robust"):
         lines = ["plant.n = 2", f"controller.kind = {kind}", "sim.rel_tol = 0", "sim.abs_tol = 0.0", f"output.dir = {out}"]
@@ -835,9 +831,10 @@ def test_inline_synthesis_failures_exit_2(tmp_path, capsys, monkeypatch):
     from ptstab.switching import SwitchDesignError
 
     out = f"output.dir = {tmp_path / 'o'}"
-    # pnf synthesis refuses n = 14 (no gain clears the rho floor), n = 40 (the sign iteration
-    # diverges) and n = 257 (the weights overflow), each with a SynthesisError of its own
-    refusals = {14: "no Riccati gain reaches rho >= 1e-06", 40: "Riccati solver failed at n=40: sign iteration diverged",
+    # pnf synthesis refuses n = 14 and 20 (no gain clears the rho floor; at n = 20 the k = 4 sign iteration
+    # ends on its stall rule), n = 40 (the sign iteration diverges) and n = 257 (the weights overflow)
+    refusals = {14: "no Riccati gain reaches rho >= 1e-06", 20: "no Riccati gain reaches rho >= 1e-06 at n=20",
+                40: "Riccati solver failed at n=40: sign iteration diverged",
                 257: "Riccati solver failed at n=257: overflow encountered in power"}
     for n, reason in refusals.items():
         cfg = _write_cfg(tmp_path / f"p{n}.cfg", [f"plant.n = {n}", "controller.kind = pnf", out])
@@ -992,31 +989,24 @@ def test_hong_file_without_kappa_pos_is_refused(tmp_path, capsys, fresh_gain_fil
     _one_line_error(capsys, "error: ")
 
 
-_NO_SCIPY_COMMANDS = [
-    "synthesize pnf", "synthesize hong", "verify hong", "verify pnf", "simulate matched_robust", "simulate pnf expflat"
-]
+_NO_SCIPY_COMMANDS = ["synthesize pnf", "synthesize hong", "verify hong", "verify pnf", "simulate matched_robust", "simulate pnf expflat"]
 
 
 @pytest.fixture(scope="module")
 def no_scipy_run(tmp_path_factory, gain_paths):
     """One fresh interpreter with scipy blocked runs every command; its exit codes by command, and its out dir."""
-    d = tmp_path_factory.mktemp("no_scipy")
-    synth = ["synthesize", "--n", "2", "--b-lower", "1", "--kind"]
-    argvs = {
-        "synthesize pnf": synth + ["pnf", "--out", d / "pnf.gains"],
-        "synthesize hong": synth + ["hong", "--out", d / "hong.gains"],
-        "verify hong": ["verify", "--gains", gain_paths["hong", 2]],
-        "verify pnf": ["verify", "--gains", gain_paths["pnf", 2]],
-    }
-    for kind in ("matched_robust", "pnf"):  # the pnf config runs the expflat density
-        lines = [ln for ln in _run_configs(gain_paths)[kind] if not ln.startswith("runs.count")]
-        lines += ["runs.count = 1", f"output.dir = {d / kind}"]
-        argvs[f"simulate {kind}" + (" expflat" if kind == "pnf" else "")] = [
-            "simulate", "--config", _write_cfg(d / f"{kind}.cfg", lines)
-        ]
+    d, argvs = tmp_path_factory.mktemp("no_scipy"), {}
+    for kind in ("pnf", "hong"):
+        argvs[f"synthesize {kind}"] = ["synthesize", "--n", "2", "--b-lower", "1", "--kind", kind, "--out", d / f"{kind}.gains"]
+        argvs[f"verify {kind}"] = ["verify", "--gains", gain_paths[kind, 2]]
+    for kind, command in (("matched_robust", "simulate matched_robust"), ("pnf", "simulate pnf expflat")):
+        lines = [ln for ln in _run_configs(gain_paths)[kind] if not ln.startswith("runs.count")]  # pnf runs expflat
+        argvs[command] = ["simulate", "--config", _write_cfg(d / f"{kind}.cfg", lines + ["runs.count = 1", f"output.dir = {d / kind}"])]
+    argvs = {c: [str(x) for x in a] for c, a in argvs.items()}
     code = "import json, sys\nsys.modules['scipy'] = None\nfrom ptstab.cli import main\n"
-    code += f"print(json.dumps({{c: main(a) for c, a in {({c: [str(x) for x in a] for c, a in argvs.items()})!r}.items()}}))"
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code += f"print(json.dumps({{c: main(a) for c, a in {argvs!r}.items()}}))"
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1]), d
