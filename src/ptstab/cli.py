@@ -119,9 +119,13 @@ def cmd_verify(args) -> int:
         rows = [("decay constant C (file)", f"{g.C:.5g}", g.C > 0)]
         cert = g.certificate
         samples = cert["verify_samples_per_kappa"] * args.grid_scale
-        C_new, _ = verify_decay(g, KAPPA_POINTS, samples, seed=cert["seed"] + 5000)
+        try:
+            C_new, _ = verify_decay(g, KAPPA_POINTS, samples, seed=cert["seed"] + 5000)
+            resid = decay_residual(g, KAPPA_POINTS, samples, seed=cert["seed"] + 6000)
+        except MemoryError:
+            print(f"error: --grid-scale {args.grid_scale} needs more memory than is available", file=sys.stderr)
+            return 1
         rows.append(("decay constant C (rescan)", f"{C_new:.5g}", C_new > 0))
-        resid = decay_residual(g, KAPPA_POINTS, samples, seed=cert["seed"] + 6000)
         rows.append(("max dV + C V^(1+a)", f"{resid:.3e}", resid <= 0.0))
         change = abs(C_new - cert["c_raw"]) / cert["c_raw"]
         rows.append(("C change vs certificate", f"{change:.3%}", True))

@@ -32,8 +32,8 @@ kink distance min_l |x_l - v_{l-1}| tracked in the level loop.  At kappa = 0
 its V is switching's quadratic V0, and its last gradient column dV0/dx_n.
 _decay_scores runs it over CHUNK-row blocks and scores the kink rows +-inf
 instead of dropping them, so the reductions keep np.argmin's first-worst-row
-choice.  The scalar _cascade serves the per-step feedback laws and their
-V0 surfaces (and the single-point hong_control and hong_value).
+choice.  The scalar _cascade serves sim's switching controllers, u and
+surfaces per step (and the single-point hong_control and hong_value).
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ near the blow-up horizon, lands exactly on requested output times, and
 declares settling only on a persistent ball.  The controller diagnostics
 are taken after the run, in one pass over all rows.
 Runs are bit-reproducible for fixed inputs.
+
+The switching controllers bind the hong cascade's gains and exponents once
+and run the scalar cascade per call of u and of surfaces; switching designs
+their parameters and supplies their batched diagnostics.
 """
 
 from __future__ import annotations
@@ -16,15 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ChainSpec, dilate, pnf_weights
-from .hong import HongGainSet
+from .hong import HongGainSet, _cascade, _exponents
 from .pnf import LinearGain, _feedback, pnf_law
-from .switching import (
-    MatchedRobustLaw,
-    SwitchParams,
-    bind_diagnostics,
-    fixed_time_law,
-    v0_law,
-)
+from .switching import SwitchParams, _band_kappa, bind_diagnostics
 from .timescale import HORIZON_GUARD, TimeScale
 
 __all__ = [
@@ -143,22 +141,30 @@ def pnf_controller(gain: LinearGain, ts: TimeScale, eta: float, t_stop_frac: flo
 def _band_controller(g: HongGainSet, sp: SwitchParams, b_lower: float, mu: float = 1.0):
     """The switching-degree law on y = D_mu x under the chain weights (y = x at mu = 1).
 
-    u = omega_{kappa(y)}(y)/b_lower, the surfaces are V0(y) = 1 -+ m, and the
-    diagnostics are taken at x itself.  The law, the dilation factors
-    mu^{r_i} and the band edges are bound once.
+    u = omega_{kappa(y)}(y)/b_lower with kappa(y) = _band_kappa(V0(y)), the
+    surfaces are V0(y) = 1 -+ m, both from one bound kappa = 0 exponent set,
+    and the diagnostics are taken at x itself.  kappa0 is checked once; ell,
+    the +-kappa0 exponents, mu^{r_i} and the band edges are bound once, and a
+    degree inside the band gets its exponents per call.
     """
-    law = fixed_time_law(g, sp, b_lower)
-    scales = None if mu == 1.0 else dilate(pnf_weights(g.n), mu, np.ones(g.n)).tolist()
-    v0, lo, hi = v0_law(g), 1.0 - sp.m, 1.0 + sp.m
+    g.check_kappa(sp.kappa0)
+    n, ell, k0, m = g.n, g.ell.tolist(), sp.kappa0, sp.m
+    zero = _exponents(n, 0.0)
+    saturated = {k0: _exponents(n, k0), -k0: _exponents(n, -k0)}
+    scales = None if mu == 1.0 else dilate(pnf_weights(n), mu, np.ones(n)).tolist()
+    lo, hi = 1.0 - m, 1.0 + m
 
     def state(x):
         return x if scales is None else [xi * si for xi, si in zip(x, scales)]
 
     def u(t, x):
-        return law(state(x))
+        y = state(x)
+        kappa = _band_kappa(_cascade(ell, zero, y)[1], k0, m)
+        exps = saturated.get(kappa) or _exponents(n, kappa)
+        return _cascade(ell, exps, y, want_value=False)[0] / b_lower
 
     def surfaces(x):
-        v = v0(state(x))
+        v = _cascade(ell, zero, state(x))[1]
         return (v - lo, v - hi)
 
     return Controller(u=u, surfaces=surfaces, diag=bind_diagnostics(g, sp))
@@ -169,14 +175,30 @@ def fixed_time_controller(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0
 
 
 def robust_controller(g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float = 1e-3):
-    """Matched-robust feedback with its surface V_{-kappa0} = 1."""
-    law = MatchedRobustLaw(g, sp, spec, reg_eps)
-    v_minus = law.v_minus
+    """Two-mode sliding feedback (1/b_lower)(omega0 + D*sgn_eps(omega0)) with its surface V_{-kappa0} = 1.
 
-    def surfaces(x):
-        return (v_minus(x) - 1.0,)
+    omega0 switches between the +-kappa0 cascades, whose exponents are bound
+    once, on the surface; the sign is regularized as z/max(|z|, eps).  u runs
+    the -kappa0 pass, whose last v is omega0 on the sliding set
+    {V_{-kappa0} <= 1}, and only off that set the +kappa0 pass.
+    """
+    if not reg_eps > 0:
+        raise ValueError("reg_eps must be positive")
+    g.check_kappa(sp.kappa0)
+    ell, d_bound, b_lower = g.ell.tolist(), spec.d_bound, spec.b_lower
+    plus, minus = _exponents(g.n, sp.kappa0), _exponents(g.n, -sp.kappa0)
 
-    return Controller(u=law.u, surfaces=surfaces, diag=bind_diagnostics(g, sp))
+    def u(t, y):
+        w0, vm = _cascade(ell, minus, y)
+        if vm > 1.0:
+            w0 = _cascade(ell, plus, y, want_value=False)[0]
+        sgn = w0 / max(abs(w0), reg_eps)
+        return (w0 + d_bound * sgn) / b_lower
+
+    def surfaces(y):
+        return (_cascade(ell, minus, y)[1] - 1.0,)
+
+    return Controller(u=u, surfaces=surfaces, diag=bind_diagnostics(g, sp))
 
 
 def prescribed_time_controller(
@@ -215,9 +237,8 @@ class Trajectory:
     x: np.ndarray
     u: np.ndarray
     diag: dict
-    status: str  # "horizon" | "settled" | "step_failure"
+    status: str  # "horizon" | "settled" | "step_failure" (the run stopped at t[-1])
     settle_time: float | None = None
-    fail_time: float | None = None
 
 
 # Dormand-Prince 5(4) tableau
@@ -358,7 +379,7 @@ def _within(x, radius) -> bool:
 
 
 def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
-    """Generic DP54 loop.  Returns (ts, xs, status, settle_time, fail_time).
+    """Generic DP54 loop.  Returns (ts, xs, status, settle_time).
 
     f(t, x) takes the state as a list of floats and returns the slope as a
     sequence of floats; an attempted step evaluates it 6 times (first same
@@ -388,7 +409,7 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
     k1 = f(t, x)
     cap = on_row(t, x)
     if not _all_finite(k1):
-        return ts, xs, "step_failure", None, t
+        return ts, xs, "step_failure", None
     scale = float(np.linalg.norm(x0)) + 1.0
     rate = float(np.linalg.norm(k1)) + 1e-12
     h = min((t_end - t0) * 1e-3, 0.01 * scale / rate)
@@ -397,7 +418,6 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
     settle_first = None
     streak = 0
     status = "horizon"
-    fail_time = None
     hmax = None  # the bound of the current row, formed at its first attempt
 
     for _ in range(opts.max_steps):
@@ -412,7 +432,6 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
         h_try = min(h, hmax)
         if h_try < MIN_STEP:
             status = "step_failure"
-            fail_time = t
             break
 
         step = _dp_attempt(f, t, h_try, x, k1)
@@ -420,7 +439,6 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
             h = h_try * 0.2
             if h < MIN_STEP:
                 status = "step_failure"
-                fail_time = t
                 break
             continue
         x_new, err, k7 = step
@@ -445,16 +463,14 @@ def _adaptive_run(f, t0, x0, t_end, opts: SimOptions, on_row):
                 settle_first = None
             if not _all_finite(x):
                 status = "step_failure"
-                fail_time = t
                 break
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
     else:
         status = "step_failure"
-        fail_time = t
 
     settle_time = settle_first if status == "settled" else None
-    return ts, xs, status, settle_time, fail_time
+    return ts, xs, status, settle_time
 
 
 def integrate(
@@ -510,11 +526,11 @@ def integrate(
             cap = min(cap, SWITCH_CAP)
         return cap
 
-    ts, xs, status, settle_time, fail_time = _adaptive_run(f, 0.0, x0, t_end, opts, on_row)
+    ts, xs, status, settle_time = _adaptive_run(f, 0.0, x0, t_end, opts, on_row)
     X = np.array(xs)
     return Trajectory(
         t=np.array(ts), x=X, u=np.array(us), diag={} if ctrl.diag is None else ctrl.diag(X),
-        status=status, settle_time=settle_time, fail_time=fail_time,
+        status=status, settle_time=settle_time,
     )
 
 
@@ -571,7 +587,7 @@ def integrate_warped(
         u_rows.append(last[1])
         return math.inf
 
-    ss, ys, status, settle_s, fail_s = _adaptive_run(f, 0.0, y0, s_max, opts, on_row)
+    ss, ys, status, settle_s = _adaptive_run(f, 0.0, y0, s_max, opts, on_row)
 
     s_arr = np.array(ss)
     y_arr = np.array(ys)
@@ -583,7 +599,7 @@ def integrate_warped(
     settle_time = float(ts.t_of_s(settle_s)) if settle_s is not None else None
     return Trajectory(
         t=t_arr, x=y_arr / lam_arr[:, None] ** np.array(w), u=np.array(u_rows), diag=diag, status=status,
-        settle_time=settle_time, fail_time=fail_s,
+        settle_time=settle_time,
     )
 
 

@@ -3,7 +3,7 @@
 The degree kappa(x) saturates at +kappa0 outside {V0 <= 1+m}, at -kappa0
 inside {V0 < 1-m} and interpolates affinely across the band, where V0 is
 the cascade's V_kappa at kappa = 0, sum_j (x_j - v_{j-1})^2/2, a quadratic
-form that every caller here reads off the hong cascade kernels at kappa = 0.
+form that every caller reads off the hong cascade kernels at kappa = 0.
 Outside the band the closed loop is homogeneous of positive (resp. negative)
 degree, which gives fixed-time convergence onto the band and finite-time
 convergence to the origin, with the crossing controlled by a smallness
@@ -11,6 +11,10 @@ condition on kappa0: design_switch_params halves kappa0 from the largest
 certified degree until a sampled band-decay margin holds.  A dilation of
 the state by mu >= T_settle/T_target converts the fixed-time law into a
 prescribed-time one (sim.prescribed_time_controller).
+
+This module holds the design, the level-set sampler and the batched run
+diagnostics; sim's controllers bind the per-step laws (the band law and the
+matched-robust sliding law) on the scalar hong cascade.
 """
 
 from __future__ import annotations
@@ -20,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec
-from .hong import CHUNK, HongGainSet, _cascade, _cascade_rows, _exponents, alpha_of
+from .hong import CHUNK, HongGainSet, _cascade_rows, alpha_of
 
 __all__ = [
     "SwitchDesignError",
     "SwitchParams",
-    "v0_law",
-    "fixed_time_law",
-    "MatchedRobustLaw",
     "settling_bound",
     "design_switch_params",
     "sample_v0_level",
@@ -58,84 +58,14 @@ class SwitchParams:
     b_upper: float = 1.0
 
 
-def v0_law(g: HongGainSet):
-    """The function x -> V0(x), the kappa=0 cascade value, for a float list or array x."""
-    ell, exps = g.ell.tolist(), _exponents(g.n, 0.0)
-
-    def v0(x) -> float:
-        return _cascade(ell, exps, x)[1]
-
-    return v0
-
-
 def _band_frac(v0, m: float):
     """kappa/kappa0 of the band law at V0 = v0, before the clip to [-1, 1]."""
     return 1.0 + (v0 - (1.0 + m)) / m
 
 
-def _kappa_law(sp: SwitchParams):
-    """v0 -> kappa: the affine band law clipped to +-kappa0, bind_diagnostics' np.clip on one float."""
-    k0, m = sp.kappa0, sp.m
-
-    def kappa(v0: float) -> float:
-        return min(max(k0 * _band_frac(v0, m), -k0), k0)
-
-    return kappa
-
-
-def fixed_time_law(g: HongGainSet, sp: SwitchParams, b_lower: float = 1.0):
-    """The feedback x -> omega^H_{kappa(x)}(x) / b_lower with its constants bound once.
-
-    kappa0 is checked against g once (every kappa(x) lies in [-kappa0, kappa0]),
-    and ell and the +-kappa0 exponents are fixed here; a degree inside the
-    band gets its exponents computed per call.  x is a float list or array.
-    """
-    g.check_kappa(sp.kappa0)
-    n, ell, v0 = g.n, g.ell.tolist(), v0_law(g)
-    kappa_of_v0 = _kappa_law(sp)
-    saturated = {sp.kappa0: _exponents(n, sp.kappa0), -sp.kappa0: _exponents(n, -sp.kappa0)}
-
-    def law(x) -> float:
-        kappa = kappa_of_v0(v0(x))
-        exps = saturated.get(kappa) or _exponents(n, kappa)
-        return _cascade(ell, exps, x, want_value=False)[0] / b_lower
-
-    return law
-
-
-class MatchedRobustLaw:
-    """Two-mode sliding feedback (1/b_lower)(omega0 + D*sgn_eps(omega0)).
-
-    omega0 switches between the +kappa0 and -kappa0 cascades on the surface
-    V_{-kappa0} = 1; the set-valued sign is regularized as z/max(|z|, eps).
-    The per-level exponents of both cascades are computed once.  A call of
-    u runs the -kappa0 pass, whose last v is omega0 on the sliding set
-    {V_{-kappa0} <= 1}; only off that set does it run the +kappa0 pass.  A
-    state is a float list or array of length n.
-    """
-
-    def __init__(self, g: HongGainSet, sp: SwitchParams, spec: ChainSpec, reg_eps: float):
-        if not reg_eps > 0:
-            raise ValueError("reg_eps must be positive")
-        g.check_kappa(sp.kappa0)
-        self._ell = g.ell.tolist()
-        self._plus = _exponents(g.n, sp.kappa0)
-        self._minus = _exponents(g.n, -sp.kappa0)
-        self._d_bound = spec.d_bound
-        self._b_lower = spec.b_lower
-        self._eps = reg_eps
-
-    def u(self, t, y) -> float:
-        """The feedback at state y as a Controller.u (the law does not read t)."""
-        w0, vm = _cascade(self._ell, self._minus, y)
-        if vm > 1.0:
-            w0 = _cascade(self._ell, self._plus, y, want_value=False)[0]
-        sgn = w0 / max(abs(w0), self._eps)
-        return (w0 + self._d_bound * sgn) / self._b_lower
-
-    def v_minus(self, y) -> float:
-        """V_{-kappa0}(y), from one -kappa0 pass."""
-        return _cascade(self._ell, self._minus, y)[1]
+def _band_kappa(v0: float, k0: float, m: float) -> float:
+    """The band law's kappa at V0 = v0, clipped to +-k0: bind_diagnostics' np.clip on one float."""
+    return min(max(k0 * _band_frac(v0, m), -k0), k0)
 
 
 def settling_bound(C: float, m: float, kappa0: float, r_plus: float, r_minus: float) -> float:

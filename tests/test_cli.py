@@ -147,8 +147,10 @@ def test_verify_hong_grid_scale(tmp_path, capsys):
     report = capsys.readouterr().out
     change_line = [ln for ln in report.splitlines() if "C change" in ln][0]
     assert float(change_line.split()[-2].rstrip("%")) < 10.0
-    # a non-positive scale is a usage error, not a silent scan at scale 1
-    for bad in ("0", "-5"):
+    # a non-positive scale is a usage error, not a silent scan at scale 1; so
+    # is one whose rescan numpy refuses to allocate (hundreds of PiB at 1e12,
+    # refused before any allocation), not a MemoryError traceback
+    for bad in ("0", "-5", "1000000000000"):
         assert main(["verify", "--gains", out, "--grid-scale", bad]) == 1
         _one_line_error(capsys, "error: --grid-scale")
 

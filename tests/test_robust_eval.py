@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from ptstab import sim, switching
+from ptstab import sim
 from ptstab.core import ChainSpec
 from ptstab.hong import (
     _cascade,
@@ -34,7 +34,7 @@ from ptstab.sim import (
     robust_controller,
     sine_signal,
 )
-from ptstab.switching import MatchedRobustLaw, design_switch_params
+from ptstab.switching import design_switch_params
 from oracles import kappa_of_x, quadratic_v0, z_value
 
 SPEC = ChainSpec(n=2, T=1.0, b_lower=1.0, b_upper=3.0, d_bound=1.0)
@@ -93,7 +93,7 @@ def test_fused_kernel_matches_reference(n):
 
 def test_public_kernels_and_law_match_reference(design):
     g, sp = design
-    law = MatchedRobustLaw(g, sp, SPEC, REG_EPS)
+    ctrl = robust_controller(g, sp, SPEC, REG_EPS)
     states = _states(2, 1200, seed=5)
     # put half of the states near {V_- = 1}, where the law switches
     for x in states[::2]:
@@ -112,8 +112,8 @@ def test_public_kernels_and_law_match_reference(design):
         w0, _ = _reference(g.ell, sp.kappa0 if vm > 1.0 else -sp.kappa0, x)
         sides.add(vm > 1.0)
         u_ref = (w0 + SPEC.d_bound * (w0 / max(abs(w0), REG_EPS))) / SPEC.b_lower
-        assert law.u(0.0, x) == u_ref
-        assert law.v_minus(x) == vm
+        assert ctrl.u(0.0, x) == u_ref
+        assert ctrl.surfaces(x) == (vm - 1.0,)
     assert sides == {True, False}
 
 
@@ -192,7 +192,7 @@ def _counted_robust_run(design, monkeypatch, d1):
         calls["attempts"] += 1
         return attempt(*args)
 
-    monkeypatch.setattr(switching, "_cascade", counting_cascade)
+    monkeypatch.setattr(sim, "_cascade", counting_cascade)
     monkeypatch.setattr(sim, "_dp_attempt", counting_attempt)
     ctrl = robust_controller(g, sp, SPEC, REG_EPS)
 

@@ -331,7 +331,7 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
     if on_step is not None:
         on_step(t, x)
     if not np.isfinite(k1).all():
-        return ts, xs, "step_failure", None, t
+        return ts, xs, "step_failure", None
     scale = np.linalg.norm(x) + 1.0
     rate = np.linalg.norm(k1) + 1e-12
     h = min((t_end - t0) * 1e-3, 0.01 * scale / rate)
@@ -340,7 +340,6 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
     settle_first = None
     streak = 0
     status = "horizon"
-    fail_time = None
     ks = [None] * 7
 
     for _ in range(opts.max_steps):
@@ -356,7 +355,6 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
         h_try = min(h, hmax)
         if h_try < sim.MIN_STEP:
             status = "step_failure"
-            fail_time = t
             break
 
         ks[0] = k1
@@ -376,7 +374,6 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
             h = h_try * 0.2
             if h < sim.MIN_STEP:
                 status = "step_failure"
-                fail_time = t
                 break
             continue
 
@@ -415,16 +412,14 @@ def _numpy_adaptive_run(f, t0, x0, t_end, opts, h_cap=None, on_step=None):
                 settle_first = None
             if not np.isfinite(x).all():
                 status = "step_failure"
-                fail_time = t
                 break
         factor = 0.9 * err_norm ** -0.2 if err_norm > 0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
     else:
         status = "step_failure"
-        fail_time = t
 
     settle_time = settle_first if status == "settled" else None
-    return ts, xs, status, settle_time, fail_time
+    return ts, xs, status, settle_time
 
 
 def _oracle_run(f, t0, x0, t_end, opts, on_row):
@@ -525,7 +520,7 @@ def test_float_loop_matches_numpy_oracle(case, hong_design, monkeypatch):
     new = ORACLE_CASES[case](hong_design)
     monkeypatch.setattr(sim, "_adaptive_run", _oracle_run)
     old = ORACLE_CASES[case](hong_design)
-    assert (new.status, new.settle_time, new.fail_time) == (old.status, old.settle_time, old.fail_time)
+    assert (new.status, new.settle_time, new.t[-1]) == (old.status, old.settle_time, old.t[-1])
     for name in ("t", "x", "u"):
         a, b = getattr(new, name), getattr(old, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

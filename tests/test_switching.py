@@ -18,20 +18,18 @@ from ptstab.sim import (
     fixed_time_controller,
     integrate,
     prescribed_time_controller,
+    robust_controller,
 )
 from ptstab.switching import (
     SwitchDesignError,
     SwitchParams,
     _band_frac,
+    _band_kappa,
     _band_scan,
-    _kappa_law,
     bind_diagnostics,
     design_switch_params,
-    fixed_time_law,
-    MatchedRobustLaw,
     sample_v0_level,
     settling_bound,
-    v0_law,
 )
 from oracles import (
     band_decay_margin,
@@ -53,7 +51,7 @@ def vdot_with_control(g, kappa, x, u):
 
 def matched_robust_feedback(g, sp, spec, reg_eps, y):
     """One evaluation of the matched-robust law."""
-    return MatchedRobustLaw(g, sp, spec, reg_eps).u(0.0, np.asarray(y, dtype=float))
+    return robust_controller(g, sp, spec, reg_eps).u(0.0, np.asarray(y, dtype=float))
 
 
 def _setup(n=2, seed=0, m=0.5):
@@ -78,9 +76,13 @@ def test_v0_matches_the_quadratic_form_oracle(n):
     def rel_err(got, ref):
         return float(np.max(np.abs(np.asarray(got) - ref) / ref))
 
-    v0 = v0_law(g)
-    assert rel_err([v0(x) for x in X], want) <= 1e-14
-    assert rel_err([v0(x.tolist()) for x in X], want) <= 1e-14
+    assert rel_err([hong_value(g, 0.0, x) for x in X], want) <= 1e-14
+    assert rel_err([hong_value(g, 0.0, x.tolist()) for x in X], want) <= 1e-14
+    # the band controller's surfaces are V0 - (1-m) and V0 - (1+m), bit for bit
+    surfaces = fixed_time_controller(g, sp).surfaces
+    for x in X.tolist():
+        v = hong_value(g, 0.0, x)
+        assert np.array(surfaces(x)).tobytes() == np.array((v - (1.0 - sp.m), v - (1.0 + sp.m))).tobytes()
     assert rel_err(bind_diagnostics(g, sp)(X)["V0"], want) <= 1e-14
     for k in range(12):
         level = 10.0 ** (k - 6)
@@ -102,10 +104,9 @@ def test_band_law_is_one_clip_scalar_and_batched():
     edges = [1.0 - m, 1.0 + m]
     neighbours = [math.nextafter(v, d) for v in edges for d in (-math.inf, math.inf)]
     spread = np.random.default_rng(13).uniform(0.0, 3.0, 1000).tolist()
-    law = _kappa_law(sp)
     for v0s in (edges, neighbours, spread):
         want = np.clip(k0 * _band_frac(np.array(v0s), m), -k0, k0)
-        assert np.array([law(v) for v in v0s]).tobytes() == want.tobytes()
+        assert np.array([_band_kappa(v, k0, m) for v in v0s]).tobytes() == want.tobytes()
 
 
 def test_kappa_of_x_edges():
@@ -144,31 +145,31 @@ def test_fixed_time_feedback_saturation():
     g, sp = _setup()
     x = np.array([5.0, 2.0])  # far outside the band
     assert quadratic_v0(g, x) > 1 + sp.m
-    u_switch = fixed_time_law(g, sp)(x)
+    u_switch = fixed_time_controller(g, sp).u(0.0, x)
     u_plus, _ = hong_control(g, sp.kappa0, x)
     assert u_switch == pytest.approx(u_plus)
-    assert fixed_time_law(g, sp)(np.zeros(2)) == 0.0
+    assert fixed_time_controller(g, sp).u(0.0, np.zeros(2)) == 0.0
 
 
 def test_fixed_time_feedback_continuity_probe():
     g, sp = _setup()
     rng = np.random.default_rng(3)
-    law = fixed_time_law(g, sp)
+    law = fixed_time_controller(g, sp).u
     for level in (1.0 - sp.m, 1.0 + sp.m):
         for _ in range(20):
             z = rng.standard_normal(2)
             xs = z * math.sqrt(level / quadratic_v0(g, z))
             d = rng.standard_normal(2)
             d = 1e-6 * d / np.linalg.norm(d)
-            du = abs(law(xs + d) - law(xs - d))
+            du = abs(law(0.0, xs + d) - law(0.0, xs - d))
             assert du < 1e-3
 
 
 def test_b_lower_adaptation():
     g, sp = _setup()
     x = np.array([5.0, 2.0])
-    u1 = fixed_time_law(g, sp, 1.0)(x)
-    u2 = fixed_time_law(g, sp, 2.0)(x)
+    u1 = fixed_time_controller(g, sp, 1.0).u(0.0, x)
+    u2 = fixed_time_controller(g, sp, 2.0).u(0.0, x)
     assert u2 == pytest.approx(u1 / 2.0)
 
 
@@ -179,16 +180,16 @@ def test_b_lower_adaptation_matches_the_scaled_last_gain():
 
     g, sp = _setup()
     rng = np.random.default_rng(12)
-    law = fixed_time_law(g, sp)
+    u = fixed_time_controller(g, sp).u
     for b in (0.25, 1.7, 3.0):
         scaled = replace(g, ell=np.append(g.ell[:-1], g.ell[-1] / b))
-        law_b = fixed_time_law(g, sp, b)
+        u_b = fixed_time_controller(g, sp, b).u
         for _ in range(200):
             x = rng.standard_normal(2) * 10.0 ** rng.uniform(-3.0, 3.0)
             kap = kappa_of_x(g, sp, x)
             old, _ = hong_control(scaled, kap, x)
-            assert abs(law_b(x) - old) <= math.ulp(old)
-            assert law(x).hex() == hong_control(g, kap, x)[0].hex()
+            assert abs(u_b(0.0, x) - old) <= math.ulp(old)
+            assert u(0.0, x).hex() == hong_control(g, kap, x)[0].hex()
 
 
 def test_matched_robust_examples():
@@ -236,12 +237,12 @@ def test_band_decay_and_lyapunov_rate():
     assert worst <= allowed
     # consequence: dV0 <= -C V0 / 2 across the band (sampled)
     rng = np.random.default_rng(5)
-    law = fixed_time_law(g, sp)
+    law = fixed_time_controller(g, sp).u
     for _ in range(300):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
         x = z * math.sqrt(level / quadratic_v0(g, z))
-        u = law(x)
+        u = law(0.0, x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
 
@@ -249,14 +250,14 @@ def test_band_decay_and_lyapunov_rate():
 def test_outer_inner_decay():
     g, sp = _setup()
     rng = np.random.default_rng(6)
-    law = fixed_time_law(g, sp)
+    law = fixed_time_controller(g, sp).u
     ap = sp.kappa0 / (2 + sp.kappa0)
     am = -sp.kappa0 / (2 - sp.kappa0)
     outer = inner = 0
     while outer < 200 or inner < 200:
         z = rng.standard_normal(2) * rng.uniform(0.05, 4.0)
         V0 = quadratic_v0(g, z)
-        u = law(z)
+        u = law(0.0, z)
         if V0 > 1 + sp.m and outer < 200:
             dV, V = vdot_with_control(g, sp.kappa0, z, u)
             if V <= 10 * sp.r_plus:
@@ -487,12 +488,12 @@ def test_kappa0_formula_reproduces_band_decay():
     # verified at the designed value on fresh samples
     g, sp = _setup()
     rng = np.random.default_rng(8)
-    law = fixed_time_law(g, sp)
+    law = fixed_time_controller(g, sp).u
     for _ in range(500):
         z = rng.standard_normal(2)
         level = rng.uniform(1 - sp.m, 1 + sp.m)
         x = z * math.sqrt(level / quadratic_v0(g, z))
-        u = law(x)
+        u = law(0.0, x)
         dV0, V0 = vdot_with_control(g, 0.0, x, u)
         assert dV0 <= -sp.C * V0 / 2 + 1e-9
 
